@@ -14,7 +14,8 @@ import statistics
 from dataclasses import dataclass, field
 
 from .datagen import derive_rng
-from .dsl import doc_to_law, law_to_doc, lower_classical, parse_classical
+from .dsl import doc_to_law, lower_classical, parse_classical
+from .evaluation import EmptyDataset  # noqa: F401 (one class, importable from both modules)
 from .phonology import PhoneSeq, SegmentInventory
 from .rules import Cascade, apply_to_lexicon
 from .tasks import PBETask, read_tasks, write_tasks  # noqa: F401 (re-exported)
@@ -29,10 +30,6 @@ class EmptyCascade(BenchmarkError):
 
 
 class EmptyLexicon(BenchmarkError):
-    pass
-
-
-class EmptyDataset(BenchmarkError):
     pass
 
 
@@ -174,9 +171,3 @@ def load_cascade(text: str, inv: SegmentInventory, name: str = "") -> Cascade:
 def load_cascade_file(path, inv: SegmentInventory) -> Cascade:
     with open(path, encoding="utf-8") as fh:
         return load_cascade(fh.read(), inv, name=str(path))
-
-
-def save_cascade(cascade: Cascade, path) -> None:
-    docs = [law_to_doc(law) for law in cascade.laws]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(docs, fh, ensure_ascii=False, indent=1)

@@ -46,7 +46,7 @@ class CliError(Exception):
 
 
 def _classify(exc: Exception) -> int:
-    if isinstance(exc, (dsl.SchemaError, evaluation.EvaluationError, benchmark.EmptyDataset)):
+    if isinstance(exc, (dsl.SchemaError, evaluation.EvaluationError)):
         return EXIT_SCHEMA
     if isinstance(exc, (dsl.DslError, UnsegmentableInput)):
         return EXIT_PARSE

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from . import kernels
 from .dsl import RuleDB, lower_classical, parse_program_text, extract_code_blocks
-from .phonology import BOUNDARY, PhoneSeq, SegmentInventory
+from .phonology import BOUNDARY, PhoneSeq, SegmentInventory, UnsegmentableInput
 from .rules import (
     Predicate,
     SEP_PRED,
@@ -199,15 +199,14 @@ def occurrences(preds, word: PhoneSeq, inv: SegmentInventory) -> list[int]:
     ]
 
 
-def _interior_count(preds, word: PhoneSeq, inv: SegmentInventory) -> int:
-    w = len(preds)
-    return sum(1 for i in occurrences(preds, word, inv) if 0 < i and i + w < len(word))
-
-
 def _concrete_context(preds, rng: random.Random, inv: SegmentInventory) -> list[str]:
+    # each slot's matching phones, in inventory order, listed once per inventory
+    members_of = inv.memo("datagen.slot_members", lambda _: {})
     phones = []
     for p in preds:
-        members = [s for s in inv.segments if p.matches(s, inv)]
+        members = members_of.get(p)
+        if members is None:
+            members = members_of[p] = [s for s in inv.segments if p.matches(s, inv)]
         if not members:
             raise InfeasibleQuota(f"no inventory phone satisfies {p}")
         phones.append(rng.choice(members))
@@ -396,7 +395,7 @@ def _segment_all(words, inv: SegmentInventory) -> list[PhoneSeq]:
     for word in words:
         try:
             phones = inv.segment(word)
-        except Exception:
+        except UnsegmentableInput:
             continue
         if phones:
             out.append(phones)

@@ -106,14 +106,16 @@ def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_leve
         raise EvaluationError("no candidate samples")
     source = list(task.inputs)
     target = list(task.outputs)
+    predictions: dict[tuple[SoundLaw, ...], list] = {(): source}
     scores = []
     for idx, cand in enumerate(candidates):
-        pred = source
-        if cand is not None:
-            laws = [cand] if isinstance(cand, SoundLaw) else list(cand)
+        laws = () if cand is None else (cand,) if isinstance(cand, SoundLaw) else tuple(cand)
+        pred = predictions.get(laws)
+        if pred is None:  # each distinct candidate runs once per task
             pred = source
             for law in laws:
                 pred = apply_to_lexicon(law, pred, inv)[0]
+            predictions[laws] = pred
         r = reward(source, pred, target, char_level)
         scores.append(SampleScore(task.id, idx, r, r == 1))
     rewards = [s.reward for s in scores]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -214,21 +215,33 @@ class Gateway:
         return Path(self.config.cache_dir) / f"{key}.json"
 
     def _cache_read(self, key: str) -> dict | None:
+        """The stored document, or None when absent or unreadable: a corrupt
+        entry counts as a miss and is overwritten once refetched."""
         path = self._cache_path(key)
         if path is None or not path.exists():
             return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            return None
+        return doc if isinstance(doc, dict) and "content" in doc else None
 
     def _cache_write(self, key: str, doc: dict) -> None:
+        """Write through a unique temp file and an atomic rename, so
+        concurrent writers of one key never interleave."""
         path = self._cache_path(key)
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, ensure_ascii=False)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, ensure_ascii=False)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     # -- completion -------------------------------------------------------
 

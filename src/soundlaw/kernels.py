@@ -116,5 +116,3 @@ levenshtein = _impl.levenshtein
 lcs_pair = _impl.lcs_pair
 levenshtein_bruteforce = _impl.levenshtein_bruteforce
 lcs_len_bruteforce = _impl.lcs_len_bruteforce
-
-pure = _native

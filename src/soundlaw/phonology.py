@@ -93,6 +93,24 @@ class SegmentInventory:
         object.__setattr__(
             self, "_max_len", max((len(s) for s in self.segments), default=0)
         )
+        object.__setattr__(self, "_memos", {})
+
+    def __getstate__(self):
+        # derived lookups are rebuilt lazily in each process, never shipped
+        return {**self.__dict__, "_memos": {}}
+
+    def memo(self, name: str, build):
+        """The value `build(self)` stored under `name`, built on first use.
+
+        Holds lookups derived from this inventory (compiled laws, class
+        members).  They are left out of pickles, so each worker process
+        builds its own instead of sharing a parent's.
+        """
+        try:
+            return self._memos[name]
+        except KeyError:
+            value = self._memos[name] = build(self)
+            return value
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._segment_set

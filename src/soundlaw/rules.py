@@ -6,14 +6,28 @@ first, then all edits are materialized at once.  A rule therefore never
 fires on material it introduced itself (no self-feeding), and overlapping
 matches that fight over one slot resolve deterministically to the leftmost
 site.
+
+Matching is compiled.  Per inventory, every token is encoded as one
+character: '#' and '@' stand for themselves and each phone gets a
+private-use code point.  Each window slot becomes a character class and the
+law becomes one lookahead pattern, compiled once per (law, inventory) and
+cached on the inventory, so `finditer` reports every site, overlapping ones
+included.  `apply_to_lexicon` joins the encoded words with newlines, which
+no slot matches, and scans the whole lexicon in one pass; only words with a
+site go on through `apply_law_word` (`preprocess`, `apply_law`,
+`find_matches`, `render`), and every other word comes back unchanged.
+`Predicate.matches` is the per-token reading of a slot that the compiled
+classes reproduce; it remains the oracle of the tests.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .phonology import (
     BOUNDARY,
+    DELETION_MARK,
     RESERVED,
     SEPARATOR,
     FEATURE_CLASS_NAMES,
@@ -89,16 +103,8 @@ def in_set(symbols) -> Predicate:
     return Predicate("in", tuple(symbols))
 
 
-def not_in_set(symbols) -> Predicate:
-    return Predicate("not-in", tuple(symbols))
-
-
 def feature_class(name: str) -> Predicate:
     return Predicate("class", (name,))
-
-
-def negated_feature_class(name: str) -> Predicate:
-    return Predicate("not-class", (name,))
 
 
 SEP_PRED = is_token(SEPARATOR)
@@ -188,17 +194,116 @@ class Cascade:
         return len(self.laws)
 
 
+class _LawCompiler:
+    """One inventory's token codebook and the laws compiled against it."""
+
+    # datagen samples a fresh random law per attempt, so the cache starts
+    # over past this many laws instead of growing for the life of the process
+    MAX_PATTERNS = 4096
+
+    def __init__(self, inv: SegmentInventory):
+        # token -> its character; '!' never occurs in an encoded word
+        self.code = {BOUNDARY: BOUNDARY, SEPARATOR: SEPARATOR, DELETION_MARK: DELETION_MARK}
+        # phone -> its character followed by the separator
+        self.phone_sep: dict[str, str] = {}
+        self.patterns: dict[SoundLaw, re.Pattern] = {}
+        for seg in inv.segments:
+            self._add(seg)
+
+    def _add(self, phone: str) -> str:
+        """Give a phone the next private-use code point (the BMP block, then
+        planes 15 and 16) and return it."""
+        n = len(self.phone_sep)
+        char = chr(0xE000 + n) if n < 6400 else chr(0xF0000 + n - 6400)
+        self.code[phone] = char
+        self.phone_sep[phone] = char + SEPARATOR
+        return char
+
+    def _char(self, token: str) -> str:
+        return self.code.get(token) or self._add(token)
+
+    def _slot(self, pred: Predicate, inv: SegmentInventory) -> str:
+        """The character class of one slot; no class matches a newline."""
+        kind, args = pred.kind, pred.args
+        if kind in ("class", "not-class"):
+            name = args[0]
+            if name == "is_anything":
+                negated, tokens = True, ()
+            elif name == "is_not_boundary":
+                negated, tokens = True, (BOUNDARY,)
+            elif name == "is_nothing":
+                negated, tokens = False, (SEPARATOR,)
+            else:  # only phones with a feature row can belong
+                negated, tokens = False, [t for t in inv.features if inv.in_class(name, t)]
+            if kind == "not-class":
+                negated = not negated
+        else:
+            negated, tokens = kind in ("is-not", "not-in"), args
+        # codes are '#', '@', '!' or private-use: none is special in a class
+        chars = "".join(self._char(t) for t in tokens)
+        if negated:
+            return f"[^\n{chars}]"
+        return f"[{chars}]" if chars else "(?!)"
+
+    def pattern(self, law: SoundLaw, inv: SegmentInventory) -> re.Pattern:
+        pattern = self.patterns.get(law)
+        if pattern is None:
+            if len(self.patterns) >= self.MAX_PATTERNS:
+                self.patterns.clear()
+            body = "".join(self._slot(p, inv) for p in law.predicates)
+            pattern = self.patterns[law] = re.compile(f"(?={body})")
+        return pattern
+
+    def encode_tokens(self, tokens: TokenSeq) -> str:
+        return "".join(map(self._char, tokens))
+
+    def encode_lexicon(self, words) -> str:
+        """Every word as preprocess() would give it, one character per token,
+        the words joined by newlines."""
+        if not words:
+            return ""
+        code_sep = self.phone_sep.__getitem__
+        try:
+            return "#@" + "#\n#@".join(["".join(map(code_sep, w)) for w in words]) + "#"
+        except KeyError:
+            pass
+        for word in words:  # the first word with a reserved token fails, as per word
+            for phone in word:
+                if phone in RESERVED:
+                    raise NonCanonicalTokenSeq(preprocess(word))
+                if phone not in self.phone_sep:
+                    self._add(phone)
+        return self.encode_lexicon(words)
+
+    def words_with_sites(self, law: SoundLaw, words, inv: SegmentInventory) -> list[int]:
+        """Indices of the words holding a site, from one scan of the lexicon
+        joined by newlines."""
+        text = self.encode_lexicon(words)
+        search = self.pattern(law, inv).search
+        hits = []
+        index = pos = 0
+        while (m := search(text, pos)) is not None:
+            start = m.start()
+            index += text.count("\n", pos, start)
+            hits.append(index)
+            pos = text.find("\n", start) + 1
+            if not pos:
+                break
+            index += 1
+        return hits
+
+
+def _compiler(inv: SegmentInventory) -> _LawCompiler:
+    return inv.memo("rules.compiler", _LawCompiler)
+
+
 def find_matches(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> list[MatchSite]:
     """All window positions (ascending) where every predicate holds."""
     if not is_canonical(tokens):
         raise NonCanonicalTokenSeq(tokens)
-    preds = law.predicates
-    width = len(preds)
-    sites = []
-    for start in range(len(tokens) - width + 1):
-        if all(preds[k].matches(tokens[start + k], inv) for k in range(width)):
-            sites.append(MatchSite(start))
-    return sites
+    compiler = _compiler(inv)
+    text = compiler.encode_tokens(tokens)
+    return [MatchSite(m.start()) for m in compiler.pattern(law, inv).finditer(text)]
 
 
 def apply_law(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> TokenSeq:
@@ -243,9 +348,15 @@ def apply_law_word(law: SoundLaw, word: PhoneSeq, inv: SegmentInventory) -> Phon
 def apply_to_lexicon(
     law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory
 ) -> tuple[list[PhoneSeq], list[bool]]:
-    """Apply a law to every word; the mask flags words that changed."""
-    outputs = [apply_law_word(law, w, inv) for w in words]
-    changed = [out != w for out, w in zip(outputs, words)]
+    """Apply a law to every word; the mask flags words that changed.
+
+    One compiled scan finds the words with a site; only those are rewritten.
+    """
+    outputs = [tuple(w) for w in words]
+    changed = [False] * len(words)
+    for i in _compiler(inv).words_with_sites(law, words, inv):
+        outputs[i] = apply_law_word(law, words[i], inv)
+        changed[i] = outputs[i] != words[i]
     return outputs, changed
 
 

@@ -8,7 +8,7 @@ multigraph phones survive the round trip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .dsl import SchemaError, doc_to_law, law_to_doc
 from .phonology import PhoneSeq, SegmentInventory
@@ -102,7 +102,3 @@ def validate_task(task: PBETask, inv: SegmentInventory) -> list[str]:
     if not any(changed):
         warnings.append(f"task {task.id}: gold law is inert on the stored inputs")
     return warnings
-
-
-def with_examples(task: PBETask, inputs, outputs) -> PBETask:
-    return replace(task, inputs=tuple(inputs), outputs=tuple(outputs))

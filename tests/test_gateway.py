@@ -133,6 +133,44 @@ def test_cache_only_miss(tmp_path):
         gw.complete(request())
 
 
+def test_concurrent_cache_writers_of_one_key(tmp_path):
+    writers = [Gateway(GatewayConfig(cache_dir=str(tmp_path))) for _ in range(2)]
+    docs = [{"content": name * 2000, "finish_reason": "stop", "usage": {}} for name in "ab"]
+    start = threading.Barrier(2)
+    errors = []
+
+    def write(gw, doc):
+        start.wait(timeout=30)
+        try:
+            for _ in range(300):
+                gw._cache_write("k", doc)
+        except Exception as exc:  # a lost temp file or a half-written entry
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=pair) for pair in zip(writers, docs)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]  # no temp file left behind
+    assert writers[0]._cache_read("k") in docs
+
+
+def test_corrupt_cache_entry_is_a_miss(tmp_path):
+    transport = ok_transport()
+    Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport).complete(request())
+    (entry,) = tmp_path.iterdir()
+    entry.write_text(entry.read_text()[:10])  # truncated JSON
+    with pytest.raises(CacheMiss):
+        Gateway(GatewayConfig(cache_dir=str(tmp_path), cache_only=True)).complete(request())
+    (t,) = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport).complete(request())
+    assert t.text == "hello" and not t.cached
+    assert len(transport.calls) == 2  # refetched
+    assert json.loads(entry.read_text())["content"] == "hello"  # and overwritten
+
+
 def test_fixture_store(tmp_path, inv):
     import hashlib
 

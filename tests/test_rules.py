@@ -1,10 +1,22 @@
+import concurrent.futures
+import functools
 import itertools
+import multiprocessing
 import random
 
 import pytest
 
+from soundlaw import datagen, evaluation
 from soundlaw import rules as R
-from soundlaw.phonology import is_canonical, preprocess, render
+from soundlaw.phonology import (
+    FEATURE_CLASS_NAMES,
+    NonCanonicalTokenSeq,
+    SegmentInventory,
+    is_canonical,
+    preprocess,
+    render,
+)
+from soundlaw.tasks import PBETask
 from soundlaw.rules import (
     Cascade,
     MatchSite,
@@ -237,3 +249,124 @@ def test_determinism(inv):
     word = ("t", "a", "t", "a")
     outs = {apply_law_word(candidate, word, inv) for _ in range(20)}
     assert len(outs) == 1
+
+
+# -- differential fuzz: compiled matching against the Predicate.matches scan ---
+
+
+def scan_sites(candidate, tokens, inv):
+    width = len(candidate.predicates)
+    return [
+        i
+        for i in range(len(tokens) - width + 1)
+        if all(candidate.predicates[k].matches(tokens[i + k], inv) for k in range(width))
+    ]
+
+
+def tiny_inventory():
+    """Three vowels and consonants, no velars (so is_velar has no members),
+    and a feature row for 'q', a phone the segment list does not hold."""
+    cols = ("syl", "son", "cons", "cont", "nas", "hi", "back")
+    rows = {
+        "a": "++-+---",
+        "i": "++-+-+-",
+        "n": "-+++---",
+        "t": "--+----",
+        "s": "--++---",
+        "ts": "--+----",
+        "q": "--+-0--",
+    }
+    features = {seg: dict(zip(cols, vals)) for seg, vals in rows.items()}
+    return SegmentInventory(("a", "i", "n", "t", "s", "ts"), features)
+
+
+def hand_built_pool(phones):
+    pool = [R.SEP_PRED, is_token("#"), R.is_not_token("#"), R.is_not_token("@")]
+    for p in phones:
+        pool += [is_token(p), R.is_not_token(p)]
+    for k in (1, 2, 3):
+        for combo in itertools.combinations(phones, k):
+            pool += [R.in_set(combo), Predicate("not-in", combo)]
+    for name in FEATURE_CLASS_NAMES:
+        pool += [feature_class(name), Predicate("not-class", (name,))]
+    return pool
+
+
+def random_hand_built_law(rng, pool, phones):
+    mappings = [delete(), replace_with([rng.choice(phones)]), insert_after([rng.choice(phones)]),
+                insert_before([rng.choice(phones)])]
+    while True:
+        preds = [rng.choice(pool) for _ in range(rng.randrange(1, 6))]
+        editable = [i for i, p in enumerate(preds) if p.can_match_phone()]
+        if editable:
+            break
+    positions = sorted(rng.sample(editable, rng.randrange(1, min(3, len(editable)) + 1)))
+    return law(preds, positions, [rng.choice(mappings) for _ in positions])
+
+
+def assert_compiled_equals_scan(candidate, words, inv):
+    for word in words:
+        want = scan_sites(candidate, preprocess(word), inv)
+        assert [m.start for m in find_matches(candidate, preprocess(word), inv)] == want, (candidate, word)
+    outputs, changed = apply_to_lexicon(candidate, words, inv)
+    want_outputs = [reference_apply(candidate, w, inv) for w in words]
+    assert outputs == want_outputs, candidate
+    assert changed == [o != w for o, w in zip(want_outputs, words)], candidate
+
+
+def test_compiled_engine_matches_scan_on_random_and_hand_built_laws(inv, monkeypatch):
+    rng = random.Random(97)
+    # rp-ri laws on the bundled inventory; words mix in phones it lacks
+    phones = list(inv.segments) + ["ʔ", "ɬ", "zz"]
+    cfg = datagen.GenConfig()
+    for _ in range(250):
+        candidate = datagen.sample_random_law(cfg, rng, inv)
+        words = [tuple(rng.choice(phones) for _ in range(rng.randrange(0, 9))) for _ in range(12)]
+        assert_compiled_equals_scan(candidate, words, inv)
+    # every predicate kind and token class on a small inventory, where the
+    # sets, the words and the edits also use phones outside it
+    tiny = tiny_inventory()
+    monkeypatch.setattr(R._LawCompiler, "MAX_PATTERNS", 16)  # and the cache starts over
+    phones = ["a", "i", "n", "t", "s", "ts", "q", "x"]
+    pool = hand_built_pool(phones[:4] + phones[-2:])
+    for _ in range(300):
+        candidate = random_hand_built_law(rng, pool, phones)
+        words = [tuple(rng.choice(phones) for _ in range(rng.randrange(0, 7))) for _ in range(10)]
+        assert_compiled_equals_scan(candidate, words, tiny)
+
+
+def test_compiled_engine_rejects_reserved_tokens(inv):
+    candidate = law([is_token("a")], [0], [delete()])
+    for bad in (("a", "#"), ("@",), ("t", "!", "a")):
+        with pytest.raises(NonCanonicalTokenSeq) as err:
+            apply_to_lexicon(candidate, [("a", "t"), bad, ("#",)], inv)
+        assert err.value.args == (preprocess(bad),)  # the first bad word, as per word
+        assert not is_canonical(preprocess(bad))
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_evaluate_many_workers_agree_after_parent_compiled(method, monkeypatch):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    tiny = tiny_inventory()
+    rng = random.Random(5)
+    phones = ["a", "i", "n", "t", "s", "ts", "q", "x", "y"]
+    pool = hand_built_pool(phones)
+    pairs = []
+    while len(pairs) < 6:
+        gold = random_hand_built_law(rng, pool, phones)
+        inputs = [tuple(rng.choice(phones) for _ in range(rng.randrange(1, 7))) for _ in range(10)]
+        outputs, changed = apply_to_lexicon(gold, inputs, tiny)
+        if any(changed):
+            task = PBETask(f"t{len(pairs)}", "rp-ri", tuple(inputs), tuple(outputs), gold)
+            others = [random_hand_built_law(rng, pool, phones) for _ in range(2)]
+            pairs.append((task, [gold, others[0], None, others]))
+    # the parent meets the phones and laws in reverse order first, so its
+    # codebook differs from the one a fresh worker builds
+    expected = evaluation.evaluate_many(pairs[::-1], tiny)[::-1]
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=context),
+    )
+    assert evaluation.evaluate_many(pairs, tiny, jobs=2) == expected
