@@ -18,7 +18,7 @@ from .dsl import doc_to_law, lower_classical, parse_classical
 from .evaluation import EmptyDataset  # noqa: F401 (one class, importable from both modules)
 from .phonology import PhoneSeq, SegmentInventory
 from .rules import Cascade, apply_to_lexicon
-from .tasks import PBETask, read_tasks, write_tasks  # noqa: F401 (re-exported)
+from .tasks import PBETask
 
 
 class BenchmarkError(Exception):

@@ -66,24 +66,24 @@ def _classify(exc: Exception) -> int:
 
 
 def _inventory(args) -> SegmentInventory:
-    if getattr(args, "table", None):
+    if args.table:
         return load_feature_table_file(args.table)
     return default_inventory()
 
 
-def _read_words(args, inv: SegmentInventory, attr: str = "words"):
+def _read_words(args, inv: SegmentInventory):
     words = []
-    if getattr(args, "lexicon", None):
+    if args.lexicon:
         words.extend(load_lexicon(args.lexicon, inv))
-    for raw in getattr(args, attr, None) or []:
+    for raw in args.words:
         words.append(inv.segment(raw))
     return words
 
 
 def _load_law(args, inv: SegmentInventory):
-    if getattr(args, "rule", None):
+    if args.rule:
         text = args.rule
-    elif getattr(args, "law_file", None):
+    elif args.law_file:
         text = Path(args.law_file).read_text(encoding="utf-8")
     else:
         raise CliError("no rule given: use -r/--rule or --law-file", EXIT_PARSE)
@@ -138,7 +138,7 @@ def _print_or_write(text: str, out) -> None:
 
 
 def _load_config(args) -> dict:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             return json.load(fh)
     return {}
@@ -467,44 +467,45 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="soundlaw", description=__doc__)
     parser.add_argument("--version", action="version", version=f"soundlaw {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--jobs", type=int, default=1, help="worker parallelism")
-    common.add_argument("--config", help="JSON config file (flags win over it)")
-    common.add_argument("--cache-only", action="store_true", help="never touch the network")
-    common.add_argument("--format", choices=("json", "md"), default="md")
-    common.add_argument("--table", help="feature table file (defaults to the bundled one)")
-    common.add_argument("--out", help="output path (stdout when omitted)")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tokenize", parents=[common], help="segment words into phones")
+    def command(name, func, help, *, table=True, out_required=False):
+        """A subcommand with --out, and --table unless it reads no phones."""
+        p = sub.add_parser(name, help=help)
+        if table:
+            p.add_argument("--table", help="feature table file (defaults to the bundled one)")
+        p.add_argument("--out", required=out_required,
+                       help="output path" if out_required else "output path (stdout when omitted)")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("tokenize", cmd_tokenize, "segment words into phones")
     p.add_argument("words", nargs="*", help="words to segment")
     p.add_argument("--lexicon", help="read words from a lexicon file")
     p.add_argument("--preprocessed", action="store_true", help="print boundary/separator tokens")
-    p.set_defaults(func=cmd_tokenize)
 
-    p = sub.add_parser("apply", parents=[common], help="apply one law to words")
+    p = command("apply", cmd_apply, "apply one law to words")
     p.add_argument("words", nargs="*")
     p.add_argument("-r", "--rule", help="classical rule, e.g. 't > d / _ #'")
     p.add_argument("--law-file", help="law JSON or classical rule file")
     p.add_argument("--lexicon")
     p.add_argument("--changed-only", action="store_true")
-    p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("derive", parents=[common], help="run a cascade over a lexicon")
+    p = command("derive", cmd_derive, "run a cascade over a lexicon")
     p.add_argument("words", nargs="*")
     p.add_argument("--cascade", required=True)
     p.add_argument("--lexicon")
     p.add_argument("--trace", action="store_true", help="print per-law diffs")
-    p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("parse-law", parents=[common], help="parse rules to law JSON")
+    p = command("parse-law", cmd_parse_law, "parse rules to law JSON")
     p.add_argument("-r", "--rule")
     p.add_argument("--input", help="file with classical rules or constructor text")
-    p.set_defaults(func=cmd_parse_law)
 
-    p = sub.add_parser("datagen", parents=[common], help="generate synthetic PBE tasks")
+    p = command("datagen", cmd_datagen, "generate synthetic PBE tasks", out_required=True)
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (rp-ri)")
+    p.add_argument("--config", help="JSON gateway config file (flags win over it)")
+    p.add_argument("--cache-only", action="store_true", help="never touch the network")
     p.add_argument("--condition", required=True, choices=("rp-ri", "rp-li", "rp-pi", "idp-pi"))
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--n-examples", type=int, default=50)
@@ -517,23 +518,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--temperature", type=float)
     p.add_argument("--cache-dir")
-    p.set_defaults(func=cmd_datagen)
 
-    p = sub.add_parser("bench", parents=[common], help="build a single-law dataset from a cascade")
+    p = command("bench", cmd_bench, "build a single-law dataset from a cascade", out_required=True)
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--cascade", help="cascade file (bundled demo when omitted)")
     p.add_argument("--lexicon", help="protoform lexicon (bundled demo when omitted)")
     p.add_argument("--pair", default="demo", help="language-pair label")
     p.add_argument("--distractor-fraction", type=float, default=0.15)
     p.add_argument("--distractor-min", type=int, default=2)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("eval", parents=[common], help="score candidate programs against tasks")
+    p = command("eval", cmd_eval, "score candidate programs against tasks", out_required=True)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--tasks", required=True)
     p.add_argument("--samples", required=True, help="JSONL of {task_id, sample_index, program|raw_text}")
     p.add_argument("--char-level", action="store_true", help="character-level edit distance")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("stats", parents=[common], help="paired significance tests")
+    p = command("stats", cmd_stats, "paired significance tests", table=False)
     p.add_argument("--test", default="wilcoxon")
     p.add_argument("-x", help="first sample: JSON array or eval report")
     p.add_argument("-y", help="second sample: JSON array or eval report")
@@ -543,11 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--m", type=int, default=1, help="number of comparisons (Bonferroni)")
     p.add_argument("--name", help="label for the comparison")
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("report", parents=[common], help="render tables from an eval report")
+    p = command("report", cmd_report, "render tables from an eval report", table=False)
     p.add_argument("--eval", required=True, help="eval report JSON")
-    p.set_defaults(func=cmd_report)
+    p.add_argument("--format", choices=("json", "md"), default="md")
 
     return parser
 
@@ -555,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("datagen", "bench", "eval") and not args.out:
-        parser.error(f"{args.command} requires --out")
     try:
         return args.func(args)
     except CliError as exc:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 from . import kernels
 from .dsl import RuleDB, lower_classical, parse_program_text, extract_code_blocks
+from .gateway import build_datagen_prompt
 from .phonology import BOUNDARY, PhoneSeq, SegmentInventory, UnsegmentableInput
 from .rules import (
     Predicate,
@@ -78,25 +79,25 @@ CONTEXT_CLASSES = (
 )
 WILDCARD_CLASSES = ("is_anything", "is_not_boundary")
 
+# the shape of an rp-ri law and its input words (inclusive ranges)
+CONTEXT_LEN = (1, 3)
+BOUNDARY_PROB = 0.25
+OP_COUNT = (1, 3)
+# relative weights for literal / set / class context slots
+PREDICATE_MIX = (0.6, 0.2, 0.2)
+SET_SIZE = (2, 4)
+WORD_LEN = (3, 12)
+
 
 @dataclass(frozen=True)
 class GenConfig:
     n_examples: int = 50
-    context_len: tuple[int, int] = (1, 3)
-    boundary_prob: float = 0.25
-    word_len: tuple[int, int] = (3, 12)
-    op_count: tuple[int, int] = (1, 3)
-    # relative weights for literal / set / class context slots
-    predicate_mix: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    set_size: tuple[int, int] = (2, 4)
     retry_budget: int = 20
     seed: int = 0
 
     def __post_init__(self):
         if self.n_examples < 10:
             raise GenerationError("n_examples must be >= 10")
-        if not 0 <= self.boundary_prob <= 1:
-            raise GenerationError("boundary_prob must lie in [0, 1]")
 
 
 def derive_rng(seed: int, *parts) -> random.Random:
@@ -109,13 +110,13 @@ def derive_rng(seed: int, *parts) -> random.Random:
 # random laws (rp-ri)
 
 
-def _sample_slot(rng: random.Random, cfg: GenConfig, inv: SegmentInventory, wildcards: bool) -> Predicate:
+def _sample_slot(rng: random.Random, inv: SegmentInventory, wildcards: bool) -> Predicate:
     kinds = ["literal", "set", "class"]
-    kind = rng.choices(kinds, weights=cfg.predicate_mix)[0]
+    kind = rng.choices(kinds, weights=PREDICATE_MIX)[0]
     if kind == "literal":
         return is_token(rng.choice(inv.segments))
     if kind == "set":
-        size = rng.randint(*cfg.set_size)
+        size = rng.randint(*SET_SIZE)
         return in_set(rng.sample(inv.segments, min(size, len(inv))))
     pool = CONTEXT_CLASSES + (WILDCARD_CLASSES if wildcards else ())
     return feature_class(rng.choice(pool))
@@ -138,11 +139,12 @@ def _sample_mapping(rng: random.Random, inv: SegmentInventory, slot: Predicate) 
 
 def sample_random_law(cfg: GenConfig, rng: random.Random, inv: SegmentInventory) -> SoundLaw:
     """A random law: 1-3 phone context slots, optional boundary condition,
-    1-3 edits at distinct context slots."""
-    n_ctx = rng.randint(*cfg.context_len)
-    condition = rng.choice(BOUNDARY_CONDITIONS) if rng.random() < cfg.boundary_prob else None
+    1-3 edits at distinct context slots.  Its shape is fixed by the module
+    constants; `cfg` is taken so every sampler has the same signature."""
+    n_ctx = rng.randint(*CONTEXT_LEN)
+    condition = rng.choice(BOUNDARY_CONDITIONS) if rng.random() < BOUNDARY_PROB else None
     wildcards = n_ctx >= 2 or condition is not None
-    ctx_slots = [_sample_slot(rng, cfg, inv, wildcards) for _ in range(n_ctx)]
+    ctx_slots = [_sample_slot(rng, inv, wildcards) for _ in range(n_ctx)]
 
     slots: list[Predicate] = list(ctx_slots)
     ctx_offset = 0
@@ -165,7 +167,7 @@ def sample_random_law(cfg: GenConfig, rng: random.Random, inv: SegmentInventory)
         slot_index.append(len(window))
         window.append(slot)
 
-    n_ops = min(rng.randint(*cfg.op_count), n_ctx)
+    n_ops = min(rng.randint(*OP_COUNT), n_ctx)
     edited = sorted(rng.sample(range(n_ctx), n_ops))
     change_pos = tuple(slot_index[ctx_offset + j] for j in edited)
     mappings = tuple(_sample_mapping(rng, inv, ctx_slots[j]) for j in edited)
@@ -225,7 +227,7 @@ def sample_inputs_for_law(
         raise InfeasibleQuota("law has no phone-slot context")
     w = len(preds)
     n = cfg.n_examples
-    lo, hi = cfg.word_len
+    lo, hi = WORD_LEN
     if 2 * w + 3 > hi:
         raise InfeasibleQuota(f"context of width {w} cannot occur twice inside a word of <= {hi} phones")
 
@@ -449,7 +451,7 @@ def gen_llm_tasks(
         if barren > cfg.retry_budget:
             raise ZeroYield(f"{barren} consecutive rounds yielded no usable program")
         seeds = rng.sample(seed_pool, min(5, len(seed_pool)))
-        bundle = gateway.build_datagen_prompt(kind, seeds)
+        bundle = build_datagen_prompt(kind, seeds)
         transcripts = gateway.complete_prompt(bundle, n=1)
         yielded = 0
         for transcript in transcripts:

@@ -353,9 +353,6 @@ class Gateway:
         )
         return self.complete(req)
 
-    def build_datagen_prompt(self, kind: str, seed_words) -> PromptBundle:
-        return build_datagen_prompt(kind, seed_words)
-
 
 def extract_programs(transcript: Transcript, inv: SegmentInventory) -> ParsedProgramSet:
     """Code blocks -> constructor grammar -> laws, diagnostics preserved."""

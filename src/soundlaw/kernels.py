@@ -11,8 +11,7 @@ twin `_native` runs instead: it is correct but far slower, and misses the
 acceptance suite's A07 budget.
 
 `BACKEND` is ``"c"`` or ``"python"``; `BACKEND_REASON` says why.  Both
-backends expose the identical function set (see benchmarks/bench_kernels.py
-for a speed comparison).
+backends expose the identical function set.
 """
 
 from __future__ import annotations

@@ -143,9 +143,6 @@ class SegmentInventory:
                 raise UnsegmentableInput(word, pos)
         return tuple(phones)
 
-    def feature(self, symbol: str, name: str) -> str:
-        return self.features.get(symbol, {}).get(name, "0")
-
     def in_class(self, name: str, token: str) -> bool:
         """Test a token (phone, '#', or '@') against a feature class."""
         if name == "is_nothing":
@@ -163,17 +160,6 @@ class SegmentInventory:
         if row is None:
             return False
         return all(row.get(feat, "0") == val for feat, val in spec.items())
-
-    def class_members(self, name: str) -> PhoneSeq:
-        """All inventory phones belonging to a class (token classes by their
-        phone-level reading: is_anything / is_not_boundary -> every phone)."""
-        if name == "is_nothing":
-            return ()
-        if name in ("is_anything", "is_not_boundary"):
-            return self.segments
-        if name not in CLASS_DEFINITIONS:
-            raise UnknownFeatureClass(name)
-        return tuple(s for s in self.segments if self.in_class(name, s))
 
 
 def preprocess(phones: PhoneSeq) -> TokenSeq:

@@ -170,10 +170,6 @@ class SoundLaw:
                 raise RuleError(f"change position {pos} targets a separator/boundary slot")
             prev = pos
 
-    @property
-    def window(self) -> int:
-        return len(self.predicates)
-
 
 @dataclass(frozen=True)
 class MatchSite:
@@ -361,7 +357,11 @@ def apply_to_lexicon(
 
 
 def law_is_inert(law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory) -> bool:
-    return not any(apply_to_lexicon(law, words, inv)[1])
+    """True when the law changes none of the words; stops at the first it changes."""
+    return not any(
+        apply_law_word(law, words[i], inv) != words[i]
+        for i in _compiler(inv).words_with_sites(law, words, inv)
+    )
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,24 @@ def test_stats_property_extraction(tmp_path, capsys):
     assert doc["n"] == 3  # the one zero difference was dropped
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tokenize", "--seed", "1", "am"),
+        ("bench", "--jobs", "2", "--out", "b.jsonl"),
+        ("stats", "--table", "t.tsv"),
+        ("report", "--seed", "1", "--eval", "r.json"),
+        ("eval", "--config", "c.json", "--tasks", "t.jsonl", "--samples", "s.jsonl", "--out", "r"),
+    ],
+)
+def test_option_the_subcommand_does_not_read_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # nothing lands in the checkout if the run goes ahead
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_manifest_reproducibility(tmp_path):
     out = tmp_path / "m.jsonl"
     assert run("datagen", "--condition", "rp-ri", "--count", "3", "--seed", "5", "--out", out) == 0

@@ -109,7 +109,7 @@ def test_concrete_context_words_match(inv):
 
 def test_infeasible_quota(inv):
     law = lower_classical(parse_classical("a > e / t a t a _ k"), inv)  # width 6 context
-    cfg = GenConfig(seed=7, word_len=(3, 12))
+    cfg = GenConfig(seed=7)
     with pytest.raises(InfeasibleQuota):
         sample_inputs_for_law(law, cfg, derive_rng(7, "x"), inv)
 

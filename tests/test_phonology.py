@@ -137,10 +137,11 @@ def test_class_partition(inv):
 
 def test_default_table_classes_nonempty(inv):
     for name in phonology.FEATURE_CLASS_NAMES:
+        members = [s for s in inv.segments if inv.in_class(name, s)]
         if name == "is_nothing":
-            assert inv.class_members(name) == ()
+            assert members == []
         else:
-            assert inv.class_members(name)
+            assert members
 
 
 def test_load_feature_table():

@@ -311,7 +311,9 @@ def assert_compiled_equals_scan(candidate, words, inv):
     outputs, changed = apply_to_lexicon(candidate, words, inv)
     want_outputs = [reference_apply(candidate, w, inv) for w in words]
     assert outputs == want_outputs, candidate
-    assert changed == [o != w for o, w in zip(want_outputs, words)], candidate
+    want_changed = [o != w for o, w in zip(want_outputs, words)]
+    assert changed == want_changed, candidate
+    assert law_is_inert(candidate, words, inv) == (not any(want_changed)), candidate
 
 
 def test_compiled_engine_matches_scan_on_random_and_hand_built_laws(inv, monkeypatch):
