@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: tokenize, apply, derive, parse-law, datagen, bench, eval,
-stats, report.  Every file-producing run writes a sidecar manifest with
-hashes of its inputs and outputs so results can be reproduced exactly.
+stats, report.  datagen, bench and eval write a sidecar manifest with
+hashes of their inputs and outputs so results can be reproduced exactly.
 
 Exit codes: 0 ok, 2 parse error, 3 application error, 4 gateway error,
 5 generation error, 6 schema error.
@@ -154,12 +154,10 @@ def _gateway_from_args(args, config: dict) -> gateway.Gateway:
         endpoint=pick(args.endpoint, "endpoint", gateway.GatewayConfig.endpoint),
         model=pick(args.model, "model", gateway.GatewayConfig.model),
         temperature=float(pick(args.temperature, "temperature", gateway.GatewayConfig.temperature)),
-        samples=int(pick(None, "samples", gateway.GatewayConfig.samples)),
         max_tokens=int(pick(None, "max_tokens", gateway.GatewayConfig.max_tokens)),
         retry_budget=int(pick(None, "retry_budget", gateway.GatewayConfig.retry_budget)),
         cache_dir=pick(args.cache_dir, "cache_dir", None),
         cache_only=bool(args.cache_only or config.get("cache_only", False)),
-        max_parallel=max(1, args.jobs),
     )
     gw = gateway.Gateway(gw_config)
     for fixture_path in args.fixtures or []:
@@ -218,7 +216,7 @@ def cmd_derive(args) -> int:
 
 def cmd_parse_law(args) -> int:
     inv = _inventory(args)
-    if args.rule:
+    if args.rule is not None:
         text = args.rule
     elif args.input:
         text = Path(args.input).read_text(encoding="utf-8")
@@ -230,13 +228,13 @@ def cmd_parse_law(args) -> int:
         for diag in parsed.diagnostics:
             print(f"warning: {diag.code}: {diag.message}", file=sys.stderr)
         laws.extend(parsed.laws)
-        if not laws:
-            raise CliError("no parseable constructor in input", EXIT_PARSE)
     else:
-        for line in text.splitlines() or [text]:
+        for line in text.splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 laws.append(dsl.lower_classical(dsl.parse_classical(line), inv))
+    if not laws:
+        raise CliError("no parseable law in input", EXIT_PARSE)
     _print_or_write("\n".join(dsl.print_law(law) for law in laws) + "\n", args.out)
     return EXIT_OK
 
@@ -326,6 +324,7 @@ def cmd_bench(args) -> int:
 def _load_samples(path, inv: SegmentInventory) -> dict[str, list]:
     """samples JSONL -> {task_id: [candidate-by-index, ...]}."""
     by_task: dict[str, dict[int, object]] = {}
+    first_line: dict[tuple[str, int], int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -336,6 +335,12 @@ def _load_samples(path, inv: SegmentInventory) -> dict[str, list]:
                 index = int(doc["sample_index"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise dsl.SchemaError(f"samples line {lineno}: {exc}")
+            if (task_id, index) in first_line:
+                raise dsl.SchemaError(
+                    f"samples line {lineno}: task {task_id!r} sample {index} "
+                    f"repeats line {first_line[task_id, index]}"
+                )
+            first_line[task_id, index] = lineno
             if "program" in doc and doc["program"] is not None:
                 candidate = dsl.doc_to_law(doc["program"])
             elif "raw_text" in doc:

@@ -4,7 +4,7 @@ Prompts render deterministically from the versioned templates in
 soundlaw/templates.  Completions go through a content-addressed disk cache
 (plus optional recorded fixture transcripts), so whole experiments replay
 offline byte-for-byte; live calls hit any OpenAI-compatible endpoint with
-bounded parallelism, per-key coalescing, and exponential-backoff retries.
+exponential-backoff retries.
 
 Model output is interpreted through the closed constructor grammar only;
 no transcript content is ever executed.
@@ -18,7 +18,6 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib.resources import files
 from pathlib import Path
@@ -26,8 +25,6 @@ from pathlib import Path
 from .dsl import Diagnostic, ParsedProgramSet, extract_code_blocks, parse_program_text
 from .phonology import SegmentInventory, preprocess
 from .tasks import PBETask, word_to_str
-
-TEMPLATE_IDS = ("sli-single-law", "rp-li-datagen", "rp-pi-datagen")
 
 _TEMPLATE_FILES = {
     "sli-single-law": "sli_prompt.txt",
@@ -72,7 +69,6 @@ def _sha256(text: str) -> str:
 class PromptBundle:
     template_id: str
     text: str
-    bindings: dict = field(default_factory=dict)
 
     @property
     def prompt_hash(self) -> str:
@@ -91,9 +87,8 @@ def build_datagen_prompt(kind: str, seed_words) -> PromptBundle:
     seed_words = list(seed_words)
     if len(seed_words) != 5:
         raise WrongSeedCount(f"datagen prompts take exactly 5 seed words, got {len(seed_words)}")
-    rendered = _word_list_literal(seed_words)
-    text = load_template(template_id).replace("{input_words}", rendered)
-    return PromptBundle(template_id, text, {"input_words": rendered})
+    text = load_template(template_id).replace("{input_words}", _word_list_literal(seed_words))
+    return PromptBundle(template_id, text)
 
 
 def build_sli_prompt(task: PBETask) -> PromptBundle:
@@ -117,7 +112,7 @@ def build_sli_prompt(task: PBETask) -> PromptBundle:
     text = load_template("sli-single-law")
     for key, value in bindings.items():
         text = text.replace("{" + key + "}", value)
-    return PromptBundle("sli-single-law", text, {"task_id": task.id})
+    return PromptBundle("sli-single-law", text)
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,6 @@ class GatewayConfig:
     backoff: float = 0.5
     cache_dir: str | None = None
     cache_only: bool = False
-    max_parallel: int = 4
     api_key_env: str = "SOUNDLAW_API_KEY"
     timeout: float = 120.0
 
@@ -163,7 +157,11 @@ def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float)
     import requests
 
     resp = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
-    return resp.status_code, resp.json() if resp.content else {}
+    try:
+        body = resp.json()
+    except ValueError:  # an HTML error page or an empty body: the status decides
+        body = {}
+    return resp.status_code, body
 
 
 def load_fixtures(path) -> dict[tuple[str, int], str]:
@@ -185,9 +183,9 @@ class Gateway:
         self.config = config or GatewayConfig()
         self.transport = transport or _http_transport
         self.fixtures: dict[tuple[str, int], str] = dict(fixtures or {})
+        # held from lookup to store, so identical concurrent requests make one
+        # network call; the memo keeps that true without a disk cache
         self._lock = threading.Lock()
-        self._inflight: dict[str, threading.Event] = {}
-        # in-process result memo so coalescing holds even without a disk cache
         self._memo: dict[str, dict] = {}
 
     def add_fixtures(self, path) -> None:
@@ -284,64 +282,29 @@ class Gateway:
             raise GatewayError(f"completion request failed: HTTP {status}", status)
         raise BudgetExhausted(f"retry budget exhausted ({last_error})")
 
-    def _stored(self, key: str) -> dict | None:
-        with self._lock:
-            doc = self._memo.get(key)
-        if doc is not None:
-            return doc
-        return self._cache_read(key)
-
     def _one_sample(self, req: CompletionRequest, prompt_hash: str, index: int) -> Transcript:
-        key = self._cache_key(req, prompt_hash, index)
         fixture = self.fixtures.get((prompt_hash, index))
         if fixture is not None:
             return Transcript(fixture, "stop", {}, True, prompt_hash, index)
-
-        def from_doc(doc: dict) -> Transcript:
-            return Transcript(
-                doc["content"], doc.get("finish_reason", "stop"),
-                doc.get("usage", {}), True, prompt_hash, index,
-            )
-
-        stored = self._stored(key)
-        if stored is not None:
-            return from_doc(stored)
-        if self.config.cache_only:
-            raise CacheMiss(f"no cached transcript for prompt {prompt_hash[:12]} sample {index}")
-        # coalesce concurrent identical requests onto one network call
-        while True:
-            with self._lock:
-                event = self._inflight.get(key)
-                if event is None:
-                    self._inflight[key] = threading.Event()
-                    break
-            event.wait()
-            stored = self._stored(key)
-            if stored is not None:
-                return from_doc(stored)
-            with self._lock:
-                if key not in self._inflight:
-                    # the other caller failed; take over
-                    self._inflight[key] = threading.Event()
-                    break
-        try:
-            doc = self._call_network(req, index)
-            with self._lock:
+        key = self._cache_key(req, prompt_hash, index)
+        with self._lock:
+            doc = self._memo.get(key) or self._cache_read(key)
+            cached = doc is not None
+            if not cached:
+                if self.config.cache_only:
+                    raise CacheMiss(f"no cached transcript for prompt {prompt_hash[:12]} sample {index}")
+                doc = self._call_network(req, index)
                 self._memo[key] = doc
-            self._cache_write(key, doc)
-        finally:
-            with self._lock:
-                self._inflight.pop(key).set()
-        return Transcript(doc["content"], doc["finish_reason"], doc["usage"], False, prompt_hash, index)
+                self._cache_write(key, doc)
+        return Transcript(
+            doc["content"], doc.get("finish_reason", "stop"), doc.get("usage", {}),
+            cached, prompt_hash, index,
+        )
 
     def complete(self, req: CompletionRequest) -> list[Transcript]:
         """Exactly req.samples transcripts, or an exception — never partial."""
         prompt_hash = _sha256(req.prompt)
-        indices = list(range(req.samples))
-        if req.samples == 1 or self.config.max_parallel <= 1 or self.config.cache_only:
-            return [self._one_sample(req, prompt_hash, i) for i in indices]
-        with ThreadPoolExecutor(max_workers=self.config.max_parallel) as pool:
-            return list(pool.map(lambda i: self._one_sample(req, prompt_hash, i), indices))
+        return [self._one_sample(req, prompt_hash, i) for i in range(req.samples)]
 
     def complete_prompt(self, bundle: PromptBundle, n: int | None = None) -> list[Transcript]:
         req = CompletionRequest(

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -66,6 +67,19 @@ def test_parse_law_constructor(capsys):
     assert run("parse-law", "-r", text) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["predicates"] == [{"kind": "is", "args": ["a"]}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("-r", ""), ("-r", "# a comment only\n\n"), ("--input", "comments.rules")],
+    ids=["empty-rule", "comment-rule", "comment-file"],
+)
+def test_parse_law_without_rule_line_exit_2(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "comments.rules").write_text("# a comment\n\n   \n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("a > e / _ j\n"))  # must stay unread
+    assert run("parse-law", *argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_datagen_rp_ri_deterministic(tmp_path):
@@ -139,6 +153,21 @@ def test_eval_schema_error_exit_6(tmp_path):
     samples = tmp_path / "s.jsonl"
     samples.write_text('{"task_id": "x", "sample_index": 0, "program": null}\n')
     assert run("eval", "--tasks", tasks, "--samples", samples, "--out", tmp_path / "r") == 6
+
+
+def test_eval_repeated_sample_index_exit_6(tmp_path, capsys):
+    tasks = tmp_path / "t.jsonl"
+    tasks.write_text('{"id": "x", "condition": "rp-ri", "inputs": ["a"], "outputs": ["e"]}\n')
+    samples = tmp_path / "s.jsonl"
+    samples.write_text(
+        '{"task_id": "x", "sample_index": 0, "program": null}\n'
+        '{"task_id": "x", "sample_index": 1, "program": null}\n'
+        '{"task_id": "x", "sample_index": 0, "program": null}\n'
+    )
+    assert run("eval", "--tasks", tasks, "--samples", samples, "--out", tmp_path / "r") == 6
+    err = capsys.readouterr().err
+    assert "line 3" in err and "line 1" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_stats_alpha_only(capsys):

@@ -207,7 +207,7 @@ def test_no_partial_results_on_midway_failure(tmp_path):
         return 200, {"choices": [{"message": {"content": "x"}, "finish_reason": "stop"}]}
 
     gw = Gateway(
-        GatewayConfig(cache_dir=str(tmp_path), retry_budget=0, backoff=0.0, max_parallel=1),
+        GatewayConfig(cache_dir=str(tmp_path), retry_budget=0, backoff=0.0),
         transport=fails_later,
     )
     with pytest.raises(BudgetExhausted):
@@ -236,6 +236,53 @@ def test_client_error_no_retry():
     assert len(calls) == 1
 
 
+def test_failed_fetch_leaves_the_key_free():
+    statuses = [400, 200]
+    calls = []
+
+    def bad_then_ok(endpoint, payload, headers, timeout):
+        calls.append(1)
+        return statuses[len(calls) - 1], {
+            "choices": [{"message": {"content": "second"}, "finish_reason": "stop"}]
+        }
+
+    gw = Gateway(GatewayConfig(retry_budget=3, backoff=0.0), transport=bad_then_ok)
+    with pytest.raises(gateway.GatewayError):
+        gw.complete(request())
+    (t,) = gw.complete(request())
+    assert t.text == "second" and not t.cached
+    assert len(calls) == 2
+
+
+class HtmlResponse:
+    def __init__(self, status_code):
+        self.status_code = status_code
+        self.content = b"<html><body>denied</body></html>"
+
+    def json(self):
+        return json.loads(self.content)
+
+
+@pytest.mark.parametrize(
+    "status, error, calls",
+    [(401, gateway.GatewayError, 1), (503, BudgetExhausted, 3), (200, gateway.GatewayError, 1)],
+)
+def test_http_transport_non_json_body_lets_the_status_decide(monkeypatch, status, error, calls):
+    posted = []
+
+    def post(endpoint, json=None, headers=None, timeout=None):
+        posted.append(endpoint)
+        return HtmlResponse(status)
+
+    monkeypatch.setattr("requests.post", post)
+    gw = Gateway(GatewayConfig(retry_budget=2, backoff=0.0))
+    with pytest.raises(error) as info:
+        gw.complete(request())
+    assert len(posted) == calls
+    if status != 503:
+        assert type(info.value) is gateway.GatewayError and info.value.status == status
+
+
 def test_coalescing_without_disk_cache():
     calls = []
 
@@ -246,7 +293,7 @@ def test_coalescing_without_disk_cache():
         time.sleep(0.03)
         return 200, {"choices": [{"message": {"content": "memo"}, "finish_reason": "stop"}]}
 
-    gw = Gateway(GatewayConfig(max_parallel=4), transport=slow)  # no cache_dir
+    gw = Gateway(GatewayConfig(), transport=slow)  # no cache_dir
     results = []
     threads = [
         threading.Thread(target=lambda: results.append(gw.complete(request())[0].text))
@@ -272,7 +319,7 @@ def test_concurrent_identical_requests_coalesce(tmp_path):
         time.sleep(0.05)
         return 200, {"choices": [{"message": {"content": "one"}, "finish_reason": "stop"}]}
 
-    gw = Gateway(GatewayConfig(cache_dir=str(tmp_path), max_parallel=4), transport=slow)
+    gw = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=slow)
     results = []
 
     def worker():
