@@ -17,7 +17,7 @@ from .datagen import derive_rng
 from .dsl import doc_to_law, lower_classical, parse_classical
 from .evaluation import EmptyDataset  # noqa: F401 (one class, importable from both modules)
 from .phonology import PhoneSeq, SegmentInventory
-from .rules import Cascade, apply_to_lexicon
+from .rules import Cascade, apply_to_lexicon, encode_lexicon
 from .tasks import PBETask
 
 
@@ -62,9 +62,10 @@ def build_single_law_dataset(
     tasks: list[PBETask] = []
     warnings: list[str] = []
     current = list(spec.lexicon)
+    codes = encode_lexicon(current, inv)  # carried from law to law
     for j, law in enumerate(spec.cascade.laws):
         label = spec.cascade.labels[j] if spec.cascade.labels else f"law {j + 1}"
-        outputs, changed = apply_to_lexicon(law, current, inv)
+        outputs, changed = apply_to_lexicon(law, current, inv, codes)
         changed_pairs = [(w, o) for w, o, c in zip(current, outputs, changed) if c]
         unchanged = [w for w, c in zip(current, changed) if not c]
         if not changed_pairs:

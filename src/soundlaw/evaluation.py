@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import kernels
 from .phonology import PhoneSeq, SegmentInventory
-from .rules import SoundLaw, apply_to_lexicon
+from .rules import SoundLaw, apply_to_lexicon, encode_lexicon
 from .tasks import PBETask
 
 
@@ -95,26 +95,37 @@ class RewardReport:
         return tuple(s.reward for s in self.scores)
 
 
-def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_level: bool = False) -> RewardReport:
+def evaluate_samples(
+    task: PBETask, candidates, inv: SegmentInventory, char_level: bool = False,
+    gold_verified: bool = False,
+) -> RewardReport:
     """Score each candidate program against one task.
 
     A candidate is a SoundLaw, a sequence of SoundLaws applied in order, or
     None for a sample that produced nothing runnable (scored as if it left
-    the sources untouched, i.e. reward 0).
+    the sources untouched, i.e. reward 0).  `gold_verified` says the stored
+    outputs are known to be what the gold law gives on the inputs
+    (`tasks.validate_task` re-executed it): a candidate that is exactly the
+    gold law then takes them as its prediction without running again.
     """
     if not candidates:
         raise EvaluationError("no candidate samples")
     source = list(task.inputs)
     target = list(task.outputs)
     predictions: dict[tuple[SoundLaw, ...], list] = {(): source}
+    if gold_verified:
+        predictions[(task.gold_law,)] = target
+    encoded = None  # the sources, encoded once for every candidate that runs
     scores = []
     for idx, cand in enumerate(candidates):
         laws = () if cand is None else (cand,) if isinstance(cand, SoundLaw) else tuple(cand)
         pred = predictions.get(laws)
         if pred is None:  # each distinct candidate runs once per task
-            pred = source
+            if encoded is None:
+                encoded = encode_lexicon(source, inv)
+            pred, codes = source, list(encoded)
             for law in laws:
-                pred = apply_to_lexicon(law, pred, inv)[0]
+                pred = apply_to_lexicon(law, pred, inv, codes)[0]
             predictions[laws] = pred
         r = reward(source, pred, target, char_level)
         scores.append(SampleScore(task.id, idx, r, r == 1))
@@ -125,19 +136,21 @@ def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_leve
 
 
 def _evaluate_one(work):
-    task, candidates, inv, char_level = work
-    return evaluate_samples(task, candidates, inv, char_level)
+    return evaluate_samples(*work)
 
 
-def evaluate_many(pairs, inv: SegmentInventory, char_level: bool = False, jobs: int = 1):
+def evaluate_many(
+    pairs, inv: SegmentInventory, char_level: bool = False, jobs: int = 1, verified=frozenset()
+):
     """Score (task, candidates) pairs, optionally across worker processes.
 
-    Scoring is pure per task, so results come back in input order no matter
-    how many workers run.
+    `verified` holds the ids of tasks whose stored outputs are known to be
+    their gold law's outputs (see evaluate_samples).  Scoring is pure per
+    task, so results come back in input order no matter how many workers run.
     """
-    work = [(task, cands, inv, char_level) for task, cands in pairs]
+    work = [(task, cands, inv, char_level, task.id in verified) for task, cands in pairs]
     if jobs <= 1 or len(work) < 4:
-        return [evaluate_samples(t, c, inv, char_level) for t, c, _, _ in work]
+        return [evaluate_samples(*w) for w in work]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:

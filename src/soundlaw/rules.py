@@ -12,12 +12,21 @@ character: '#' and '@' stand for themselves and each phone gets a
 private-use code point.  Each window slot becomes a character class and the
 law becomes one lookahead pattern, compiled once per (law, inventory) and
 cached on the inventory, so `finditer` reports every site, overlapping ones
-included.  `apply_to_lexicon` joins the encoded words with newlines, which
-no slot matches, and scans the whole lexicon in one pass; only words with a
-site go on through `apply_law_word` (`preprocess`, `apply_law`,
-`find_matches`, `render`), and every other word comes back unchanged.
-`Predicate.matches` is the per-token reading of a slot that the compiled
-classes reproduce; it remains the oracle of the tests.
+included.
+
+Rewriting works on that encoding too (the compile-the-rewrite approach of
+Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
+`apply_to_lexicon` joins the encoded words with newlines, which no slot
+matches, and scans the whole lexicon in one pass.  The sites of each word
+give apply_law's leftmost-wins edit map, which is spliced straight into the
+word's phones; every other word comes back unchanged.  A cascade encodes
+its lexicon once and re-encodes only the words a law changed.
+
+The token-level engine (`preprocess`, `find_matches`, `apply_law`,
+`render`, behind `apply_law_word`) runs the same patterns one word at a
+time.  It is the public per-word API, the runtime cross-check of stored
+task outputs and, with `Predicate.matches` (the per-token reading of a slot
+that the compiled classes reproduce), the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -251,16 +260,16 @@ class _LawCompiler:
         return pattern
 
     def encode_tokens(self, tokens: TokenSeq) -> str:
-        return "".join(map(self._char, tokens))
+        try:
+            return "".join(map(self.code.__getitem__, tokens))
+        except KeyError:
+            return "".join(map(self._char, tokens))
 
-    def encode_lexicon(self, words) -> str:
-        """Every word as preprocess() would give it, one character per token,
-        the words joined by newlines."""
-        if not words:
-            return ""
+    def encode(self, words) -> list[str]:
+        """Every word as preprocess() would give it, one character per token."""
         code_sep = self.phone_sep.__getitem__
         try:
-            return "#@" + "#\n#@".join(["".join(map(code_sep, w)) for w in words]) + "#"
+            return ["#@" + "".join(map(code_sep, w)) + "#" for w in words]
         except KeyError:
             pass
         for word in words:  # the first word with a reserved token fails, as per word
@@ -269,24 +278,68 @@ class _LawCompiler:
                     raise NonCanonicalTokenSeq(preprocess(word))
                 if phone not in self.phone_sep:
                     self._add(phone)
-        return self.encode_lexicon(words)
+        return self.encode(words)
 
-    def words_with_sites(self, law: SoundLaw, words, inv: SegmentInventory) -> list[int]:
-        """Indices of the words holding a site, from one scan of the lexicon
-        joined by newlines."""
-        text = self.encode_lexicon(words)
-        search = self.pattern(law, inv).search
-        hits = []
-        index = pos = 0
-        while (m := search(text, pos)) is not None:
+    def rewrites(self, law: SoundLaw, words, codes: list[str], inv: SegmentInventory):
+        """(index, output) of every word holding a site, in order, from one
+        scan of the encoded words joined by newlines."""
+        text = "\n".join(codes)
+        edits = tuple(zip(law.change_pos, law.mappings))
+        index = first = 0  # the word being read and the offset of its '#'
+        last = -1  # the end of its slice: the next newline or the end of text
+        sites: list[int] = []
+        for m in self.pattern(law, inv).finditer(text):
             start = m.start()
-            index += text.count("\n", pos, start)
-            hits.append(index)
-            pos = text.find("\n", start) + 1
-            if not pos:
-                break
-            index += 1
-        return hits
+            if start > last:  # the first site of a later word
+                if sites:
+                    yield index, _splice(words[index], sites, edits)
+                    sites = []
+                index += text.count("\n", first, start)
+                first = text.rfind("\n", 0, start) + 1
+                last = text.find("\n", start)
+                if last < 0:
+                    last = len(text)
+            sites.append(start - first)
+        if sites:
+            yield index, _splice(words[index], sites, edits)
+
+
+def _splice(word: PhoneSeq, sites: list[int], edits) -> PhoneSeq:
+    """The word after a law's edits at the given sites of its token sequence.
+
+    The edit map is apply_law's: leftmost site wins.  Token 2+2k is word[k];
+    an edit on a '#' or '@' slot contributes only its phones, which is what
+    apply_law's rebuild leaves of it.
+    """
+    at: dict[int, Mapping] = {}
+    for start in sites:
+        for pos, mapping in edits:
+            at.setdefault(start + pos, mapping)
+    n = len(word)
+    out: list[str] = []
+    done = 0  # phones of the word already copied or edited
+    for idx in sorted(at):
+        mapping = at[idx]
+        if idx & 1 or not 0 < idx <= 2 * n:  # '@' before word[idx // 2], or '#'
+            k = min(idx >> 1, n)
+            out += word[done:k]
+            done = k
+            out += mapping.phones  # empty for a delete
+            continue
+        k = (idx >> 1) - 1
+        out += word[done:k]
+        done = k + 1
+        if mapping.kind == "replace":
+            out += mapping.phones
+        elif mapping.kind == "insert-before":
+            out += mapping.phones
+            out.append(word[k])
+        elif mapping.kind == "insert-after":
+            out.append(word[k])
+            out += mapping.phones
+        # a delete adds nothing
+    out += word[done:]
+    return tuple(out)
 
 
 def _compiler(inv: SegmentInventory) -> _LawCompiler:
@@ -338,29 +391,51 @@ def apply_law(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> TokenSe
 
 
 def apply_law_word(law: SoundLaw, word: PhoneSeq, inv: SegmentInventory) -> PhoneSeq:
+    """Apply one law to one word through the token-level engine.
+
+    This per-word path (`preprocess`, `find_matches`, `apply_law`, `render`)
+    rebuilds the token sequence where `apply_to_lexicon` splices phones.  It
+    is the runtime cross-check of stored task outputs
+    (`tasks.validate_task`) and the oracle of the tests.
+    """
     return render(apply_law(law, preprocess(word), inv))
 
 
+def encode_lexicon(words, inv: SegmentInventory) -> list[str]:
+    """Each word encoded for matching, one character per token; raises
+    NonCanonicalTokenSeq for the first word holding '#', '@' or '!'."""
+    return _compiler(inv).encode(words)
+
+
 def apply_to_lexicon(
-    law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory
+    law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory, codes: list[str] | None = None
 ) -> tuple[list[PhoneSeq], list[bool]]:
     """Apply a law to every word; the mask flags words that changed.
 
-    One compiled scan finds the words with a site; only those are rewritten.
+    One compiled scan finds the sites, and each word holding one is rewritten
+    by splicing the edits into its phones.  `codes`, if given, is
+    `encode_lexicon(words, inv)`; it is updated in place to encode the
+    outputs, so the next law of a cascade scans it without encoding the
+    unchanged words again.
     """
+    compiler = _compiler(inv)
+    if codes is None:
+        codes = compiler.encode(words)
     outputs = [tuple(w) for w in words]
     changed = [False] * len(words)
-    for i in _compiler(inv).words_with_sites(law, words, inv):
-        outputs[i] = apply_law_word(law, words[i], inv)
-        changed[i] = outputs[i] != words[i]
+    for i, out in compiler.rewrites(law, words, codes, inv):
+        if out != words[i]:
+            outputs[i] = out
+            changed[i] = True
+            codes[i] = compiler.encode((out,))[0]
     return outputs, changed
 
 
 def law_is_inert(law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory) -> bool:
     """True when the law changes none of the words; stops at the first it changes."""
+    compiler = _compiler(inv)
     return not any(
-        apply_law_word(law, words[i], inv) != words[i]
-        for i in _compiler(inv).words_with_sites(law, words, inv)
+        out != words[i] for i, out in compiler.rewrites(law, words, compiler.encode(words), inv)
     )
 
 
@@ -383,13 +458,17 @@ class DerivationTrace:
 
 
 def apply_cascade(cascade: Cascade, words: list[PhoneSeq], inv: SegmentInventory) -> DerivationTrace:
-    """Run every law in order, recording the lexicon at each step."""
+    """Run every law in order, recording the lexicon at each step.
+
+    The lexicon is encoded once; each law re-encodes only the words it changed.
+    """
     if not cascade.laws:
         raise RuleError("cannot execute an empty cascade")
     stages = []
     current = list(words)
+    codes = encode_lexicon(current, inv)  # carried from law to law
     for i, law in enumerate(cascade.laws):
-        outputs, changed = apply_to_lexicon(law, current, inv)
+        outputs, changed = apply_to_lexicon(law, current, inv, codes)
         label = cascade.labels[i] if cascade.labels else f"law {i + 1}"
         stages.append(
             StageTrace(i, label, tuple(current), tuple(outputs), tuple(changed))

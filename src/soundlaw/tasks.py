@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .dsl import SchemaError, doc_to_law, law_to_doc
 from .phonology import PhoneSeq, SegmentInventory
-from .rules import SoundLaw, apply_to_lexicon
+from .rules import SoundLaw, apply_law_word
 
 CONDITIONS = ("rp-ri", "rp-li", "rp-pi", "idp-pi", "single-law")
 
@@ -92,13 +92,19 @@ def read_tasks(path) -> list[PBETask]:
 
 
 def validate_task(task: PBETask, inv: SegmentInventory) -> list[str]:
-    """Re-execute the gold law and report mismatches instead of fixing them."""
+    """Re-execute the gold law and report mismatches instead of fixing them.
+
+    Each stored input goes through the token-level engine (`apply_law_word`),
+    not the lexicon splice that wrote the stored outputs, so this is the
+    runtime cross-check of the two.  No warning means the stored outputs are
+    exactly what the gold law gives.
+    """
     warnings = []
     if task.gold_law is None:
         return warnings
-    outputs, changed = apply_to_lexicon(task.gold_law, list(task.inputs), inv)
-    if tuple(outputs) != task.outputs:
+    outputs = tuple(apply_law_word(task.gold_law, w, inv) for w in task.inputs)
+    if outputs != task.outputs:
         warnings.append(f"task {task.id}: stored outputs disagree with re-executed gold law")
-    if not any(changed):
+    if not any(o != w for o, w in zip(outputs, task.inputs)):
         warnings.append(f"task {task.id}: gold law is inert on the stored inputs")
     return warnings

@@ -147,6 +147,68 @@ def test_bench_and_eval_roundtrip(tmp_path, capsys):
     assert "Avg" in capsys.readouterr().out
 
 
+def write_eval_inputs(tmp_path):
+    """Tasks whose gold law reproduces the stored outputs, one whose stored
+    outputs disagree with it, and one whose gold law is inert (and so also
+    disagrees); each is sampled with its gold law, another law and nothing."""
+    from soundlaw.dsl import law_to_doc, lower_classical, parse_classical
+    from soundlaw.phonology import default_inventory
+    from soundlaw.rules import apply_to_lexicon
+    from soundlaw.tasks import PBETask, write_tasks
+
+    inv = default_inventory()
+    rules = ("t > d / _ #", "a > e / _ #", "k > g / a _", "u > o / _ n")
+    words = [inv.segment(w) for w in ("sunt", "kata", "takun", "muna", "pak", "tapere")]
+    tasks = []
+    for i, rule in enumerate(rules):
+        gold = lower_classical(parse_classical(rule), inv)
+        tasks.append(PBETask(f"ok-{i}", "rp-ri", tuple(words), tuple(apply_to_lexicon(gold, words, inv)[0]), gold))
+    gold = tasks[0].gold_law
+    bad = (inv.segment("sund"), inv.segment("kata"), inv.segment("takum")) + tuple(words[3:])
+    tasks.append(PBETask("bad", "rp-ri", tuple(words), bad, gold))
+    inert = tuple(inv.segment(w) for w in ("ma", "pi"))
+    tasks.append(PBETask("inert", "rp-ri", inert, (inv.segment("me"), inv.segment("pi")), gold))
+    write_tasks(tmp_path / "t.jsonl", tasks)
+    other = law_to_doc(lower_classical(parse_classical("n > m / _ #"), inv))
+    with open(tmp_path / "s.jsonl", "w", encoding="utf-8") as fh:
+        for task in tasks:
+            for index, program in enumerate((law_to_doc(task.gold_law), other, None)):
+                fh.write(json.dumps({"task_id": task.id, "sample_index": index, "program": program}) + "\n")
+    return inv, {t.id: t for t in tasks}
+
+
+def test_eval_scores_gold_law_by_its_reexecuted_outputs(tmp_path, capsys):
+    from soundlaw.evaluation import reward
+    from soundlaw.rules import apply_law_word
+
+    inv, tasks = write_eval_inputs(tmp_path)
+    assert run("eval", "--tasks", tmp_path / "t.jsonl", "--samples", tmp_path / "s.jsonl", "--out", tmp_path / "r") == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning")]
+    assert warnings == [
+        "warning: task bad: stored outputs disagree with re-executed gold law",
+        "warning: task inert: stored outputs disagree with re-executed gold law",
+        "warning: task inert: gold law is inert on the stored inputs",
+    ]
+    rewards = {e["task_id"]: e["rewards"] for e in json.loads((tmp_path / "r.json").read_text())["per_task"]}
+    assert all(rewards[f"ok-{i}"][0] == 1.0 for i in range(4))
+    for task_id in ("bad", "inert"):
+        task = tasks[task_id]
+        rerun = [apply_law_word(task.gold_law, w, inv) for w in task.inputs]
+        assert rewards[task_id][0] == float(reward(task.inputs, rerun, task.outputs)) != 1.0
+    assert rewards["inert"][0] == 0.0
+
+
+def test_eval_jobs_2_is_byte_identical(tmp_path, capsys):
+    write_eval_inputs(tmp_path)
+    runs = []
+    for jobs in ("1", "2"):
+        argv = ("eval", "--tasks", tmp_path / "t.jsonl", "--samples", tmp_path / "s.jsonl", "--jobs", jobs)
+        assert run(*argv, "--out", tmp_path / f"r{jobs}") == 0
+        files = [(tmp_path / f"r{jobs}{ext}").read_bytes() for ext in (".json", ".md")]
+        runs.append((capsys.readouterr().err, files))
+    assert runs[0] == runs[1]
+
+
 def test_eval_schema_error_exit_6(tmp_path):
     tasks = tmp_path / "t.jsonl"
     tasks.write_text('{"id": "x", "condition": "rp-ri", "inputs": ["a"], "outputs": ["a", "b"]}\n')

@@ -346,6 +346,84 @@ def test_compiled_engine_rejects_reserved_tokens(inv):
         assert not is_canonical(preprocess(bad))
 
 
+# -- cascades: the carried encoding against chained reference_apply ----------
+
+# phones no segment list, word or predicate holds: a mapping that introduces
+# one makes the carried re-encoding register a new code point
+NEW_PHONES = ["y", "zz", "ʔ"]
+
+
+def random_cascade_laws(rng, pool, phones, count):
+    return [random_hand_built_law(rng, pool, phones + NEW_PHONES) for _ in range(count)]
+
+
+def test_apply_cascade_equals_chained_reference(inv):
+    rng = random.Random(211)
+    phones = ["a", "i", "n", "t", "s", "ts", "q", "x"]
+    pool = hand_built_pool(phones[:4] + phones[-2:])
+    cfg = datagen.GenConfig()
+    for trial in range(120):
+        if trial % 4:  # a fresh codebook, so new phones first show up mid-cascade
+            table, laws = tiny_inventory(), random_cascade_laws(rng, pool, phones, rng.randrange(2, 6))
+            words = [tuple(rng.choice(phones) for _ in range(rng.randrange(0, 7))) for _ in range(15)]
+        else:
+            table = inv
+            laws = [datagen.sample_random_law(cfg, rng, inv) for _ in range(rng.randrange(2, 6))]
+            words = [tuple(rng.choice(inv.segments) for _ in range(rng.randrange(0, 9))) for _ in range(15)]
+        trace = apply_cascade(Cascade(tuple(laws)), words, table)
+        current = words
+        for stage, candidate in zip(trace.stages, laws):
+            want = [reference_apply(candidate, w, table) for w in current]
+            assert list(stage.inputs) == current
+            assert list(stage.outputs) == want, candidate
+            assert list(stage.changed) == [o != w for o, w in zip(want, current)], candidate
+            current = want
+
+
+def test_single_law_dataset_equals_per_law_apply_to_lexicon(monkeypatch):
+    from soundlaw import benchmark
+
+    rng = random.Random(223)
+    phones = ["a", "i", "n", "t", "s", "ts", "q", "x"]
+    pool = hand_built_pool(phones[:4] + phones[-2:])
+    for trial in range(40):
+        laws = random_cascade_laws(rng, pool, phones, rng.randrange(2, 6))
+        words = {tuple(rng.choice(phones) for _ in range(rng.randrange(1, 7))) for _ in range(30)}
+        spec = benchmark.BenchmarkSpec(Cascade(tuple(laws)), tuple(sorted(words)), "fz", seed=trial)
+        carried = benchmark.build_single_law_dataset(spec, tiny_inventory())
+        with monkeypatch.context() as patch:  # every law encodes the lexicon afresh
+            patch.setattr(benchmark, "apply_to_lexicon", lambda law, words, inv, codes: apply_to_lexicon(law, words, inv))
+            per_law = benchmark.build_single_law_dataset(spec, tiny_inventory())
+        assert carried == per_law
+
+
+def test_evaluate_samples_multi_law_candidates_equal_chained_apply_law_word():
+    rng = random.Random(227)
+    phones = ["a", "i", "n", "t", "s", "ts", "q", "x"]
+    pool = hand_built_pool(phones[:4] + phones[-2:])
+    scored = 0
+    while scored < 40:
+        tiny = tiny_inventory()
+        gold = random_hand_built_law(rng, pool, phones + NEW_PHONES)
+        inputs = [tuple(rng.choice(phones) for _ in range(rng.randrange(1, 7))) for _ in range(10)]
+        outputs = [apply_law_word(gold, w, tiny) for w in inputs]
+        if outputs == inputs:
+            continue
+        task = PBETask("t", "rp-ri", tuple(inputs), tuple(outputs), gold)
+        candidates = [random_cascade_laws(rng, pool, phones, rng.randrange(1, 5)) for _ in range(4)]
+        candidates += [gold, [gold] + candidates[0], None, candidates[1]]
+        want = []
+        for cand in candidates:
+            pred = inputs
+            for step in [] if cand is None else [cand] if isinstance(cand, SoundLaw) else cand:
+                pred = [apply_law_word(step, w, tiny) for w in pred]
+            want.append(evaluation.reward(inputs, pred, outputs))
+        for verified in (False, True):
+            report = evaluation.evaluate_samples(task, candidates, tiny, gold_verified=verified)
+            assert list(report.rewards) == want, candidates
+        scored += 1
+
+
 @pytest.mark.parametrize("method", ["fork", "spawn"])
 def test_evaluate_many_workers_agree_after_parent_compiled(method, monkeypatch):
     if method not in multiprocessing.get_all_start_methods():
