@@ -95,26 +95,18 @@ class RewardReport:
         return tuple(s.reward for s in self.scores)
 
 
-def evaluate_samples(
-    task: PBETask, candidates, inv: SegmentInventory, char_level: bool = False,
-    gold_verified: bool = False,
-) -> RewardReport:
+def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_level: bool = False) -> RewardReport:
     """Score each candidate program against one task.
 
     A candidate is a SoundLaw, a sequence of SoundLaws applied in order, or
     None for a sample that produced nothing runnable (scored as if it left
-    the sources untouched, i.e. reward 0).  `gold_verified` says the stored
-    outputs are known to be what the gold law gives on the inputs
-    (`tasks.validate_task` re-executed it): a candidate that is exactly the
-    gold law then takes them as its prediction without running again.
+    the sources untouched, i.e. reward 0).
     """
     if not candidates:
         raise EvaluationError("no candidate samples")
     source = list(task.inputs)
     target = list(task.outputs)
     predictions: dict[tuple[SoundLaw, ...], list] = {(): source}
-    if gold_verified:
-        predictions[(task.gold_law,)] = target
     encoded = None  # the sources, encoded once for every candidate that runs
     scores = []
     for idx, cand in enumerate(candidates):
@@ -136,21 +128,19 @@ def evaluate_samples(
 
 
 def _evaluate_one(work):
-    return evaluate_samples(*work)
+    task, candidates, inv, char_level = work
+    return evaluate_samples(task, candidates, inv, char_level)
 
 
-def evaluate_many(
-    pairs, inv: SegmentInventory, char_level: bool = False, jobs: int = 1, verified=frozenset()
-):
+def evaluate_many(pairs, inv: SegmentInventory, char_level: bool = False, jobs: int = 1):
     """Score (task, candidates) pairs, optionally across worker processes.
 
-    `verified` holds the ids of tasks whose stored outputs are known to be
-    their gold law's outputs (see evaluate_samples).  Scoring is pure per
-    task, so results come back in input order no matter how many workers run.
+    Scoring is pure per task, so results come back in input order no matter
+    how many workers run.
     """
-    work = [(task, cands, inv, char_level, task.id in verified) for task, cands in pairs]
+    work = [(task, cands, inv, char_level) for task, cands in pairs]
     if jobs <= 1 or len(work) < 4:
-        return [evaluate_samples(*w) for w in work]
+        return [evaluate_samples(t, c, inv, char_level) for t, c, _, _ in work]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:

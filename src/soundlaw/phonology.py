@@ -164,9 +164,11 @@ class SegmentInventory:
 
 def preprocess(phones: PhoneSeq) -> TokenSeq:
     """Interleave phones with separators and wrap in boundary markers."""
-    tokens = [SEPARATOR] * (2 * len(phones) + 3)
-    tokens[0] = tokens[-1] = BOUNDARY
-    tokens[2:-1:2] = phones
+    tokens = [BOUNDARY, SEPARATOR]
+    for p in phones:
+        tokens.append(p)
+        tokens.append(SEPARATOR)
+    tokens.append(BOUNDARY)
     return tuple(tokens)
 
 
@@ -175,8 +177,13 @@ def is_canonical(tokens: TokenSeq) -> bool:
         return False
     if tokens[0] != BOUNDARY or tokens[-1] != BOUNDARY:
         return False
-    separators = tokens[1::2]  # every odd index; the phones sit at 2, 4, ...
-    return separators.count(SEPARATOR) == len(separators) and RESERVED.isdisjoint(tokens[2:-1:2])
+    for i, tok in enumerate(tokens[1:-1], start=1):
+        if i % 2 == 1:
+            if tok != SEPARATOR:
+                return False
+        elif tok in RESERVED:
+            return False
+    return True
 
 
 def render(tokens: TokenSeq) -> PhoneSeq:

@@ -260,10 +260,7 @@ class _LawCompiler:
         return pattern
 
     def encode_tokens(self, tokens: TokenSeq) -> str:
-        try:
-            return "".join(map(self.code.__getitem__, tokens))
-        except KeyError:
-            return "".join(map(self._char, tokens))
+        return "".join(map(self._char, tokens))
 
     def encode(self, words) -> list[str]:
         """Every word as preprocess() would give it, one character per token."""

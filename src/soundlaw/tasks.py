@@ -94,10 +94,11 @@ def read_tasks(path) -> list[PBETask]:
 def validate_task(task: PBETask, inv: SegmentInventory) -> list[str]:
     """Re-execute the gold law and report mismatches instead of fixing them.
 
-    Each stored input goes through the token-level engine (`apply_law_word`),
+    Every stored input goes through the token-level engine (`apply_law_word`),
     not the lexicon splice that wrote the stored outputs, so this is the
-    runtime cross-check of the two.  No warning means the stored outputs are
-    exactly what the gold law gives.
+    runtime cross-check of the two.  Inputs without a site are re-executed
+    too: choosing the words to check by the compiled scan would leave a site
+    that scan misses unchecked.
     """
     warnings = []
     if task.gold_law is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -196,6 +197,29 @@ def test_eval_scores_gold_law_by_its_reexecuted_outputs(tmp_path, capsys):
         rerun = [apply_law_word(task.gold_law, w, inv) for w in task.inputs]
         assert rewards[task_id][0] == float(reward(task.inputs, rerun, task.outputs)) != 1.0
     assert rewards["inert"][0] == 0.0
+
+
+def test_eval_tasks_sharing_an_id_score_their_own_outputs(tmp_path, capsys):
+    """Two tasks with one id (as when two datagen outputs are concatenated),
+    the second with stored outputs its gold law does not give: each scores
+    the gold sample against its own outputs."""
+    from soundlaw.evaluation import reward
+    from soundlaw.rules import apply_law_word
+    from soundlaw.tasks import write_tasks
+
+    inv, tasks = write_eval_inputs(tmp_path)
+    good, bad = tasks["ok-0"], tasks["bad"]
+    write_tasks(tmp_path / "dup.jsonl", [dataclasses.replace(good, id="dup"), dataclasses.replace(bad, id="dup")])
+    with open(tmp_path / "dup-s.jsonl", "w", encoding="utf-8") as fh:
+        for line in (tmp_path / "s.jsonl").read_text().splitlines():
+            if json.loads(line)["task_id"] == "ok-0":
+                fh.write(line.replace('"ok-0"', '"dup"') + "\n")
+    assert run("eval", "--tasks", tmp_path / "dup.jsonl", "--samples", tmp_path / "dup-s.jsonl", "--out", tmp_path / "r") == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning")]
+    assert warnings == ["warning: task dup: stored outputs disagree with re-executed gold law"]
+    per_task = json.loads((tmp_path / "r.json").read_text())["per_task"]
+    rerun = [apply_law_word(bad.gold_law, w, inv) for w in bad.inputs]
+    assert [e["rewards"][0] for e in per_task] == [1.0, float(reward(bad.inputs, rerun, bad.outputs))]
 
 
 def test_eval_jobs_2_is_byte_identical(tmp_path, capsys):
