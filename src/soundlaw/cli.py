@@ -380,11 +380,7 @@ def cmd_eval(args) -> int:
     Path(json_path).write_text(
         json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
-    md = "".join(
-        evaluation.report_markdown(doc, metric) + "\n"
-        for metric in ("pass_rate", "reward_at_1", "reward_at_3")
-    )
-    Path(md_path).write_text(md, encoding="utf-8")
+    Path(md_path).write_text(evaluation.report_tables(doc), encoding="utf-8")
     _write_manifest(
         json_path,
         "eval",
@@ -457,11 +453,7 @@ def cmd_report(args) -> int:
     if args.format == "json":
         _print_or_write(json.dumps(doc["aggregates"], ensure_ascii=False, indent=2) + "\n", args.out)
     else:
-        md = "".join(
-            evaluation.report_markdown(doc, metric) + "\n"
-            for metric in ("pass_rate", "reward_at_1", "reward_at_3")
-        )
-        _print_or_write(md, args.out)
+        _print_or_write(evaluation.report_tables(doc), args.out)
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ from .rules import (
     apply_to_lexicon,
     delete,
     feature_class,
+    has_site,
     in_set,
     insert_after,
     insert_before,
@@ -36,6 +37,7 @@ from .rules import (
     is_token,
     law_is_inert,
     replace_with,
+    slot_members,
 )
 from .tasks import PBETask
 
@@ -175,7 +177,7 @@ def sample_random_law(cfg: GenConfig, rng: random.Random, inv: SegmentInventory)
 
 
 # ---------------------------------------------------------------------------
-# occurrence counting over the law's phone-slot context
+# input words placed against the law's phone-slot context
 
 
 def context_predicates(law: SoundLaw) -> tuple[Predicate, ...]:
@@ -189,26 +191,10 @@ def context_predicates(law: SoundLaw) -> tuple[Predicate, ...]:
     return tuple(slots)
 
 
-def occurrences(preds, word: PhoneSeq, inv: SegmentInventory) -> list[int]:
-    """Start indices where the predicate window matches consecutive phones."""
-    w = len(preds)
-    if w == 0 or w > len(word):
-        return []
-    return [
-        i
-        for i in range(len(word) - w + 1)
-        if all(p.matches(word[i + k], inv) for k, p in enumerate(preds))
-    ]
-
-
-def _concrete_context(preds, rng: random.Random, inv: SegmentInventory) -> list[str]:
-    # each slot's matching phones, in inventory order, listed once per inventory
-    members_of = inv.memo("datagen.slot_members", lambda _: {})
+def _concrete_context(slots, rng: random.Random) -> list[str]:
+    """One phone per (predicate, member phones) slot, drawn in slot order."""
     phones = []
-    for p in preds:
-        members = members_of.get(p)
-        if members is None:
-            members = members_of[p] = [s for s in inv.segments if p.matches(s, inv)]
+    for p, members in slots:
         if not members:
             raise InfeasibleQuota(f"no inventory phone satisfies {p}")
         phones.append(rng.choice(members))
@@ -231,6 +217,9 @@ def sample_inputs_for_law(
     if 2 * w + 3 > hi:
         raise InfeasibleQuota(f"context of width {w} cannot occur twice inside a word of <= {hi} phones")
 
+    slots = [(p, slot_members(p, inv)) for p in preds]
+    # '@' on both sides pins every slot to a phone
+    window = (SEP_PRED,) + tuple(q for p in preds for q in (p, SEP_PRED))
     tenth = n // 10
     bearing = -(-2 * n // 3)  # ceil(2n/3)
 
@@ -243,22 +232,22 @@ def sample_inputs_for_law(
     words: list[PhoneSeq] = []
     for _ in range(tenth):  # begins with context
         total = length_at_least(w)
-        words.append(tuple(_concrete_context(preds, rng, inv) + rand_phones(total - w)))
+        words.append(tuple(_concrete_context(slots, rng) + rand_phones(total - w)))
     for _ in range(tenth):  # ends with context
         total = length_at_least(w)
-        words.append(tuple(rand_phones(total - w) + _concrete_context(preds, rng, inv)))
+        words.append(tuple(rand_phones(total - w) + _concrete_context(slots, rng)))
     for _ in range(tenth):  # one interior occurrence
         total = length_at_least(w + 2)
         head = rng.randint(1, total - w - 1)
-        ctx = _concrete_context(preds, rng, inv)
+        ctx = _concrete_context(slots, rng)
         words.append(tuple(rand_phones(head) + ctx + rand_phones(total - w - head)))
     for _ in range(tenth):  # two interior occurrences
         total = length_at_least(2 * w + 3)
         slack = total - 2 * w - 3
         a = rng.randint(0, slack)
         b = rng.randint(0, slack - a)
-        c1 = _concrete_context(preds, rng, inv)
-        c2 = _concrete_context(preds, rng, inv)
+        c1 = _concrete_context(slots, rng)
+        c2 = _concrete_context(slots, rng)
         words.append(
             tuple(
                 rand_phones(1 + a) + c1 + rand_phones(1 + b) + c2 + rand_phones(1 + slack - a - b)
@@ -267,13 +256,13 @@ def sample_inputs_for_law(
     while len(words) < bearing:  # any occurrence anywhere
         total = length_at_least(w)
         at = rng.randint(0, total - w)
-        ctx = _concrete_context(preds, rng, inv)
+        ctx = _concrete_context(slots, rng)
         words.append(tuple(rand_phones(at) + ctx + rand_phones(total - w - at)))
     while len(words) < n:  # context-free remainder (best effort when the
         # context is a wildcard that every word necessarily contains)
         word = tuple(rand_phones(rng.randint(lo, hi)))
         for _ in range(40):
-            if not occurrences(preds, word, inv):
+            if not has_site(window, word, inv):
                 break
             word = tuple(rand_phones(rng.randint(lo, hi)))
         words.append(word)

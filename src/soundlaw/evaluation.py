@@ -181,20 +181,22 @@ def group_reports(reports, tasks) -> dict[str, list[RewardReport]]:
     return groups
 
 
+def _aggregate(reports: list[RewardReport]) -> dict:
+    return {
+        "n_tasks": len(reports),
+        "pass_rate": float(pass_rate(reports)),
+        "reward_at_1": float(mean_reward_at(reports, 1)),
+        "reward_at_3": float(mean_reward_at(reports, 3))
+        if all(r.reward_at_3 is not None for r in reports)
+        else None,
+    }
+
+
 def summarize(reports, tasks) -> dict:
     """Aggregate a run into the report document written by the CLI."""
     reports = list(reports)
     groups = group_reports(reports, tasks)
-    per_pair = {}
-    for pair in sorted(groups):
-        reps = groups[pair]
-        per_pair[pair or "all"] = {
-            "n_tasks": len(reps),
-            "pass_rate": float(pass_rate(reps)),
-            "reward_at_1": float(mean_reward_at(reps, 1)),
-            "reward_at_3": float(mean_reward_at(reps, 3)) if all(r.reward_at_3 is not None for r in reps) else None,
-        }
-    doc = {
+    return {
         "per_task": [
             {
                 "task_id": r.task_id,
@@ -206,28 +208,18 @@ def summarize(reports, tasks) -> dict:
             for r in reports
         ],
         "aggregates": {
-            "n_tasks": len(reports),
-            "pass_rate": float(pass_rate(reports)),
-            "reward_at_1": float(mean_reward_at(reports, 1)),
-            "reward_at_3": float(mean_reward_at(reports, 3))
-            if all(r.reward_at_3 is not None for r in reports)
-            else None,
-            "per_language_pair": per_pair,
+            **_aggregate(reports),
+            "per_language_pair": {pair or "all": _aggregate(groups[pair]) for pair in sorted(groups)},
         },
     }
-    return doc
 
 
 def report_markdown(doc: dict, metric: str = "pass_rate") -> str:
     """Render the per-pair aggregate table (pairs as columns plus Avg)."""
-    pairs = [p for p in doc["aggregates"]["per_language_pair"] if p != "all"]
-    if not pairs:
-        pairs = ["all"]
+    per_pair = doc["aggregates"]["per_language_pair"]
+    pairs = [p for p in per_pair if p != "all"] or ["all"]
     cols = pairs + ["Avg"]
-    vals = []
-    for p in pairs:
-        v = doc["aggregates"]["per_language_pair"][p][metric]
-        vals.append(v)
+    vals = [per_pair[p][metric] for p in pairs]
     avg = None if any(v is None for v in vals) else sum(vals) / len(vals)
     fmt = lambda v: "-" if v is None else f"{v * 100:.1f}" if metric == "pass_rate" else f"{v:.4f}"
     lines = [
@@ -236,3 +228,8 @@ def report_markdown(doc: dict, metric: str = "pass_rate") -> str:
         "| " + " | ".join([metric] + [fmt(v) for v in vals] + [fmt(avg)]) + " |",
     ]
     return "\n".join(lines) + "\n"
+
+
+def report_tables(doc: dict) -> str:
+    """The pass-rate, reward@1 and reward@3 tables of one report, in that order."""
+    return "".join(report_markdown(doc, metric) + "\n" for metric in ("pass_rate", "reward_at_1", "reward_at_3"))

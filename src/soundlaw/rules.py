@@ -9,10 +9,11 @@ site.
 
 Matching is compiled.  Per inventory, every token is encoded as one
 character: '#' and '@' stand for themselves and each phone gets a
-private-use code point.  Each window slot becomes a character class and the
-law becomes one lookahead pattern, compiled once per (law, inventory) and
-cached on the inventory, so `finditer` reports every site, overlapping ones
-included.
+private-use code point.  Each window slot becomes a character class and a
+predicate window one lookahead pattern, compiled once per (window,
+inventory) and cached on the inventory, so `finditer` reports every site,
+overlapping ones included.  Datagen reads the compiled slots too
+(`slot_members`, `has_site`).
 
 Rewriting works on that encoding too (the compile-the-rewrite approach of
 Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
@@ -75,6 +76,7 @@ class Predicate:
             raise RuleError(f"unknown feature class {self.args[0]!r}")
 
     def matches(self, token: str, inv: SegmentInventory) -> bool:
+        """The per-token reading of the slot; only tests and the A05 audit call it."""
         if self.kind == "is":
             return token == self.args[0]
         if self.kind == "is-not":
@@ -211,7 +213,7 @@ class _LawCompiler:
         self.code = {BOUNDARY: BOUNDARY, SEPARATOR: SEPARATOR, DELETION_MARK: DELETION_MARK}
         # phone -> its character followed by the separator
         self.phone_sep: dict[str, str] = {}
-        self.patterns: dict[SoundLaw, re.Pattern] = {}
+        self.patterns: dict[tuple[Predicate, ...], re.Pattern] = {}
         for seg in inv.segments:
             self._add(seg)
 
@@ -250,13 +252,13 @@ class _LawCompiler:
             return f"[^\n{chars}]"
         return f"[{chars}]" if chars else "(?!)"
 
-    def pattern(self, law: SoundLaw, inv: SegmentInventory) -> re.Pattern:
-        pattern = self.patterns.get(law)
+    def pattern(self, preds: tuple[Predicate, ...], inv: SegmentInventory) -> re.Pattern:
+        pattern = self.patterns.get(preds)
         if pattern is None:
             if len(self.patterns) >= self.MAX_PATTERNS:
                 self.patterns.clear()
-            body = "".join(self._slot(p, inv) for p in law.predicates)
-            pattern = self.patterns[law] = re.compile(f"(?={body})")
+            body = "".join(self._slot(p, inv) for p in preds)
+            pattern = self.patterns[preds] = re.compile(f"(?={body})")
         return pattern
 
     def encode_tokens(self, tokens: TokenSeq) -> str:
@@ -285,7 +287,7 @@ class _LawCompiler:
         index = first = 0  # the word being read and the offset of its '#'
         last = -1  # the end of its slice: the next newline or the end of text
         sites: list[int] = []
-        for m in self.pattern(law, inv).finditer(text):
+        for m in self.pattern(law.predicates, inv).finditer(text):
             start = m.start()
             if start > last:  # the first site of a later word
                 if sites:
@@ -349,7 +351,20 @@ def find_matches(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> list
         raise NonCanonicalTokenSeq(tokens)
     compiler = _compiler(inv)
     text = compiler.encode_tokens(tokens)
-    return [MatchSite(m.start()) for m in compiler.pattern(law, inv).finditer(text)]
+    return [MatchSite(m.start()) for m in compiler.pattern(law.predicates, inv).finditer(text)]
+
+
+def has_site(preds: tuple[Predicate, ...], word: PhoneSeq, inv: SegmentInventory) -> bool:
+    """True when the predicate window matches somewhere in preprocess(word)."""
+    compiler = _compiler(inv)
+    return compiler.pattern(preds, inv).search(compiler.encode((word,))[0]) is not None
+
+
+def slot_members(pred: Predicate, inv: SegmentInventory) -> list[str]:
+    """The segments one slot's compiled class matches, in inventory order."""
+    compiler = _compiler(inv)
+    match = compiler.pattern((pred,), inv).match
+    return [s for s in inv.segments if match(compiler.code[s])]
 
 
 def apply_law(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> TokenSeq:

@@ -83,11 +83,17 @@ def write_tasks(path, tasks) -> None:
 
 
 def read_tasks(path) -> list[PBETask]:
+    """Every task of a JSONL file; a task id may occur only once."""
     tasks = []
+    line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                tasks.append(task_from_json(line, lineno))
+                task = task_from_json(line, lineno)
+                first = line_of.setdefault(task.id, lineno)
+                if first != lineno:
+                    raise SchemaError(f"line {lineno}: task id {task.id!r} repeats line {first}")
+                tasks.append(task)
     return tasks
 
 

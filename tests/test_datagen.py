@@ -20,7 +20,6 @@ from soundlaw.datagen import (
     gen_rp_ri,
     harvest_actions,
     lcs,
-    occurrences,
     sample_idp_context,
     sample_inputs_for_law,
     sample_random_law,
@@ -71,12 +70,17 @@ def test_deletion_shape_possible(inv):
 
 
 def quota_audit(law, words, inv):
-    """Independent occurrence counter over the law's phone context."""
+    """Independent occurrence counter over the law's phone context: a
+    Predicate.matches scan, not the compiled slots that placed the words."""
     preds = context_predicates(law)
     width = len(preds)
     bearing = begin = end = int1 = int2 = 0
     for word in words:
-        occ = occurrences(preds, word, inv)
+        occ = [
+            i
+            for i in range(len(word) - width + 1)
+            if all(p.matches(word[i + k], inv) for k, p in enumerate(preds))
+        ]
         interior = [i for i in occ if 0 < i and i + width < len(word)]
         bearing += bool(occ)
         begin += 0 in occ

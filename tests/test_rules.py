@@ -337,6 +337,34 @@ def test_compiled_engine_matches_scan_on_random_and_hand_built_laws(inv, monkeyp
         assert_compiled_equals_scan(candidate, words, tiny)
 
 
+def test_slot_members_and_has_site_equal_the_matches_scan(inv):
+    """Datagen's two readings of the compiled slots against Predicate.matches:
+    a slot's member phones, and whether a window pinned by '@' on both sides
+    matches consecutive phones of a word."""
+    rng = random.Random(131)
+    tiny = tiny_inventory()
+    assert R.slot_members(feature_class("is_velar"), tiny) == []  # no velar in the segment list
+    # 'q' has a feature row but is no segment; 'x' is unknown to both tables
+    phones = ["a", "i", "n", "t", "s", "ts", "q", "x"]
+    pool = hand_built_pool(phones[:4] + phones[-2:])
+    pool += [R.in_set(["#", "a"]), R.in_set(["@", "#"]), Predicate("not-in", ("@", "q")),
+             Predicate("not-in", ("#", "@")), R.is_not_token("x")]
+    assert {p.kind for p in pool} == set(R.PRED_KINDS)
+    for table, alphabet in ((tiny, phones), (inv, list(inv.segments) + ["q", "x"])):
+        for pred in pool:
+            want = [s for s in table.segments if pred.matches(s, table)]
+            assert R.slot_members(pred, table) == want, pred
+        for _ in range(1500):
+            preds = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
+            window = (SEP_PRED,) + tuple(q for p in preds for q in (p, SEP_PRED))
+            word = tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
+            want = any(
+                all(p.matches(word[i + k], table) for k, p in enumerate(preds))
+                for i in range(len(word) - len(preds) + 1)
+            )
+            assert R.has_site(window, word, table) == want, (preds, word)
+
+
 def test_compiled_engine_rejects_reserved_tokens(inv):
     candidate = law([is_token("a")], [0], [delete()])
     for bad in (("a", "#"), ("@",), ("t", "!", "a")):

@@ -55,6 +55,14 @@ def test_read_rejects_bad_line(tmp_path, inv):
     assert "line 1" in str(err.value)
 
 
+def test_read_rejects_repeated_task_id(tmp_path, inv):
+    path = tmp_path / "tasks.jsonl"
+    write_tasks(path, [make_task(inv, "t-0"), make_task(inv, "t-1"), make_task(inv, "t-0")])
+    with pytest.raises(SchemaError) as err:
+        read_tasks(path)
+    assert str(err.value) == "line 3: task id 't-0' repeats line 1"
+
+
 def test_validation_surfaces_disagreement(inv):
     task = make_task(inv)
     broken = PBETask(
