@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .datagen import derive_rng
-from .dsl import doc_to_law, lower_classical, parse_classical
+from .dsl import DslError, read_laws
 from .evaluation import EmptyDataset  # noqa: F401 (one class, importable from both modules)
 from .phonology import PhoneSeq, SegmentInventory
 from .rules import Cascade, apply_to_lexicon, encode_lexicon
@@ -64,7 +64,7 @@ def build_single_law_dataset(
     current = list(spec.lexicon)
     codes = encode_lexicon(current, inv)  # carried from law to law
     for j, law in enumerate(spec.cascade.laws):
-        label = spec.cascade.labels[j] if spec.cascade.labels else f"law {j + 1}"
+        label = spec.cascade.labels[j]
         outputs, changed = apply_to_lexicon(law, current, inv, codes)
         changed_pairs = [(w, o) for w, o, c in zip(current, outputs, changed) if c]
         unchanged = [w for w, c in zip(current, changed) if not c]
@@ -145,28 +145,15 @@ def stats_to_json(stats: DatasetStats) -> str:
 
 
 def load_cascade(text: str, inv: SegmentInventory, name: str = "") -> Cascade:
-    """Cascade file: classical rules one per line ('#'-prefixed lines are
-    comments and label the following rule), or a JSON array of law docs."""
-    stripped = text.strip()
-    if stripped.startswith("["):
-        docs = json.loads(stripped)
-        laws = tuple(doc_to_law(d) for d in docs)
-        return Cascade(laws, name=name, labels=tuple(f"law {i + 1}" for i in range(len(laws))))
-    laws = []
-    labels = []
-    pending_comment = ""
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            pending_comment = line.lstrip("#").strip()
-            continue
-        rule = parse_classical(line)
-        laws.append(lower_classical(rule, inv))
-        labels.append(pending_comment or line)
-        pending_comment = ""
-    return Cascade(tuple(laws), name=name, labels=tuple(labels))
+    """A cascade of every law a law text holds, in order (see
+    `dsl.read_laws`).  A classical rule is labelled by the '#' comment line
+    before it, else by itself; any other law by its place ("law 3").  A
+    constructor that does not parse is a DslError, so no law is dropped."""
+    labelled, diagnostics = read_laws(text, inv)
+    if diagnostics:
+        raise DslError("; ".join(f"{d.code}: {d.message}" for d in diagnostics))
+    laws = tuple(law for _, law in labelled)
+    return Cascade(laws, name=name, labels=tuple(label for label, _ in labelled))
 
 
 def load_cascade_file(path, inv: SegmentInventory) -> Cascade:

@@ -28,7 +28,7 @@ from .phonology import (
     load_lexicon,
     preprocess,
 )
-from .rules import NonCanonicalTokenSeq, RuleError, apply_cascade, apply_to_lexicon
+from .rules import NonCanonicalTokenSeq, RuleError, SoundLaw, apply_cascade, apply_to_lexicon
 from .tasks import read_tasks, validate_task, word_to_str, write_tasks
 
 EXIT_OK = 0
@@ -80,25 +80,15 @@ def _read_words(args, inv: SegmentInventory):
     return words
 
 
-def _load_law(args, inv: SegmentInventory):
-    if args.rule:
-        text = args.rule
-    elif args.law_file:
-        text = Path(args.law_file).read_text(encoding="utf-8")
-    else:
-        raise CliError("no rule given: use -r/--rule or --law-file", EXIT_PARSE)
-    text = text.strip()
-    if text.startswith("{"):
-        return dsl.read_law(text)
-    if "BasicAction" in text:
-        parsed = dsl.parse_program_text(text, inv)
-        if not parsed.laws:
-            raise CliError(f"no parseable constructor: {[d.message for d in parsed.diagnostics]}", EXIT_PARSE)
-        return parsed.laws[0]
-    line = next(
-        (ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")), ""
-    )
-    return dsl.lower_classical(dsl.parse_classical(line), inv)
+def _read_laws(text: str, inv: SegmentInventory) -> list[tuple[str, SoundLaw]]:
+    """Every (label, law) of a law text; its diagnostics are warnings and a
+    text holding no law is a parse error."""
+    laws, diagnostics = dsl.read_laws(text, inv)
+    for diag in diagnostics:
+        print(f"warning: {diag.code}: {diag.message}", file=sys.stderr)
+    if not laws:
+        raise CliError("no parseable law in input", EXIT_PARSE)
+    return laws
 
 
 def _sha256_file(path) -> str:
@@ -109,12 +99,12 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary_out, command: str, options: dict, inputs, outputs, started: str):
+def _write_manifest(args, primary_out, inputs, outputs, started: str):
     manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
+        "command": args.command,
+        "argv": args.argv,
         "package_version": __version__,
-        "options": options,
+        "options": {k: v for k, v in vars(args).items() if k not in ("func", "argv", "command")},
         "inputs": {str(p): _sha256_file(p) for p in inputs if p and Path(p).exists()},
         "outputs": {str(p): _sha256_file(p) for p in outputs if p and Path(p).exists()},
         "started": started,
@@ -183,7 +173,16 @@ def cmd_tokenize(args) -> int:
 
 def cmd_apply(args) -> int:
     inv = _inventory(args)
-    law = _load_law(args, inv)
+    if args.rule:
+        text = args.rule
+    elif args.law_file:
+        text = Path(args.law_file).read_text(encoding="utf-8")
+    else:
+        raise CliError("no rule given: use -r/--rule or --law-file", EXIT_PARSE)
+    laws = _read_laws(text, inv)
+    if len(laws) > 1:
+        raise CliError(f"apply takes one law, the text holds {len(laws)}", EXIT_PARSE)
+    law = laws[0][1]
     words = _read_words(args, inv)
     outputs, changed = apply_to_lexicon(law, words, inv)
     lines = []
@@ -222,20 +221,8 @@ def cmd_parse_law(args) -> int:
         text = Path(args.input).read_text(encoding="utf-8")
     else:
         text = sys.stdin.read()
-    laws = []
-    if "BasicAction" in text:
-        parsed = dsl.parse_program_text(text, inv)
-        for diag in parsed.diagnostics:
-            print(f"warning: {diag.code}: {diag.message}", file=sys.stderr)
-        laws.extend(parsed.laws)
-    else:
-        for line in text.splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                laws.append(dsl.lower_classical(dsl.parse_classical(line), inv))
-    if not laws:
-        raise CliError("no parseable law in input", EXIT_PARSE)
-    _print_or_write("\n".join(dsl.print_law(law) for law in laws) + "\n", args.out)
+    laws = _read_laws(text, inv)
+    _print_or_write("\n".join(dsl.print_law(law) for _, law in laws) + "\n", args.out)
     return EXIT_OK
 
 
@@ -274,14 +261,7 @@ def cmd_datagen(args) -> int:
     else:
         raise CliError(f"unknown condition {args.condition!r}", EXIT_GENERATION)
     write_tasks(args.out, tasks)
-    _write_manifest(
-        args.out,
-        "datagen",
-        {"condition": args.condition, "count": args.count, "seed": args.seed, "n_examples": args.n_examples},
-        inputs_used + (args.fixtures or []),
-        [args.out],
-        started,
-    )
+    _write_manifest(args, args.out, inputs_used + (args.fixtures or []), [args.out], started)
     print(f"wrote {len(tasks)} tasks to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -309,14 +289,7 @@ def cmd_bench(args) -> int:
     Path(stats_path).write_text(
         benchmark.stats_to_json(benchmark.dataset_stats(tasks)) + "\n", encoding="utf-8"
     )
-    _write_manifest(
-        args.out,
-        "bench",
-        {"pair": args.pair, "seed": args.seed, "distractor_fraction": args.distractor_fraction},
-        [cascade_path, lexicon_path],
-        [args.out, stats_path],
-        started,
-    )
+    _write_manifest(args, args.out, [cascade_path, lexicon_path], [args.out, stats_path], started)
     print(f"wrote {len(tasks)} tasks to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -381,14 +354,7 @@ def cmd_eval(args) -> int:
         json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
     Path(md_path).write_text(evaluation.report_tables(doc), encoding="utf-8")
-    _write_manifest(
-        json_path,
-        "eval",
-        {"char_level": args.char_level},
-        [args.tasks, args.samples],
-        [json_path, md_path],
-        started,
-    )
+    _write_manifest(args, json_path, [args.tasks, args.samples], [json_path, md_path], started)
     agg = doc["aggregates"]
     print(
         f"pass_rate={agg['pass_rate']:.4f} reward@1={agg['reward_at_1']:.4f} over {agg['n_tasks']} tasks",
@@ -418,8 +384,6 @@ def _stats_vector(path, prop: str) -> list[float]:
 
 
 def cmd_stats(args) -> int:
-    if args.test != "wilcoxon":
-        raise CliError(f"unknown test {args.test!r}", EXIT_SCHEMA)
     alpha_adjusted = stats_mod.bonferroni(args.alpha, args.m)
     doc: dict = {
         "test": "wilcoxon-signed-rank",
@@ -483,20 +447,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("apply", cmd_apply, "apply one law to words")
     p.add_argument("words", nargs="*")
-    p.add_argument("-r", "--rule", help="classical rule, e.g. 't > d / _ #'")
-    p.add_argument("--law-file", help="law JSON or classical rule file")
+    p.add_argument("-r", "--rule", help="one law in any surface, e.g. 't > d / _ #'")
+    p.add_argument("--law-file", help="file holding one law in any surface")
     p.add_argument("--lexicon")
     p.add_argument("--changed-only", action="store_true")
 
     p = command("derive", cmd_derive, "run a cascade over a lexicon")
     p.add_argument("words", nargs="*")
-    p.add_argument("--cascade", required=True)
+    p.add_argument("--cascade", required=True, help="file of laws in any surface")
     p.add_argument("--lexicon")
     p.add_argument("--trace", action="store_true", help="print per-law diffs")
 
     p = command("parse-law", cmd_parse_law, "parse rules to law JSON")
     p.add_argument("-r", "--rule")
-    p.add_argument("--input", help="file with classical rules or constructor text")
+    p.add_argument("--input", help="file of laws in any surface (stdin when no -r or --input)")
 
     p = command("datagen", cmd_datagen, "generate synthetic PBE tasks", out_required=True)
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
@@ -531,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char-level", action="store_true", help="character-level edit distance")
 
     p = command("stats", cmd_stats, "paired significance tests", table=False)
-    p.add_argument("--test", default="wilcoxon")
     p.add_argument("-x", help="first sample: JSON array or eval report")
     p.add_argument("-y", help="second sample: JSON array or eval report")
     p.add_argument("--property", default="reward_per_program",
@@ -549,8 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifest records what was parsed
     try:
         return args.func(args)
     except CliError as exc:

@@ -1,6 +1,6 @@
 """Parsing and printing of sound laws.
 
-Three surfaces:
+Three surfaces, which `read_laws` tells apart:
 
 * classical notation ``F > T / L _ R`` with ``∅``/``0`` for empty focus or
   target, ``{a,b}`` alternative sets, ``#`` word boundaries and the class
@@ -304,6 +304,45 @@ def read_law(text: str) -> SoundLaw:
     except json.JSONDecodeError as exc:
         raise SchemaError(str(exc)) from exc
     return doc_to_law(doc)
+
+
+def read_laws(
+    text: str, inv: SegmentInventory
+) -> tuple[list[tuple[str, SoundLaw]], tuple[Diagnostic, ...]]:
+    """Every (label, law) a law text holds, in order, and the diagnostics of
+    its constructors that do not parse.
+
+    JSON is one law document, an array of them, or one per line as
+    `print_law` writes them; text naming BasicAction outside '#' lines is
+    constructor text; the rest is classical rules, one per line, each
+    labelled by the last '#' comment line before it, else by itself.  JSON
+    and constructor laws get the label "".  Malformed JSON raises
+    SchemaError.
+    """
+    stripped = text.strip()
+    if stripped.startswith(("{", "[")):
+        try:
+            docs = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            if exc.msg != "Extra data":  # malformed, not one document per line
+                raise SchemaError(str(exc)) from exc
+            laws = [read_law(line) for line in stripped.splitlines() if line.strip()]
+        else:
+            laws = [doc_to_law(doc) for doc in (docs if isinstance(docs, list) else [docs])]
+        return [("", law) for law in laws], ()
+    lines = [line.strip() for line in text.splitlines()]
+    if any("BasicAction" in line for line in lines if not line.startswith("#")):
+        parsed = parse_program_text(text, inv)
+        return [("", law) for law in parsed.laws], parsed.diagnostics
+    labelled = []
+    comment = ""
+    for line in lines:
+        if line.startswith("#"):
+            comment = line.lstrip("#").strip()
+        elif line:
+            labelled.append((comment or line, lower_classical(parse_classical(line), inv)))
+            comment = ""
+    return labelled, ()
 
 
 # ---------------------------------------------------------------------------

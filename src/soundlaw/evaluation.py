@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .phonology import PhoneSeq, SegmentInventory
+from .phonology import SegmentInventory
 from .rules import SoundLaw, apply_to_lexicon, encode_lexicon
 from .tasks import PBETask
 
@@ -35,11 +35,6 @@ class NotEnoughSamples(EvaluationError):
 
 class EmptyDataset(EvaluationError):
     pass
-
-
-def levenshtein(a: PhoneSeq, b: PhoneSeq) -> int:
-    """Phone-level edit distance."""
-    return kernels.levenshtein(a, b)
 
 
 def aggregate_dist(xs, ys, char_level: bool = False) -> int:

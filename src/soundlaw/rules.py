@@ -12,8 +12,8 @@ character: '#' and '@' stand for themselves and each phone gets a
 private-use code point.  Each window slot becomes a character class and a
 predicate window one lookahead pattern, compiled once per (window,
 inventory) and cached on the inventory, so `finditer` reports every site,
-overlapping ones included.  Datagen reads the compiled slots too
-(`slot_members`, `has_site`).
+overlapping ones included.  Datagen reads the same slots: `slot_members`
+the token set a slot's class is built from, `has_site` the compiled window.
 
 Rewriting works on that encoding too (the compile-the-rewrite approach of
 Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
@@ -189,6 +189,8 @@ class MatchSite:
 
 @dataclass(frozen=True)
 class Cascade:
+    """Laws applied in order; a law with no label is labelled "law i" (from 1)."""
+
     laws: tuple[SoundLaw, ...]
     name: str = ""
     labels: tuple[str, ...] = ()
@@ -196,9 +198,33 @@ class Cascade:
     def __post_init__(self):
         if self.labels and len(self.labels) != len(self.laws):
             raise RuleError("labels must align with laws")
+        labels = self.labels or ("",) * len(self.laws)
+        object.__setattr__(
+            self, "labels", tuple(label or f"law {i + 1}" for i, label in enumerate(labels))
+        )
 
     def __len__(self) -> int:
         return len(self.laws)
+
+
+def _slot_tokens(pred: Predicate, inv: SegmentInventory) -> tuple[bool, tuple[str, ...]]:
+    """(negated, tokens): a slot matches exactly the tokens, or (negated)
+    every token but them."""
+    kind, args = pred.kind, pred.args
+    if kind not in ("class", "not-class"):
+        return kind in ("is-not", "not-in"), args
+    name = args[0]
+    if name == "is_anything":
+        negated, tokens = True, ()
+    elif name == "is_not_boundary":
+        negated, tokens = True, (BOUNDARY,)
+    elif name == "is_nothing":
+        negated, tokens = False, (SEPARATOR,)
+    else:  # only phones with a feature row can belong
+        negated, tokens = False, tuple(t for t in inv.features if inv.in_class(name, t))
+    if kind == "not-class":
+        negated = not negated
+    return negated, tokens
 
 
 class _LawCompiler:
@@ -231,21 +257,7 @@ class _LawCompiler:
 
     def _slot(self, pred: Predicate, inv: SegmentInventory) -> str:
         """The character class of one slot; no class matches a newline."""
-        kind, args = pred.kind, pred.args
-        if kind in ("class", "not-class"):
-            name = args[0]
-            if name == "is_anything":
-                negated, tokens = True, ()
-            elif name == "is_not_boundary":
-                negated, tokens = True, (BOUNDARY,)
-            elif name == "is_nothing":
-                negated, tokens = False, (SEPARATOR,)
-            else:  # only phones with a feature row can belong
-                negated, tokens = False, [t for t in inv.features if inv.in_class(name, t)]
-            if kind == "not-class":
-                negated = not negated
-        else:
-            negated, tokens = kind in ("is-not", "not-in"), args
+        negated, tokens = _slot_tokens(pred, inv)
         # codes are '#', '@', '!' or private-use: none is special in a class
         chars = "".join(self._char(t) for t in tokens)
         if negated:
@@ -361,10 +373,11 @@ def has_site(preds: tuple[Predicate, ...], word: PhoneSeq, inv: SegmentInventory
 
 
 def slot_members(pred: Predicate, inv: SegmentInventory) -> list[str]:
-    """The segments one slot's compiled class matches, in inventory order."""
-    compiler = _compiler(inv)
-    match = compiler.pattern((pred,), inv).match
-    return [s for s in inv.segments if match(compiler.code[s])]
+    """The segments one slot matches, in inventory order: the set its
+    compiled class is built from, read without compiling it."""
+    negated, tokens = _slot_tokens(pred, inv)
+    members = set(tokens)
+    return [s for s in inv.segments if (s in members) != negated]
 
 
 def apply_law(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> TokenSeq:
@@ -481,9 +494,8 @@ def apply_cascade(cascade: Cascade, words: list[PhoneSeq], inv: SegmentInventory
     codes = encode_lexicon(current, inv)  # carried from law to law
     for i, law in enumerate(cascade.laws):
         outputs, changed = apply_to_lexicon(law, current, inv, codes)
-        label = cascade.labels[i] if cascade.labels else f"law {i + 1}"
         stages.append(
-            StageTrace(i, label, tuple(current), tuple(outputs), tuple(changed))
+            StageTrace(i, cascade.labels[i], tuple(current), tuple(outputs), tuple(changed))
         )
         current = outputs
     return DerivationTrace(tuple(stages))

@@ -124,3 +124,12 @@ def test_cascade_comments_label_rules(inv):
     cascade = load_cascade(text, inv)
     assert cascade.labels[0] == "final devoicing"
     assert cascade.labels[1] == "k > ∅ / _ #"
+
+
+def test_cascade_labels_an_unlabelled_law_by_its_place(inv):
+    from soundlaw.dsl import print_law
+
+    laws = tuple(lower_classical(parse_classical(t), inv) for t in ("t > d / _ #", "a > e / _ j"))
+    cascade = load_cascade("".join(print_law(law) + "\n" for law in laws), inv)
+    assert cascade.laws == laws and cascade.labels == ("law 1", "law 2")
+    assert Cascade(laws, labels=("final voicing", "")).labels == ("final voicing", "law 2")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from soundlaw.cli import main
 from soundlaw.tasks import read_tasks
 
 FIXTURES = Path(__file__).parent / "data" / "rp_li_fixtures.jsonl"
+DEMO_CASCADE = files("soundlaw") / "data" / "demo_cascade.rules"
+DEMO_LEXICON = files("soundlaw") / "data" / "demo_lexicon.txt"
 
 
 def run(*argv):
@@ -81,6 +84,67 @@ def test_parse_law_without_rule_line_exit_2(argv, tmp_path, monkeypatch, capsys)
     monkeypatch.setattr("sys.stdin", io.StringIO("a > e / _ j\n"))  # must stay unread
     assert run("parse-law", *argv) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_parse_law_output_is_law_text_to_every_command(tmp_path, capsys):
+    """parse-law prints one JSON law per line; parse-law, apply, derive and
+    bench read those lines with the outputs of the classical source."""
+    classical = tmp_path / "c.rules"
+    classical.write_text(DEMO_CASCADE.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run("parse-law", "--input", classical) == 0
+    lines = capsys.readouterr().out
+    docs = tmp_path / "c.jsonl"
+    docs.write_text(lines, encoding="utf-8")
+    assert run("parse-law", "--input", docs) == 0
+    assert capsys.readouterr().out == lines
+    first = tmp_path / "first.jsonl"
+    first.write_text(lines.splitlines()[0] + "\n", encoding="utf-8")
+    applied = []
+    for argv in (("--law-file", first), ("-r", "k > ʔ / _ #")):
+        assert run("apply", *argv, "kak", "sunt") == 0
+        applied.append(capsys.readouterr().out)
+    assert applied == ["k a k\tk a ʔ\ns u n t\ts u n t\n"] * 2
+    outputs = []
+    for cascade in (classical, docs):
+        assert run("derive", "--cascade", cascade, "--lexicon", DEMO_LEXICON) == 0
+        out = tmp_path / f"{cascade.suffix[1:]}.bench.jsonl"
+        assert run("bench", "--cascade", cascade, "--out", out) == 0
+        tasks = [(t.id, t.inputs, t.outputs, t.gold_law) for t in read_tasks(out)]
+        outputs.append((capsys.readouterr().out, tasks))
+    assert outputs[0] == outputs[1] and len(outputs[0][1]) == 10
+
+
+T_D_JSON = (
+    '{"predicates": [{"kind": "is", "args": ["t"]}, {"kind": "is", "args": ["@"]}, '
+    '{"kind": "is", "args": ["#"]}], "change_pos": [0], "mappings": [{"kind": "replace", "phones": ["d"]}]}'
+)
+T_D_CONSTRUCTOR = (
+    "BasicAction(predicates=[lambda x: x == 't', lambda x: x == '@', lambda x: x == '#'], "
+    "change_pos=[0], mapping_fn=[lambda x: 'd'])\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, code, err",
+    [
+        ("apply", f"[{T_D_JSON}]", 0, ""),
+        ("apply", "a > e / _ j\nt > d / _ #\n", 2, "apply takes one law, the text holds 2"),
+        ("apply", f"{T_D_JSON}\n{T_D_JSON}\n", 2, "apply takes one law, the text holds 2"),
+        ("derive", T_D_CONSTRUCTOR, 0, ""),
+        ("derive", '[{"predicates": ', 6, "SchemaError"),
+        ("derive", T_D_CONSTRUCTOR + "BasicAction(predicates=[lambda x: foo(x)])", 2, "bad-constructor"),
+    ],
+    ids=["apply-json-array", "apply-two-rules", "apply-two-json-lines", "derive-constructors",
+         "derive-malformed-json", "derive-bad-constructor"],
+)
+def test_law_file_in_any_surface(command, text, code, err, tmp_path, capsys):
+    laws = tmp_path / "laws.txt"
+    laws.write_text(text, encoding="utf-8")
+    option = {"apply": "--law-file", "derive": "--cascade"}[command]
+    assert run(command, option, laws, "sunt") == code
+    captured = capsys.readouterr()
+    assert captured.out == ("s u n t\ts u n d\n" if code == 0 else "")
+    assert err in captured.err
 
 
 def test_datagen_rp_ri_deterministic(tmp_path):
@@ -247,7 +311,7 @@ def test_eval_repeated_sample_index_exit_6(tmp_path, capsys):
 
 
 def test_stats_alpha_only(capsys):
-    assert run("stats", "--test", "wilcoxon", "--alpha", "0.05", "--m", "7") == 0
+    assert run("stats", "--alpha", "0.05", "--m", "7") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["alpha_adjusted"] == pytest.approx(0.05 / 7)
 
@@ -294,6 +358,7 @@ def test_stats_property_extraction(tmp_path, capsys):
         ("stats", "--table", "t.tsv"),
         ("report", "--seed", "1", "--eval", "r.json"),
         ("eval", "--config", "c.json", "--tasks", "t.jsonl", "--samples", "s.jsonl", "--out", "r"),
+        ("stats", "--test", "wilcoxon"),
     ],
 )
 def test_option_the_subcommand_does_not_read_exits_2(argv, tmp_path, monkeypatch, capsys):
@@ -310,3 +375,15 @@ def test_manifest_reproducibility(tmp_path):
     manifest = json.loads((tmp_path / "m.jsonl.manifest.json").read_text())
     recorded = manifest["outputs"][str(out)]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded
+
+
+def test_manifest_records_the_parsed_argv_and_options(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--seed", "0", "--distractor-min", "5", "--out", "bm.jsonl"]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "bm.jsonl.manifest.json").read_text())
+    assert manifest["argv"] == argv
+    assert manifest["options"] == {
+        "table": None, "out": "bm.jsonl", "seed": 0, "cascade": None, "lexicon": None,
+        "pair": "demo", "distractor_fraction": 0.15, "distractor_min": 5,
+    }

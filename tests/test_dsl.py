@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from soundlaw import dsl
@@ -18,6 +20,7 @@ from soundlaw.dsl import (
     print_classical,
     print_law,
     read_law,
+    read_laws,
 )
 from soundlaw.rules import apply_law_word, delete, insert_after, is_token, replace_with
 from soundlaw.datagen import GenConfig, derive_rng, sample_random_law
@@ -283,6 +286,50 @@ def test_extract_blocks_unclosed():
     blocks, diags = extract_code_blocks("x\n```python\ntail without close")
     assert blocks == ["tail without close"]
     assert diags and diags[0].code == "unclosed-fence"
+
+
+# -- law text in any surface ---------------------------------------------------
+
+RULES = ("a > e / _ j", "t > d / _ #")
+CONSTRUCTORS = (
+    "BasicAction(predicates=[lambda x: x == 'a', lambda x: x == '@', lambda x: x == 'j'], "
+    "change_pos=[0], mapping_fn=[lambda x: 'e'])",
+    "BasicAction(predicates=[lambda x: x == 't', lambda x: x == '@', lambda x: x == '#'], "
+    "change_pos=[0], mapping_fn=[lambda x: 'd'])",
+)
+
+
+@pytest.mark.parametrize("surface", ["classical", "json-lines", "json-array", "constructor"])
+def test_read_laws_reads_every_surface(surface, inv):
+    laws = [lower_classical(parse_classical(rule), inv) for rule in RULES]
+    text = {
+        "classical": "\n".join(RULES),
+        "json-lines": "".join(print_law(law) + "\n" for law in laws),
+        "json-array": json.dumps([law_to_doc(law) for law in laws], indent=2),
+        "constructor": "Two laws:\n```python\n" + "\n".join(CONSTRUCTORS) + "\n```\n",
+    }[surface]
+    labelled, diagnostics = read_laws(text, inv)
+    assert [law for _, law in labelled] == laws and diagnostics == ()
+    assert [label for label, _ in labelled] == (list(RULES) if surface == "classical" else ["", ""])
+
+
+def test_read_laws_labels_diagnostics_and_errors(inv):
+    pre_j, law = (lower_classical(parse_classical(rule), inv) for rule in RULES)
+    # the last comment before a rule labels it; an empty one leaves the rule line
+    text = "# one\n# final voicing\n\nt > d / _ #\n#\na > e / _ j\n"
+    assert read_laws(text, inv) == ([("final voicing", law), (RULES[0], pre_j)], ())
+    text = "# ported from a BasicAction transcript\nt > d / _ #\n"
+    assert read_laws(text, inv) == ([("ported from a BasicAction transcript", law)], ())
+    assert read_laws(json.dumps(law_to_doc(law), indent=2), inv) == ([("", law)], ())
+    assert read_laws("# comments only\n\n", inv) == ([], ())
+    bad = CONSTRUCTORS[1] + "\nBasicAction(predicates=[lambda x: foo(x)], change_pos=[0], mapping_fn=[])"
+    labelled, diagnostics = read_laws(bad, inv)
+    assert labelled == [("", law)] and [d.code for d in diagnostics] == ["bad-constructor"]
+    for malformed in ('[{"predicates": ', print_law(law) + "\n{"):
+        with pytest.raises(SchemaError):
+            read_laws(malformed, inv)
+    with pytest.raises(RuleSyntaxError):
+        read_laws("t > d / _ #\nt d", inv)
 
 
 # -- rule database -------------------------------------------------------------

@@ -11,7 +11,6 @@ from soundlaw.evaluation import (
     NotEnoughSamples,
     aggregate_dist,
     evaluate_samples,
-    levenshtein,
     mean_reward_at,
     pass_rate,
     reward,
@@ -19,6 +18,7 @@ from soundlaw.evaluation import (
     summarize,
 )
 from soundlaw.dsl import lower_classical, parse_classical
+from soundlaw.kernels import levenshtein
 from soundlaw.tasks import PBETask
 
 
