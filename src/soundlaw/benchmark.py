@@ -17,7 +17,7 @@ from .datagen import derive_rng
 from .dsl import DslError, read_laws
 from .evaluation import EmptyDataset  # noqa: F401 (one class, importable from both modules)
 from .phonology import PhoneSeq, SegmentInventory
-from .rules import Cascade, apply_to_lexicon, encode_lexicon
+from .rules import Cascade, apply_in_order
 from .tasks import PBETask
 
 
@@ -62,10 +62,8 @@ def build_single_law_dataset(
     tasks: list[PBETask] = []
     warnings: list[str] = []
     current = list(spec.lexicon)
-    codes = encode_lexicon(current, inv)  # carried from law to law
-    for j, law in enumerate(spec.cascade.laws):
-        label = spec.cascade.labels[j]
-        outputs, changed = apply_to_lexicon(law, current, inv, codes)
+    for j, (outputs, changed) in enumerate(apply_in_order(spec.cascade.laws, current, inv)):
+        law, label = spec.cascade.laws[j], spec.cascade.labels[j]
         changed_pairs = [(w, o) for w, o, c in zip(current, outputs, changed) if c]
         unchanged = [w for w, c in zip(current, changed) if not c]
         if not changed_pairs:

@@ -100,6 +100,8 @@ def _sha256_file(path) -> str:
 
 
 def _write_manifest(args, primary_out, inputs, outputs, started: str):
+    # the feature table and datagen's config change the output bytes as well
+    inputs = [*inputs, vars(args).get("table"), vars(args).get("config")]
     manifest = {
         "command": args.command,
         "argv": args.argv,

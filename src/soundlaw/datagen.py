@@ -18,9 +18,9 @@ import re
 from dataclasses import dataclass, replace
 
 from . import kernels
-from .dsl import RuleDB, lower_classical, parse_program_text, extract_code_blocks
+from .dsl import RuleDB, extract_code_blocks, parse_program_text, print_classical
 from .gateway import build_datagen_prompt
-from .phonology import BOUNDARY, PhoneSeq, SegmentInventory, UnsegmentableInput
+from .phonology import BOUNDARY, RESERVED, PhoneSeq, SegmentInventory, UnsegmentableInput
 from .rules import (
     Predicate,
     SEP_PRED,
@@ -33,6 +33,7 @@ from .rules import (
     in_set,
     insert_after,
     insert_before,
+    interleave,
     is_not_token,
     is_token,
     law_is_inert,
@@ -161,19 +162,11 @@ def sample_random_law(cfg: GenConfig, rng: random.Random, inv: SegmentInventory)
     elif condition == "not-word-end":
         slots.append(is_not_token(BOUNDARY))
 
-    window: list[Predicate] = []
-    slot_index: list[int] = []
-    for k, slot in enumerate(slots):
-        if k:
-            window.append(SEP_PRED)
-        slot_index.append(len(window))
-        window.append(slot)
-
     n_ops = min(rng.randint(*OP_COUNT), n_ctx)
     edited = sorted(rng.sample(range(n_ctx), n_ops))
-    change_pos = tuple(slot_index[ctx_offset + j] for j in edited)
+    change_pos = tuple(2 * (ctx_offset + j) for j in edited)
     mappings = tuple(_sample_mapping(rng, inv, ctx_slots[j]) for j in edited)
-    return SoundLaw(tuple(window), change_pos, mappings)
+    return SoundLaw(interleave(slots), change_pos, mappings)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +212,7 @@ def sample_inputs_for_law(
 
     slots = [(p, slot_members(p, inv)) for p in preds]
     # '@' on both sides pins every slot to a phone
-    window = (SEP_PRED,) + tuple(q for p in preds for q in (p, SEP_PRED))
+    window = (SEP_PRED, *interleave(preds), SEP_PRED)
     tenth = n // 10
     bearing = -(-2 * n // 3)  # ceil(2n/3)
 
@@ -522,23 +515,16 @@ def sample_idp_context(inputs: list[PhoneSeq], rng: random.Random) -> PhoneSeq:
     return cand  # pragma: no cover - float edge
 
 
-def _rule_phones_in_context(entry, context: PhoneSeq, inv: SegmentInventory) -> bool:
-    """Applicability gate: the rule's focus and literal context phones must
-    occur in the sampled context (set atoms need at least one member)."""
+def _law_phones_in_context(law: SoundLaw, context: PhoneSeq) -> bool:
+    """Applicability gate: every phone a slot of the law names (its focus and
+    literal context) must occur in the sampled context, and every set slot
+    needs at least one member there."""
     ctx = set(context)
-    rule = entry.rule
-    if rule.focus:
-        for p in inv.segment(rule.focus):
-            if p not in ctx:
-                return False
-    for atom in rule.left + rule.right:
-        if atom.kind == "text":
-            for p in inv.segment(atom.value[0]):
-                if p not in ctx:
-                    return False
-        elif atom.kind == "set":
-            if not any(m in ctx for m in atom.value):
-                return False
+    for pred in law.predicates:
+        if pred.kind == "is" and pred.args[0] not in RESERVED and pred.args[0] not in ctx:
+            return False
+        if pred.kind == "in" and ctx.isdisjoint(pred.args):
+            return False
     return True
 
 
@@ -555,7 +541,6 @@ def gen_idp_pi(
         raise GenerationError("rule database has no lowerable rules")
     if len(lexicon) < cfg.n_examples:
         raise GenerationError(f"lexicon must hold >= {cfg.n_examples} words")
-    lowered = [(entry, lower_classical(entry.rule, inv)) for entry in usable]
     tasks: list[PBETask] = []
     for index in range(count):
         rng = derive_rng(cfg.seed, "idp-pi", index)
@@ -566,24 +551,22 @@ def gen_idp_pi(
             except NoCommonSubsequence:
                 continue
             applicable = [
-                (entry, law)
-                for entry, law in lowered
-                if _rule_phones_in_context(entry, context, inv)
-                and not law_is_inert(law, words, inv)
+                entry
+                for entry in usable
+                if _law_phones_in_context(entry.law, context)
+                and not law_is_inert(entry.law, words, inv)
             ]
             if not applicable:
                 continue
-            entry, law = applicable[rng.randrange(len(applicable))]
-            outputs, _ = apply_to_lexicon(law, words, inv)
-            from .dsl import print_classical  # noqa: PLC0415
-
+            entry = applicable[rng.randrange(len(applicable))]
+            outputs, _ = apply_to_lexicon(entry.law, words, inv)
             tasks.append(
                 PBETask(
                     id=f"idp-pi-{index:05d}",
                     condition="idp-pi",
                     inputs=tuple(words),
                     outputs=tuple(outputs),
-                    gold_law=law,
+                    gold_law=entry.law,
                     provenance={
                         "seed": cfg.seed,
                         "source": {

@@ -31,13 +31,13 @@ from .rules import (
     Mapping,
     Predicate,
     RuleError,
-    SEP_PRED,
     SoundLaw,
     delete,
     feature_class,
     in_set,
     insert_after,
     insert_before,
+    interleave,
     is_token,
     replace_with,
 )
@@ -237,29 +237,19 @@ def lower_classical(rule: ClassicalRule, inv: SegmentInventory) -> SoundLaw:
         # insertion with no context at all: nothing to anchor the new phones to
         raise AmbiguousInsertionAnchor(print_classical(rule))
 
-    window: list[Predicate] = []
-    slot_window_index: list[int] = []
-    for k, slot in enumerate(slots):
-        if k:
-            window.append(SEP_PRED)
-        slot_window_index.append(len(window))
-        window.append(slot)
-
+    window = interleave(slots)  # slot k at window position 2k
     if focus_slot is not None:
-        focus_idx = slot_window_index[len(left_slots)]
         mapping = replace_with(target_phones) if target_phones else delete()
-        return SoundLaw(tuple(window), (focus_idx,), (mapping,))
+        return SoundLaw(window, (2 * len(left_slots),), (mapping,))
 
     # insertion: anchor on the nearest phone-capable slot
     anchor_left = len(left_slots) - 1
     if anchor_left >= 0 and slots[anchor_left].can_match_phone():
-        idx = slot_window_index[anchor_left]
-        return SoundLaw(tuple(window), (idx,), (insert_after(target_phones),))
+        return SoundLaw(window, (2 * anchor_left,), (insert_after(target_phones),))
     if left_slots and right_slots and slots[len(left_slots)].can_match_phone():
-        idx = slot_window_index[len(left_slots)]
-        return SoundLaw(tuple(window), (idx,), (insert_before(target_phones),))
+        return SoundLaw(window, (2 * len(left_slots),), (insert_before(target_phones),))
     if not left_slots and right_slots and slots[0].can_match_phone():
-        return SoundLaw(tuple(window), (slot_window_index[0],), (insert_before(target_phones),))
+        return SoundLaw(window, (0,), (insert_before(target_phones),))
     raise AmbiguousInsertionAnchor(print_classical(rule))
 
 
@@ -317,7 +307,8 @@ def read_laws(
     constructor text; the rest is classical rules, one per line, each
     labelled by the last '#' comment line before it, else by itself.  JSON
     and constructor laws get the label "".  Malformed JSON raises
-    SchemaError.
+    SchemaError; a classical rule that does not parse or lower raises its
+    DslError with "line N: " in front.
     """
     stripped = text.strip()
     if stripped.startswith(("{", "[")):
@@ -336,11 +327,15 @@ def read_laws(
         return [("", law) for law in parsed.laws], parsed.diagnostics
     labelled = []
     comment = ""
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         if line.startswith("#"):
             comment = line.lstrip("#").strip()
         elif line:
-            labelled.append((comment or line, lower_classical(parse_classical(line), inv)))
+            try:
+                law = lower_classical(parse_classical(line), inv)
+            except DslError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from exc
+            labelled.append((comment or line, law))
             comment = ""
     return labelled, ()
 
@@ -663,10 +658,13 @@ def extract_code_blocks(transcript: str) -> tuple[list[str], list[Diagnostic]]:
 
 @dataclass(frozen=True)
 class RuleEntry:
+    """A classical rule and its lowered law, or (law None) why it does not lower."""
+
     rule: ClassicalRule
     family: str = ""
     language_pair: str = ""
     lower_error: str = ""
+    law: SoundLaw | None = None
 
 
 @dataclass(frozen=True)
@@ -697,14 +695,13 @@ def load_rule_db(text: str, inv: SegmentInventory) -> RuleDB:
         pair = cols[2] if len(cols) > 2 else ""
         try:
             rule = parse_classical(rule_text)
-            lower_classical(rule, inv)
-            err = ""
         except DslError as exc:
-            if isinstance(exc, (RuleSyntaxError, EmptyRule)):
-                raise RuleSyntaxError(f"line {lineno}: {exc}") from exc
-            rule = parse_classical(rule_text)
-            err = str(exc)
-        entries.append(RuleEntry(rule, family, pair, err))
+            raise RuleSyntaxError(f"line {lineno}: {exc}") from exc
+        try:
+            law, err = lower_classical(rule, inv), ""
+        except DslError as exc:
+            law, err = None, str(exc)
+        entries.append(RuleEntry(rule, family, pair, err, law))
     return RuleDB(tuple(entries))
 
 

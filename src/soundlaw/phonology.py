@@ -102,9 +102,10 @@ class SegmentInventory:
     def memo(self, name: str, build):
         """The value `build(self)` stored under `name`, built on first use.
 
-        Holds lookups derived from this inventory (compiled laws, class
-        members).  They are left out of pickles, so each worker process
-        builds its own instead of sharing a parent's.
+        Holds lookups derived from this inventory; the law compiler of
+        `rules` (its codebook and compiled patterns) is the only one.  They
+        are left out of pickles, so each worker process builds its own
+        instead of sharing a parent's.
         """
         try:
             return self._memos[name]

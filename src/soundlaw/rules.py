@@ -20,8 +20,11 @@ Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
 `apply_to_lexicon` joins the encoded words with newlines, which no slot
 matches, and scans the whole lexicon in one pass.  The sites of each word
 give apply_law's leftmost-wins edit map, which is spliced straight into the
-word's phones; every other word comes back unchanged.  A cascade encodes
-its lexicon once and re-encodes only the words a law changed.
+word's phones; every other word comes back unchanged.  `apply_in_order`
+runs laws one after another on that encoding: it encodes the words once and
+re-encodes only the words a law changed.  A cascade (`apply_cascade`), a
+single-law benchmark and each candidate program of an evaluation all run
+through it, so the encoding never leaves this module.
 
 The token-level engine (`preprocess`, `find_matches`, `apply_law`,
 `render`, behind `apply_law_word`) runs the same patterns one word at a
@@ -119,6 +122,14 @@ def feature_class(name: str) -> Predicate:
 
 
 SEP_PRED = is_token(SEPARATOR)
+
+
+def interleave(slots) -> tuple[Predicate, ...]:
+    """The window of one-phone slots: slot k at position 2k, a separator
+    slot between each pair."""
+    window = [SEP_PRED] * (2 * len(slots) - 1)
+    window[::2] = slots
+    return tuple(window)
 
 
 @dataclass(frozen=True)
@@ -426,22 +437,16 @@ def apply_law_word(law: SoundLaw, word: PhoneSeq, inv: SegmentInventory) -> Phon
     return render(apply_law(law, preprocess(word), inv))
 
 
-def encode_lexicon(words, inv: SegmentInventory) -> list[str]:
-    """Each word encoded for matching, one character per token; raises
-    NonCanonicalTokenSeq for the first word holding '#', '@' or '!'."""
-    return _compiler(inv).encode(words)
-
-
 def apply_to_lexicon(
     law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory, codes: list[str] | None = None
 ) -> tuple[list[PhoneSeq], list[bool]]:
     """Apply a law to every word; the mask flags words that changed.
 
     One compiled scan finds the sites, and each word holding one is rewritten
-    by splicing the edits into its phones.  `codes`, if given, is
-    `encode_lexicon(words, inv)`; it is updated in place to encode the
-    outputs, so the next law of a cascade scans it without encoding the
-    unchanged words again.
+    by splicing the edits into its phones.  `codes`, if given, is the words'
+    encoding; it is updated in place to encode the outputs, so the next law
+    of a cascade scans it without encoding the unchanged words again.
+    Outside this module, `apply_in_order` carries it.
     """
     compiler = _compiler(inv)
     if codes is None:
@@ -454,6 +459,20 @@ def apply_to_lexicon(
             changed[i] = True
             codes[i] = compiler.encode((out,))[0]
     return outputs, changed
+
+
+def apply_in_order(laws, words, inv: SegmentInventory):
+    """Yield (outputs, changed) of each law in turn, each applied to the
+    outputs of the one before it (the first to `words`).
+
+    The words are encoded once; each law re-encodes only the words it
+    changed.  Raises NonCanonicalTokenSeq for the first word holding '#',
+    '@' or '!'.
+    """
+    codes = _compiler(inv).encode(words)  # carried from law to law
+    for law in laws:
+        words, changed = apply_to_lexicon(law, words, inv, codes)
+        yield words, changed
 
 
 def law_is_inert(law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory) -> bool:
@@ -483,17 +502,12 @@ class DerivationTrace:
 
 
 def apply_cascade(cascade: Cascade, words: list[PhoneSeq], inv: SegmentInventory) -> DerivationTrace:
-    """Run every law in order, recording the lexicon at each step.
-
-    The lexicon is encoded once; each law re-encodes only the words it changed.
-    """
+    """Run every law in order, recording the lexicon at each step."""
     if not cascade.laws:
         raise RuleError("cannot execute an empty cascade")
     stages = []
     current = list(words)
-    codes = encode_lexicon(current, inv)  # carried from law to law
-    for i, law in enumerate(cascade.laws):
-        outputs, changed = apply_to_lexicon(law, current, inv, codes)
+    for i, (outputs, changed) in enumerate(apply_in_order(cascade.laws, current, inv)):
         stages.append(
             StageTrace(i, cascade.labels[i], tuple(current), tuple(outputs), tuple(changed))
         )

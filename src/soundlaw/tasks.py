@@ -14,9 +14,6 @@ from .dsl import SchemaError, doc_to_law, law_to_doc
 from .phonology import PhoneSeq, SegmentInventory
 from .rules import SoundLaw, apply_law_word
 
-CONDITIONS = ("rp-ri", "rp-li", "rp-pi", "idp-pi", "single-law")
-
-
 @dataclass(frozen=True)
 class PBETask:
     id: str

@@ -377,6 +377,21 @@ def test_manifest_reproducibility(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded
 
 
+def test_manifest_hashes_the_table_and_config_files(tmp_path):
+    table, config = tmp_path / "table.tsv", tmp_path / "gateway.json"
+    bundled = (files("soundlaw") / "data" / "feature_table.tsv").read_text("utf-8")
+    hashes = []
+    for i, (table_text, config_text) in enumerate([(bundled, "{}"), ("# edited\n" + bundled, '{"cache_only": true}')]):
+        table.write_text(table_text, encoding="utf-8")
+        config.write_text(config_text, encoding="utf-8")
+        out = tmp_path / f"m{i}.jsonl"
+        argv = ("datagen", "--condition", "rp-ri", "--count", "2", "--table", table, "--config", config)
+        assert run(*argv, "--out", out) == 0
+        inputs = json.loads((tmp_path / f"m{i}.jsonl.manifest.json").read_text())["inputs"]
+        hashes.append((inputs[str(table)], inputs[str(config)]))
+    assert hashes[0][0] != hashes[1][0] and hashes[0][1] != hashes[1][1]
+
+
 def test_manifest_records_the_parsed_argv_and_options(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["bench", "--seed", "0", "--distractor-min", "5", "--out", "bm.jsonl"]

@@ -24,7 +24,7 @@ from soundlaw.datagen import (
     sample_inputs_for_law,
     sample_random_law,
 )
-from soundlaw.dsl import load_rule_db, lower_classical, parse_classical
+from soundlaw.dsl import Atom, ClassicalRule, DslError, load_rule_db, lower_classical, parse_classical
 from soundlaw.rules import SEP_PRED, apply_to_lexicon
 from soundlaw.tasks import task_to_json
 
@@ -244,6 +244,66 @@ def test_gen_idp_pi_reexecution_audit(inv):
         outputs, changed = apply_to_lexicon(task.gold_law, list(task.inputs), inv)
         assert tuple(outputs) == task.outputs
         assert any(changed)
+
+
+def _gate_on_the_classical_rule(rule, context, inv):
+    """The idp-pi gate as it read the classical syntax tree: focus and literal
+    context phones in the context, each set meeting it."""
+    ctx = set(context)
+    if rule.focus and any(p not in ctx for p in inv.segment(rule.focus)):
+        return False
+    for atom in rule.left + rule.right:
+        if atom.kind == "text" and any(p not in ctx for p in inv.segment(atom.value[0])):
+            return False
+        if atom.kind == "set" and ctx.isdisjoint(atom.value):
+            return False
+    return True
+
+
+def _random_classical_rule(rng, phones):
+    def atoms(side):
+        out = []
+        for _ in range(rng.randrange(0, 3)):
+            kind = rng.choice(("text", "text", "set", "class"))
+            if kind == "text":  # one or two phones written as one atom
+                out.append(Atom("text", ("".join(rng.sample(phones, rng.randrange(1, 3))),)))
+            elif kind == "set":
+                out.append(Atom("set", tuple(rng.sample(phones, rng.randrange(1, 4)))))
+            else:
+                out.append(Atom("class", (rng.choice(("is_consonant", "is_vowel")),)))
+        if rng.random() < 0.3:
+            out.insert(0 if side == "left" else len(out), Atom("boundary"))
+        return tuple(out)
+
+    focus = rng.choice(phones) if rng.random() < 0.8 else ""
+    target = "".join(rng.sample(phones, rng.randrange(0 if focus else 1, 3)))
+    return ClassicalRule(focus, target, atoms("left"), atoms("right"))
+
+
+def test_idp_gate_on_lowered_laws_equals_gate_on_classical_rules(inv):
+    from importlib.resources import files
+
+    from soundlaw.phonology import load_lexicon
+
+    lexicon = load_lexicon(files("soundlaw") / "data" / "demo_protolexicon_poc.txt", inv)
+    db = load_rule_db((files("soundlaw") / "data" / "demo_rules.txt").read_text("utf-8"), inv)
+    rng = random.Random(2024)
+    phones = sorted({p for w in lexicon for p in w}) + ["ʒ", "ts", "ŋ"]
+    rules = [(e.rule, e.law) for e in db.usable()]
+    while len(rules) < 400:
+        rule = _random_classical_rule(rng, phones)
+        try:
+            rules.append((rule, lower_classical(rule, inv)))
+        except DslError:
+            continue
+    contexts = [sample_idp_context(rng.sample(lexicon, 8), rng) for _ in range(60)]
+    verdicts = Counter()
+    for rule, law in rules:
+        for context in contexts:
+            want = _gate_on_the_classical_rule(rule, context, inv)
+            assert datagen._law_phones_in_context(law, context) == want, (rule, context)
+            verdicts[want] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 
 def test_gen_idp_pi_no_applicable(inv):

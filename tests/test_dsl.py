@@ -328,8 +328,10 @@ def test_read_laws_labels_diagnostics_and_errors(inv):
     for malformed in ('[{"predicates": ', print_law(law) + "\n{"):
         with pytest.raises(SchemaError):
             read_laws(malformed, inv)
-    with pytest.raises(RuleSyntaxError):
+    with pytest.raises(RuleSyntaxError, match="line 2"):
         read_laws("t > d / _ #\nt d", inv)
+    with pytest.raises(UnresolvableSymbol, match="line 4: Z"):
+        read_laws("# final voicing\nt > d / _ #\n\nZ > d", inv)
 
 
 # -- rule database -------------------------------------------------------------
@@ -342,6 +344,9 @@ def test_load_rule_db(inv):
     assert len(db.usable()) == 2
     assert db.entries[0].family == "fam" and db.entries[0].language_pair == "poc-x"
     assert db.entries[2].lower_error
+    for entry in db.entries[:2]:
+        assert entry.law == lower_classical(entry.rule, inv)
+    assert db.entries[2].law is None
 
 
 def test_load_rule_db_syntax_error(inv):

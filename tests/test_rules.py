@@ -420,7 +420,7 @@ def test_single_law_dataset_equals_per_law_apply_to_lexicon(monkeypatch):
         spec = benchmark.BenchmarkSpec(Cascade(tuple(laws)), tuple(sorted(words)), "fz", seed=trial)
         carried = benchmark.build_single_law_dataset(spec, tiny_inventory())
         with monkeypatch.context() as patch:  # every law encodes the lexicon afresh
-            patch.setattr(benchmark, "apply_to_lexicon", lambda law, words, inv, codes: apply_to_lexicon(law, words, inv))
+            patch.setattr(R, "apply_to_lexicon", lambda law, words, inv, codes: apply_to_lexicon(law, words, inv))
             per_law = benchmark.build_single_law_dataset(spec, tiny_inventory())
         assert carried == per_law
 
