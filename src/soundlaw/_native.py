@@ -5,6 +5,8 @@ runs this one only when the compiled module is neither installed nor
 buildable on first import.  The *_bruteforce functions are exhaustive
 reference algorithms kept around as independent oracles for the dynamic
 programming paths — do not "optimize" them into the DP recurrences.
+`count_scan_occurrences` is the one-word scan that `scan_counts` sums; it
+lives only here, as the oracle the tests check both backends against.
 """
 
 from __future__ import annotations
@@ -104,3 +106,24 @@ def lcs_len_bruteforce(a, b) -> int:
         if all(a[i] in it for i in range(m) if mask >> i & 1):
             best = cnt
     return best
+
+
+def count_scan_occurrences(candidate, word) -> int:
+    """Disjoint subsequence occurrences found in one left-to-right scan."""
+    if not candidate:
+        return 0
+    count = 0
+    k = 0
+    for phone in word:
+        if phone == candidate[k]:
+            k += 1
+            if k == len(candidate):
+                count += 1
+                k = 0
+    return count
+
+
+def scan_counts(candidates, words) -> list[int]:
+    """For each candidate, its disjoint left-to-right scan count summed over `words`."""
+    words = [tuple(word) for word in words]
+    return [sum(count_scan_occurrences(cand, word) for word in words) for cand in map(tuple, candidates)]

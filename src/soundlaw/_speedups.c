@@ -1,11 +1,15 @@
 /* Compiled string-metric kernels.
  *
  * Mirrors soundlaw._native exactly (same functions, same tie-breaks, same
- * ValueError guard); the test suite asserts that the two backends agree.
- * Symbols are interned to small integers per call through a dict, so any
- * hashable symbols work (tuple, list or str operands alike) and the inner
- * loops run on C arrays.  soundlaw.kernels compiles this file on first
- * import when no built extension is installed.
+ * ValueError guard); the test suite asserts that the two backends agree and
+ * expose the same functions, bar the Python-only oracle
+ * count_scan_occurrences.  Symbols are interned to small integers per
+ * call through a dict, so any hashable symbols work (tuple, list or str
+ * operands alike) and the inner loops run on C arrays.  Besides the pairwise
+ * edit-distance and LCS kernels, scan_counts weights a whole batch of idp-pi
+ * context candidates against one word list in a single call.
+ * soundlaw.kernels compiles this file on first import when no built
+ * extension is installed.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -276,6 +280,109 @@ lcs_len_bruteforce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyLong_FromSsize_t(best);
 }
 
+/* Intern the symbols of `seq` onto the end of the growable array `*buf`,
+ * whose first `*len` slots are in use and `*cap` allocated. */
+static int
+append_codes(PyObject *seq, PyObject *code, Py_ssize_t **buf, Py_ssize_t *len, Py_ssize_t *cap)
+{
+    PyObject *fast = PySequence_Fast(seq, "expected a sequence");
+    Py_ssize_t n;
+    int rc;
+    if (fast == NULL)
+        return -1;
+    n = PySequence_Fast_GET_SIZE(fast);
+    if (n > *cap - *len) {
+        Py_ssize_t want = 2 * (*len + n) + 16;
+        Py_ssize_t *grown;
+        if (*len + n > PY_SSIZE_T_MAX / 2 / (Py_ssize_t)sizeof(Py_ssize_t) - 16)
+            grown = NULL;
+        else
+            grown = PyMem_Realloc(*buf, want * sizeof(Py_ssize_t));
+        if (grown == NULL) {
+            Py_DECREF(fast);
+            PyErr_NoMemory();
+            return -1;
+        }
+        *buf = grown;
+        *cap = want;
+    }
+    rc = encode(fast, *buf + *len, code);
+    Py_DECREF(fast);
+    if (rc == 0)
+        *len += n;
+    return rc;
+}
+
+PyDoc_STRVAR(scan_counts_doc,
+             "For each candidate, its disjoint left-to-right scan count summed over `words`.");
+
+static PyObject *
+scan_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *fw = NULL, *fc = NULL, *code = NULL, *out = NULL, *v;
+    Py_ssize_t i, w, t, k, total, nw, nc, wlen = 0, wcap = 0, clen, ccap = 0;
+    Py_ssize_t *xw = NULL, *xc = NULL, *ends = NULL;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "scan_counts() takes exactly 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    fw = PySequence_Fast(args[1], "expected a sequence");
+    if (fw == NULL)
+        return NULL;
+    nw = PySequence_Fast_GET_SIZE(fw);
+    code = PyDict_New();
+    ends = PyMem_New(Py_ssize_t, nw + 1);
+    if (code == NULL || ends == NULL) {
+        if (ends == NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    /* the words are interned once, end to end; ends[w] is where word w stops */
+    for (w = 0; w < nw; w++) {
+        if (append_codes(PySequence_Fast_GET_ITEM(fw, w), code, &xw, &wlen, &wcap) < 0)
+            goto done;
+        ends[w] = wlen;
+    }
+    fc = PySequence_Fast(args[0], "expected a sequence");
+    if (fc == NULL)
+        goto done;
+    nc = PySequence_Fast_GET_SIZE(fc);
+    out = PyList_New(nc);
+    for (i = 0; out != NULL && i < nc; i++) {
+        /* a symbol no word holds gets a fresh code, so it never matches */
+        clen = 0;
+        if (append_codes(PySequence_Fast_GET_ITEM(fc, i), code, &xc, &clen, &ccap) < 0) {
+            Py_CLEAR(out);
+            break;
+        }
+        total = 0;
+        for (w = 0, t = 0; clen > 0 && w < nw; w++) {
+            for (k = 0; t < ends[w]; t++) {
+                if (xw[t] != xc[k])
+                    continue;
+                if (++k == clen) {
+                    total++;
+                    k = 0;
+                }
+            }
+        }
+        v = PyLong_FromSsize_t(total);
+        if (v == NULL) {
+            Py_CLEAR(out);
+            break;
+        }
+        PyList_SET_ITEM(out, i, v);
+    }
+done:
+    PyMem_Free(xw);
+    PyMem_Free(xc);
+    PyMem_Free(ends);
+    Py_XDECREF(code);
+    Py_XDECREF(fc);
+    Py_DECREF(fw);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"levenshtein", (PyCFunction)(void (*)(void))levenshtein, METH_FASTCALL, levenshtein_doc},
     {"lcs_pair", (PyCFunction)(void (*)(void))lcs_pair, METH_FASTCALL, lcs_pair_doc},
@@ -283,6 +390,7 @@ static PyMethodDef methods[] = {
      METH_FASTCALL, levenshtein_bruteforce_doc},
     {"lcs_len_bruteforce", (PyCFunction)(void (*)(void))lcs_len_bruteforce, METH_FASTCALL,
      lcs_len_bruteforce_doc},
+    {"scan_counts", (PyCFunction)(void (*)(void))scan_counts, METH_FASTCALL, scan_counts_doc},
     {NULL, NULL, 0, NULL},
 };
 

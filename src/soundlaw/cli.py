@@ -2,7 +2,8 @@
 
 Subcommands: tokenize, apply, derive, parse-law, datagen, bench, eval,
 stats, report.  datagen, bench and eval write a sidecar manifest with
-hashes of their inputs and outputs so results can be reproduced exactly.
+hashes of their inputs and outputs so results can be reproduced exactly,
+and the kernel backend that ran with the reason it was chosen.
 
 Exit codes: 0 ok, 2 parse error, 3 application error, 4 gateway error,
 5 generation error, 6 schema error.
@@ -18,7 +19,7 @@ from datetime import datetime, timezone
 from importlib.resources import files
 from pathlib import Path
 
-from . import __version__, benchmark, datagen, dsl, evaluation, gateway, stats as stats_mod
+from . import __version__, benchmark, datagen, dsl, evaluation, gateway, kernels, stats as stats_mod
 from .phonology import (
     PhonologyError,
     SegmentInventory,
@@ -106,6 +107,7 @@ def _write_manifest(args, primary_out, inputs, outputs, started: str):
         "command": args.command,
         "argv": args.argv,
         "package_version": __version__,
+        "kernels": {"backend": kernels.BACKEND, "reason": kernels.BACKEND_REASON},
         "options": {k: v for k, v in vars(args).items() if k not in ("func", "argv", "command")},
         "inputs": {str(p): _sha256_file(p) for p in inputs if p and Path(p).exists()},
         "outputs": {str(p): _sha256_file(p) for p in outputs if p and Path(p).exists()},

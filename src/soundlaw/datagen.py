@@ -477,38 +477,21 @@ def gen_llm_tasks(
 # idp-pi
 
 
-def count_scan_occurrences(candidate: PhoneSeq, word: PhoneSeq) -> int:
-    """Disjoint subsequence occurrences found in one left-to-right scan."""
-    if not candidate:
-        return 0
-    count = 0
-    k = 0
-    for phone in word:
-        if phone == candidate[k]:
-            k += 1
-            if k == len(candidate):
-                count += 1
-                k = 0
-    return count
-
-
 def sample_idp_context(inputs: list[PhoneSeq], rng: random.Random) -> PhoneSeq:
     """Draw a context from the pairwise LCSs, weighted by how often each
     candidate occurs (scan counting) across the input words."""
     if len(inputs) < 2:
         raise GenerationError("need at least two inputs")
-    weights: dict[PhoneSeq, int] = {}
-    for i in range(len(inputs)):
-        for j in range(i + 1, len(inputs)):
-            cand = lcs(inputs[i], inputs[j])
-            if cand and cand not in weights:
-                weights[cand] = sum(count_scan_occurrences(cand, w) for w in inputs)
-    if not weights:
+    n = len(inputs)
+    # distinct candidates in first-seen order, so the draw below is reproducible
+    cands = dict.fromkeys(lcs(inputs[i], inputs[j]) for i in range(n) for j in range(i + 1, n))
+    cands.pop((), None)
+    if not cands:
         raise NoCommonSubsequence("all pairwise LCSs are empty")
-    total = sum(weights.values())
-    pick = rng.random() * total
+    weights = kernels.scan_counts(list(cands), inputs)
+    pick = rng.random() * sum(weights)
     acc = 0
-    for cand, weight in weights.items():
+    for cand, weight in zip(cands, weights):
         acc += weight
         if pick < acc:
             return cand

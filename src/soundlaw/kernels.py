@@ -1,6 +1,9 @@
 """Backend selection for the string-metric kernels.
 
-The compiled kernels are the hand-written CPython module `_speedups.c`.  An
+The kernels are Levenshtein distance, the pairwise LCS, their brute-force
+oracles, and `scan_counts`, which weights idp-pi context candidates by their
+scan counts over a word list in one call.  The compiled kernels are the
+hand-written CPython module `_speedups.c`.  An
 installed build of it (``pip install``, ``setup.py build_ext``) is used when
 present.  Otherwise the source is compiled on first import with the
 interpreter's configured C compiler (``CC`` overrides it) into a user cache,
@@ -11,7 +14,8 @@ twin `_native` runs instead: it is correct but far slower, and misses the
 acceptance suite's A07 budget.
 
 `BACKEND` is ``"c"`` or ``"python"``; `BACKEND_REASON` says why.  Both
-backends expose the identical function set.
+backends expose the identical function set (a test checks it), apart from
+`_native.count_scan_occurrences`, the one-word oracle of `scan_counts`.
 """
 
 from __future__ import annotations
@@ -115,3 +119,4 @@ levenshtein = _impl.levenshtein
 lcs_pair = _impl.lcs_pair
 levenshtein_bruteforce = _impl.levenshtein_bruteforce
 lcs_len_bruteforce = _impl.lcs_len_bruteforce
+scan_counts = _impl.scan_counts

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from soundlaw import kernels
 from soundlaw.cli import main
 from soundlaw.tasks import read_tasks
 
@@ -375,6 +376,14 @@ def test_manifest_reproducibility(tmp_path):
     manifest = json.loads((tmp_path / "m.jsonl.manifest.json").read_text())
     recorded = manifest["outputs"][str(out)]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded
+
+
+def test_manifest_records_the_kernel_backend(tmp_path):
+    out = tmp_path / "k.jsonl"
+    assert run("datagen", "--condition", "idp-pi", "--count", "1", "--out", out) == 0
+    manifest = json.loads((tmp_path / "k.jsonl.manifest.json").read_text())
+    assert manifest["kernels"] == {"backend": kernels.BACKEND, "reason": kernels.BACKEND_REASON}
+    assert manifest["kernels"]["backend"] in ("c", "python") and manifest["kernels"]["reason"]
 
 
 def test_manifest_hashes_the_table_and_config_files(tmp_path):

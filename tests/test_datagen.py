@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from soundlaw import datagen, gateway
+from soundlaw import _native, datagen, gateway, kernels
+from soundlaw._native import count_scan_occurrences
 from soundlaw.datagen import (
     GenConfig,
     GenerationError,
@@ -13,7 +14,6 @@ from soundlaw.datagen import (
     ZeroYield,
     add_distractors,
     context_predicates,
-    count_scan_occurrences,
     derive_rng,
     gen_idp_pi,
     gen_llm_tasks,
@@ -197,6 +197,27 @@ def test_sample_idp_context_weighting():
         expect = weight / total
         got = counts[cand] / 10_000
         assert abs(got - expect) < 0.02, (cand, expect, got)
+
+
+def test_sample_idp_context_draws_the_same_on_both_scan_backends(inv, monkeypatch):
+    from importlib.resources import files
+
+    from soundlaw.phonology import load_lexicon
+
+    lexicon = load_lexicon(files("soundlaw") / "data" / "demo_protolexicon_poc.txt", inv)
+    pick = random.Random(5)
+    input_sets = [pick.sample(lexicon, 50) for _ in range(100)]
+
+    def draws():
+        out = []
+        for seed, words in enumerate(input_sets):
+            rng = random.Random(seed)
+            out.append((sample_idp_context(words, rng), rng.random()))
+        return out
+
+    compiled = draws()
+    monkeypatch.setattr(kernels, "scan_counts", _native.scan_counts)
+    assert draws() == compiled
 
 
 def test_sample_idp_context_no_common():

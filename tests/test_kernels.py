@@ -1,4 +1,5 @@
 import importlib.machinery
+import inspect
 import itertools
 import os
 import random
@@ -93,6 +94,65 @@ def test_backends_agree():
         assert kernels.lcs_pair(sa, sb) == _native.lcs_pair(sa, sb)
         assert kernels.levenshtein_bruteforce(sa, sb) == _native.levenshtein_bruteforce(sa, sb)
         assert kernels.lcs_len_bruteforce(sa, sb) == _native.lcs_len_bruteforce(sa, sb)
+    for _ in range(300):
+        words = [tuple(rng.choice(alpha) for _ in range(rng.randrange(0, 10))) for _ in range(rng.randrange(0, 8))]
+        # "z" is in no word; repeats and the empty candidate come up by chance
+        cands = [tuple(rng.choice(alpha + ["z"]) for _ in range(rng.randrange(0, 4))) for _ in range(rng.randrange(0, 8))]
+        cands += cands[:2]
+        assert kernels.scan_counts(cands, words) == _native.scan_counts(cands, words)
+        str_cands, str_words = ["".join(c) for c in cands], ["".join(w) for w in words]
+        assert kernels.scan_counts(str_cands, str_words) == _native.scan_counts(str_cands, str_words)
+    # many partial matches: "a a b" restarts only after a full occurrence
+    partial = [("a",) * 9 + ("b",), ("a", "b") * 5, ("b", "a") * 5, ("a", "a", "c", "b") * 3]
+    edge_cases = [
+        ([("a", "a", "b"), ("a", "b", "a", "b"), ("b", "b")], partial),
+        ([(), ("a",), (), ("a",)], partial),
+        ([("z",), ("a", "z"), ("z", "a")], partial),
+        ([("a",), ()], []),
+        ([], partial),
+        ([], []),
+    ]
+    for cands, words in edge_cases:
+        assert kernels.scan_counts(cands, words) == _native.scan_counts(cands, words)
+
+
+def test_scan_counts_sum_the_one_word_oracle():
+    rng = random.Random(23)
+    alpha = ["p", "a", "tʰ"]
+    for _ in range(200):
+        words = [tuple(rng.choice(alpha) for _ in range(rng.randrange(0, 9))) for _ in range(rng.randrange(0, 6))]
+        cands = [tuple(rng.choice(alpha) for _ in range(rng.randrange(0, 4))) for _ in range(rng.randrange(0, 6))]
+        expect = [sum(_native.count_scan_occurrences(c, w) for w in words) for c in cands]
+        assert _native.scan_counts(cands, words) == expect
+        assert kernels.scan_counts(cands, words) == expect
+    assert kernels.scan_counts([("a", "b"), ("a",), ()], [("a", "b", "a", "b"), ("a", "a", "b", "b")]) == [3, 4, 0]
+
+
+@pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
+@pytest.mark.parametrize("cands, words", [
+    (5, [("a",)]),  # candidate list
+    ([5], [("a",)]),  # one candidate
+    ([("a",)], 5),  # word list
+    ([("a",)], [("a",), 5]),  # one word
+    ([], [5]),  # a bad word is rejected even with no candidate to weight
+])
+def test_scan_counts_rejects_non_sequences(backend, cands, words):
+    with pytest.raises(TypeError):
+        backend.scan_counts(cands, words)
+
+
+def test_backends_expose_the_same_functions():
+    if kernels.BACKEND != "c":
+        pytest.skip(f"compiled backend not built ({kernels.BACKEND_REASON}); nothing to compare")
+    compiled = {name for name in dir(kernels._impl) if not name.startswith("_")}
+    native = {
+        name
+        for name, obj in vars(_native).items()
+        if inspect.isfunction(obj) and obj.__module__ == _native.__name__ and not name.startswith("_")
+    }
+    # the one-word scan is the Python-only oracle of scan_counts
+    assert compiled == native - {"count_scan_occurrences"}
+    assert all(getattr(kernels, name) is getattr(kernels._impl, name) for name in compiled)
 
 
 def test_bruteforce_lcs_guard():
