@@ -101,16 +101,17 @@ def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_leve
         raise EvaluationError("no candidate samples")
     source = list(task.inputs)
     target = list(task.outputs)
-    predictions: dict[tuple[SoundLaw, ...], list] = {(): source}
+    scored: dict[tuple[SoundLaw, ...], Fraction] = {}  # reward by candidate
     scores = []
     for idx, cand in enumerate(candidates):
         laws = () if cand is None else (cand,) if isinstance(cand, SoundLaw) else tuple(cand)
-        pred = predictions.get(laws)
-        if pred is None:  # each distinct candidate runs once per task
-            for pred, _ in apply_in_order(laws, source, inv):  # ends on the last law's outputs
-                pass
-            predictions[laws] = pred
-        r = reward(source, pred, target, char_level)
+        r = scored.get(laws)
+        if r is None:  # each distinct candidate runs and is scored once per task
+            pred = source
+            if laws:
+                for pred, _ in apply_in_order(laws, source, inv):  # ends on the last law's outputs
+                    pass
+            r = scored[laws] = reward(source, pred, target, char_level)
         scores.append(SampleScore(task.id, idx, r, r == 1))
     rewards = [s.reward for s in scores]
     r1 = reward_at_m(rewards, 1)

@@ -8,12 +8,15 @@ matches that fight over one slot resolve deterministically to the leftmost
 site.
 
 Matching is compiled.  Per inventory, every token is encoded as one
-character: '#' and '@' stand for themselves and each phone gets a
-private-use code point.  Each window slot becomes a character class and a
-predicate window one lookahead pattern, compiled once per (window,
+character: '#' and '@' stand for themselves, the first 128 phones get
+U+0080-U+00FF and any later ones a private-use code point, so a lexicon
+over a table of up to 128 phones encodes to a one-byte string and its
+classes compile to byte maps.  Each window slot becomes a character class
+and a predicate window one lookahead pattern, compiled once per (window,
 inventory) and cached on the inventory, so `finditer` reports every site,
 overlapping ones included.  Datagen reads the same slots: `slot_members`
-the token set a slot's class is built from, `has_site` the compiled window.
+the token set a slot's class is built from, `site_test` the compiled window
+as a test of one word.
 
 Rewriting works on that encoding too (the compile-the-rewrite approach of
 Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
@@ -255,10 +258,18 @@ class _LawCompiler:
             self._add(seg)
 
     def _add(self, phone: str) -> str:
-        """Give a phone the next private-use code point (the BMP block, then
-        planes 15 and 16) and return it."""
+        """Give a phone the next code and return it: U+0080-U+00FF for the
+        first 128 phones, then the private-use code points (the BMP block,
+        then planes 15 and 16).  `re` compiles a class of code points below
+        U+0100 to a 256-bit map but first builds a 64K-entry map for a class
+        holding any BMP code point above, so the inventory's own segments,
+        which come first, keep every compile cheap."""
         n = len(self.phone_sep)
-        char = chr(0xE000 + n) if n < 6400 else chr(0xF0000 + n - 6400)
+        if n < 128:
+            char = chr(0x80 + n)
+        else:
+            n -= 128
+            char = chr(0xE000 + n) if n < 6400 else chr(0xF0000 + n - 6400)
         self.code[phone] = char
         self.phone_sep[phone] = char + SEPARATOR
         return char
@@ -269,7 +280,8 @@ class _LawCompiler:
     def _slot(self, pred: Predicate, inv: SegmentInventory) -> str:
         """The character class of one slot; no class matches a newline."""
         negated, tokens = _slot_tokens(pred, inv)
-        # codes are '#', '@', '!' or private-use: none is special in a class
+        # codes are '#', '@', '!', U+0080-U+00FF or private-use: none is
+        # special in a class
         chars = "".join(self._char(t) for t in tokens)
         if negated:
             return f"[^\n{chars}]"
@@ -377,10 +389,14 @@ def find_matches(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> list
     return [MatchSite(m.start()) for m in compiler.pattern(law.predicates, inv).finditer(text)]
 
 
-def has_site(preds: tuple[Predicate, ...], word: PhoneSeq, inv: SegmentInventory) -> bool:
-    """True when the predicate window matches somewhere in preprocess(word)."""
+def site_test(preds: tuple[Predicate, ...], inv: SegmentInventory):
+    """A test of one word: True when the predicate window matches somewhere
+    in preprocess(word).  The window is compiled, and its search and the
+    codebook bound, once for every word tested."""
     compiler = _compiler(inv)
-    return compiler.pattern(preds, inv).search(compiler.encode((word,))[0]) is not None
+    search = compiler.pattern(preds, inv).search
+    encode = compiler.encode
+    return lambda word: search(encode((word,))[0]) is not None
 
 
 def slot_members(pred: Predicate, inv: SegmentInventory) -> list[str]:
@@ -449,15 +465,15 @@ def apply_to_lexicon(
     Outside this module, `apply_in_order` carries it.
     """
     compiler = _compiler(inv)
-    if codes is None:
-        codes = compiler.encode(words)
     outputs = [tuple(w) for w in words]
     changed = [False] * len(words)
-    for i, out in compiler.rewrites(law, words, codes, inv):
+    scanned = compiler.encode(words) if codes is None else codes
+    for i, out in compiler.rewrites(law, words, scanned, inv):
         if out != words[i]:
             outputs[i] = out
             changed[i] = True
-            codes[i] = compiler.encode((out,))[0]
+            if codes is not None:
+                codes[i] = compiler.encode((out,))[0]
     return outputs, changed
 
 

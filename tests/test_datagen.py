@@ -1,9 +1,11 @@
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
 from soundlaw import _native, datagen, gateway, kernels
+from soundlaw.cli import main
 from soundlaw._native import count_scan_occurrences
 from soundlaw.datagen import (
     GenConfig,
@@ -109,6 +111,33 @@ def test_concrete_context_words_match(inv):
     words = sample_inputs_for_law(law, cfg, rng, inv)
     with_ctx = sum(1 for w in words if "tak" in "".join(w))
     assert with_ctx >= 34
+
+
+def test_draw_below_takes_the_choice_and_randint_stream():
+    for n in (1, 2, 3, 7, 8, 9, 46, 63, 64, 65, 1000):
+        seq = list(range(100, 100 + n))
+        for seed in range(3):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            below = datagen.draw_below(ours)
+            assert [seq[below(n)] for _ in range(200)] == [theirs.choice(seq) for _ in range(200)]
+            assert [5 + below(n) for _ in range(200)] == [theirs.randint(5, 4 + n) for _ in range(200)]
+            assert ours.getstate() == theirs.getstate(), n
+
+
+@pytest.mark.parametrize(
+    "condition, count, digest",
+    [
+        ("rp-ri", 60, "1f5026aeec604642372d74c679e6975c6b3f48e4416c6af301428719ca5b0b62"),
+        ("idp-pi", 20, "6905c575c746b69c38d92ce382704c31e438f4ad08384f7eb2d0544cd1d66bfc"),
+    ],
+)
+def test_datagen_output_bytes_are_pinned(tmp_path, condition, count, digest):
+    """The tasks file of a fixed datagen run, byte for byte (recorded on
+    CPython 3.11, whose `Random` draws the rp-ri stream)."""
+    out = tmp_path / "tasks.jsonl"
+    argv = ["datagen", "--condition", condition, "--count", str(count), "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_infeasible_quota(inv):

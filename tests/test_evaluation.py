@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from soundlaw import evaluation
+from soundlaw import dsl, evaluation
 from soundlaw.evaluation import (
     DegenerateTask,
     EmptyDataset,
@@ -19,6 +19,7 @@ from soundlaw.evaluation import (
 )
 from soundlaw.dsl import lower_classical, parse_classical
 from soundlaw.kernels import levenshtein
+from soundlaw.rules import apply_law_word
 from soundlaw.tasks import PBETask
 
 
@@ -128,6 +129,31 @@ def test_evaluate_samples_cascade_candidate(inv):
     half2 = lower_classical(parse_classical("s > d / _ #"), inv)
     report = evaluate_samples(task, [[half1, half2]], inv)
     assert report.passed
+
+
+def test_each_distinct_candidate_is_scored_once(inv, monkeypatch):
+    task = make_task(inv)
+    transcript = (
+        "BasicAction(predicates=[lambda x: x == 't', lambda x: x == '@', lambda x: x == '#'], "
+        "change_pos=[0], mapping_fn=[lambda x: 'd'])"
+    )
+    parsed = list(dsl.parse_program_text(transcript, inv).laws)
+    assert parsed == [task.gold_law]
+    perturbed = lower_classical(parse_classical("t > s / _ #"), inv)
+    cands = [task.gold_law, task.gold_law, parsed, perturbed]
+    perturbed_outputs = [apply_law_word(perturbed, w, inv) for w in task.inputs]
+    want = [1, 1, 1, reward(task.inputs, perturbed_outputs, task.outputs)]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return reward(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "reward", spy)
+    report = evaluate_samples(task, cands, inv)
+    assert len(calls) == 2
+    assert list(report.rewards) == want and want[3] < 1
+    assert [s.passed for s in report.scores] == [True, True, True, False]
 
 
 def test_random_candidates_bounded(inv):

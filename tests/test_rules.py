@@ -337,7 +337,7 @@ def test_compiled_engine_matches_scan_on_random_and_hand_built_laws(inv, monkeyp
         assert_compiled_equals_scan(candidate, words, tiny)
 
 
-def test_slot_members_and_has_site_equal_the_matches_scan(inv):
+def test_slot_members_and_site_test_equal_the_matches_scan(inv):
     """Datagen's two readings of the compiled slots against Predicate.matches:
     a slot's member phones, and whether a window pinned by '@' on both sides
     matches consecutive phones of a word."""
@@ -356,13 +356,57 @@ def test_slot_members_and_has_site_equal_the_matches_scan(inv):
             assert R.slot_members(pred, table) == want, pred
         for _ in range(1500):
             preds = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
-            window = (SEP_PRED,) + tuple(q for p in preds for q in (p, SEP_PRED))
-            word = tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
-            want = any(
-                all(p.matches(word[i + k], table) for k, p in enumerate(preds))
-                for i in range(len(word) - len(preds) + 1)
-            )
-            assert R.has_site(window, word, table) == want, (preds, word)
+            has_site = R.site_test((SEP_PRED, *R.interleave(preds), SEP_PRED), table)
+            for _ in range(2):  # one test serves every word
+                word = tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
+                assert has_site(word) == window_scan(preds, word, table), (preds, word)
+
+
+def window_scan(preds, word, inv):
+    """True when the slots match consecutive phones of the word somewhere."""
+    return any(
+        all(p.matches(word[i + k], inv) for k, p in enumerate(preds))
+        for i in range(len(word) - len(preds) + 1)
+    )
+
+
+def test_codebook_boundary(inv):
+    """Phones coded on both sides of U+00FF: a table of 150 segments, and
+    words adding 100 more phones no table holds, all in one lexicon."""
+    assert all(ord(c) < 0x100 for c in R._compiler(inv).code.values())  # the bundled table
+    rng = random.Random(7)
+    segments = tuple(f"p{i}" for i in range(150))
+    features = {s: {"syl": "+-"[i % 2], "cons": "-+"[i % 2]} for i, s in enumerate(segments)}
+    big = SegmentInventory(segments, features)
+    alphabet = list(segments[:3]) + list(segments[125:132]) + [f"u{i}" for i in range(100)]
+    words = [tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 9))) for _ in range(300)]
+    R._compiler(big).encode(words)  # every unseen phone gets a code on first sight
+    codes = R._compiler(big).code
+    assert max(map(ord, codes.values())) > 0xE000 + 100 and codes["p127"] == "\xff"
+    pool = [is_token("p2"), is_token("p130"), is_token("u7"), R.is_not_token("p128"),
+            R.in_set(["p1", "p129", "u3"]), Predicate("not-in", ("p0", "p131", "u50")),
+            feature_class("is_vowel"), Predicate("not-class", ("is_vowel",)), feature_class("is_anything")]
+    maps = [delete(), replace_with(["p126"]), insert_after(["u99", "p1"]), insert_before(["p140"])]
+    for _ in range(120):
+        preds = rng.sample(pool, rng.randrange(1, 4))
+        candidate = law(R.interleave(preds), [0], [rng.choice(maps)])
+        assert_compiled_equals_scan(candidate, words[:40], big)
+        assert apply_to_lexicon(candidate, words, big)[0] == [apply_law_word(candidate, w, big) for w in words]
+        has_site = R.site_test((SEP_PRED, *R.interleave(preds), SEP_PRED), big)
+        for word in words[:40]:
+            assert has_site(word) == window_scan(preds, word, big), (preds, word)
+
+
+def test_apply_to_lexicon_codes_track_the_outputs(inv):
+    rng = random.Random(5)
+    cfg = datagen.GenConfig()
+    for _ in range(60):
+        candidate = datagen.sample_random_law(cfg, rng, inv)
+        words = [tuple(rng.choice(inv.segments) for _ in range(rng.randrange(1, 9))) for _ in range(30)]
+        codes = R._compiler(inv).encode(words)
+        given = apply_to_lexicon(candidate, words, inv, codes)
+        assert given == apply_to_lexicon(candidate, words, inv)
+        assert codes == R._compiler(inv).encode(given[0])
 
 
 def test_compiled_engine_rejects_reserved_tokens(inv):
