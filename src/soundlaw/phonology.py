@@ -9,6 +9,7 @@ between every pair of adjacent tokens, e.g. "am" becomes
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -102,10 +103,10 @@ class SegmentInventory:
     def memo(self, name: str, build):
         """The value `build(self)` stored under `name`, built on first use.
 
-        Holds lookups derived from this inventory; the law compiler of
-        `rules` (its codebook and compiled patterns) is the only one.  They
-        are left out of pickles, so each worker process builds its own
-        instead of sharing a parent's.
+        Holds lookups derived from this inventory: the compiled scan of
+        `segment` and the law compiler of `rules` (its codebook and compiled
+        patterns).  They are left out of pickles, so each worker process
+        builds its own instead of sharing a parent's.
         """
         try:
             return self._memos[name]
@@ -123,9 +124,25 @@ class SegmentInventory:
         """Split a word into phones by greedy longest match, left to right.
 
         Whitespace acts as an explicit phone delimiter and is discarded, so
-        both raw words ("tsar") and pre-tokenized words ("t a") load.
+        both raw words ("tsar") and pre-tokenized words ("t a") load.  One
+        compiled scan finds the phones; when they do not cover every
+        non-whitespace character, the width-by-width loop runs instead and
+        raises `UnsegmentableInput` at the first position no segment fits.
         """
         word = nfc(word)
+        scan = self.memo("phonology.scan", _segment_scan)
+        if scan is not None:
+            phones = scan(word)
+            # findall skips what no segment fits, and a segment may hold
+            # whitespace; then the phones differ from the word's
+            # non-whitespace text, and the loop decides
+            if "".join(phones) == "".join(word.split()):
+                return tuple(phones)
+        return self._segment_by_widths(word)
+
+    def _segment_by_widths(self, word: str) -> PhoneSeq:
+        """`segment` of an NFC word, trying every width from the longest
+        segment down at each position: its error path and test oracle."""
         phones: list[str] = []
         pos = 0
         n = len(word)
@@ -163,28 +180,31 @@ class SegmentInventory:
         return all(row.get(feat, "0") == val for feat, val in spec.items())
 
 
+def _segment_scan(inv: SegmentInventory):
+    r"""`findall` of `\s*(alt)` with the segments longest first: `re` tries
+    alternatives in order, so each phone is the longest one that fits.  The
+    empty inventory has none (its `\s*()` would find empty phones)."""
+    if not inv.segments:
+        return None
+    alt = "|".join(map(re.escape, sorted(inv.segments, key=len, reverse=True)))
+    return re.compile(rf"\s*({alt})").findall
+
+
 def preprocess(phones: PhoneSeq) -> TokenSeq:
     """Interleave phones with separators and wrap in boundary markers."""
-    tokens = [BOUNDARY, SEPARATOR]
-    for p in phones:
-        tokens.append(p)
-        tokens.append(SEPARATOR)
-    tokens.append(BOUNDARY)
+    tokens = [SEPARATOR] * (2 * len(phones) + 3)
+    tokens[0] = tokens[-1] = BOUNDARY
+    tokens[2:-2:2] = phones
     return tuple(tokens)
 
 
 def is_canonical(tokens: TokenSeq) -> bool:
-    if len(tokens) < 3 or len(tokens) % 2 == 0:
+    n = len(tokens)
+    if n < 3 or n % 2 == 0:
         return False
     if tokens[0] != BOUNDARY or tokens[-1] != BOUNDARY:
         return False
-    for i, tok in enumerate(tokens[1:-1], start=1):
-        if i % 2 == 1:
-            if tok != SEPARATOR:
-                return False
-        elif tok in RESERVED:
-            return False
-    return True
+    return tokens[1::2].count(SEPARATOR) == n // 2 and RESERVED.isdisjoint(tokens[2:-2:2])
 
 
 def render(tokens: TokenSeq) -> PhoneSeq:

@@ -297,7 +297,10 @@ class _LawCompiler:
         return pattern
 
     def encode_tokens(self, tokens: TokenSeq) -> str:
-        return "".join(map(self._char, tokens))
+        try:
+            return "".join(map(self.code.__getitem__, tokens))
+        except KeyError:  # a phone the codebook does not hold yet
+            return "".join(map(self._char, tokens))
 
     def encode(self, words) -> list[str]:
         """Every word as preprocess() would give it, one character per token."""
@@ -424,22 +427,24 @@ def apply_law(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> TokenSe
             idx = site.start + pos
             if idx not in edits:
                 edits[idx] = mapping
+    end = len(tokens) - 1  # the closing '#'
     out: list[str] = []
-    for idx, tok in enumerate(tokens):
-        mapping = edits.get(idx)
-        if mapping is None:
-            out.append(tok)
-        elif mapping.kind == "delete":
-            pass
-        elif mapping.kind == "replace":
-            out.extend(mapping.phones)
+    done = 2  # phones sit at the even indices 2 .. end - 2: the next one to copy
+    for idx in sorted(edits):
+        mapping = edits[idx]
+        out += tokens[done:idx:2]
+        done = (idx + 2) & ~1
+        if mapping.kind == "replace" or idx & 1 or not 0 < idx < end:
+            out += mapping.phones  # of an edited '#' or '@' only its phones stay
         elif mapping.kind == "insert-before":
-            out.extend(mapping.phones)
-            out.append(tok)
-        else:
-            out.append(tok)
-            out.extend(mapping.phones)
-    return preprocess(tuple(t for t in out if t not in (BOUNDARY, SEPARATOR)))
+            out += mapping.phones
+            out.append(tokens[idx])
+        elif mapping.kind == "insert-after":
+            out.append(tokens[idx])
+            out += mapping.phones
+        # a deleted phone adds nothing
+    out += tokens[done:end:2]
+    return preprocess(out)
 
 
 def apply_law_word(law: SoundLaw, word: PhoneSeq, inv: SegmentInventory) -> PhoneSeq:

@@ -213,6 +213,24 @@ def test_bench_and_eval_roundtrip(tmp_path, capsys):
     assert "Avg" in capsys.readouterr().out
 
 
+def test_cascade_output_bytes_are_pinned(tmp_path, monkeypatch):
+    """derive and bench on the bundled demo cascade and lexicon, byte for byte
+    (recorded on CPython 3.11).  bench records the cascade path in each task,
+    so both run on copies by a relative path."""
+    for source in (DEMO_CASCADE, DEMO_LEXICON):
+        (tmp_path / source.name).write_bytes(source.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    inputs = ("--cascade", DEMO_CASCADE.name, "--lexicon", DEMO_LEXICON.name)
+    assert run("derive", *inputs, "--out", "derive.txt") == 0
+    assert run("bench", *inputs, "--seed", "3", "--out", "tasks.jsonl") == 0
+    names = ("derive.txt", "tasks.jsonl", "tasks.jsonl.stats.json")
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names} == {
+        "derive.txt": "27124d9f76101afb73cdd295a5deb845ac0d62de635cb3a87ba5f1fab9baa93a",
+        "tasks.jsonl": "42baeed59c503fe5d92531ac00b21595e0491c42ef4c1aab5bdc36117df095e4",
+        "tasks.jsonl.stats.json": "ed26160a8fe427191bfc9dffc55d2655bc5084bc71038ef663515dc5a98f866e",
+    }
+
+
 def write_eval_inputs(tmp_path):
     """Tasks whose gold law reproduces the stored outputs, one whose stored
     outputs disagree with it, and one whose gold law is inert (and so also

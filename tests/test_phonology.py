@@ -1,16 +1,22 @@
+import pickle
 import random
+import re
+from importlib.resources import files
 
 import pytest
 
 from soundlaw import phonology
 from soundlaw.phonology import (
+    RESERVED,
     DuplicateSegment,
     MalformedRow,
     NonCanonicalTokenSeq,
     SegmentInventory,
     UnknownFeatureClass,
     UnsegmentableInput,
+    is_canonical,
     load_feature_table,
+    nfc,
     preprocess,
     render,
 )
@@ -78,6 +84,147 @@ def test_greedy_maximality(inv):
             ]
             assert not longer, (word, p, longer)
             pos += len(p)
+
+
+def segment_outcome(segment, word):
+    """The phones, or where and on what the segmentation failed."""
+    try:
+        return segment(word)
+    except UnsegmentableInput as err:
+        return ("unsegmentable", err.word, err.position)
+
+
+def assert_scan_equals_loop(inv, words):
+    for word in words:
+        want = segment_outcome(inv._segment_by_widths, nfc(word))
+        assert segment_outcome(inv.segment, word) == want, (inv.segments, word)
+
+
+# segments that are regex metacharacters or hold whitespace: the loop never
+# matches " c" (it skips the space first), which the scan reaches by
+# backtracking over its leading `\s*`
+ODD_INVENTORY = SegmentInventory((".", "a*", "(", "\\", "[b]", "a", "b", "a b", " c", "c\t"))
+# greedy takes "ab" in "abc" and then fails on "c"; a backtracking match
+# would read "a", "bc"
+TRAP_INVENTORY = SegmentInventory(("a", "ab", "bc"))
+EMPTY_INVENTORY = SegmentInventory(())
+
+
+def test_segment_scan_equals_loop_on_bundled_data(inv):
+    for path in files("soundlaw").joinpath("data").iterdir():
+        if path.name.endswith((".txt", ".rules", ".tsv")):
+            lines = path.read_text("utf-8").splitlines()
+            assert_scan_equals_loop(inv, lines)
+            assert_scan_equals_loop(inv, [line.strip() for line in lines if not line.startswith("#")])
+
+
+@pytest.mark.parametrize("which", ["bundled", "odd", "trap", "empty"])
+def test_segment_scan_equals_loop_on_random_strings(inv, which):
+    inventory = {"bundled": inv, "odd": ODD_INVENTORY, "trap": TRAP_INVENTORY, "empty": EMPTY_INVENTORY}[which]
+    alphabet = sorted(set("".join(inventory.segments))) or ["a"]
+    # spaces, characters no segment holds, and a decomposed é for NFC
+    junk = [" ", "  ", "\t", "\n", "\u00a0", "\u3000", "Z", "9", "#", "e\u0301", "\u0301"]
+    rng = random.Random(f"segment-{which}")
+    words = ["", " ", "\t \n"]
+    for _ in range(3000):
+        pool = alphabet + junk if rng.random() < 0.3 else alphabet + [" "]
+        words.append("".join(rng.choice(pool) for _ in range(rng.randrange(0, 12))))
+    words += list(inventory.segments) + [" ".join(inventory.segments), "".join(inventory.segments)]
+    assert_scan_equals_loop(inventory, words)
+
+
+def test_segment_whitespace_is_what_isspace_says(inv):
+    everything = "".join(map(chr, range(0x110000)))
+    spaces = [ch for ch in everything if ch.isspace()]
+    assert re.findall(r"\s", everything) == spaces
+    for inventory in (inv, TRAP_INVENTORY, EMPTY_INVENTORY):
+        words = [f"{ws}a{ws}b{ws}" for ws in spaces] + [ws * 3 for ws in spaces] + ["".join(spaces)]
+        assert_scan_equals_loop(inventory, words)
+
+
+def test_segment_traps():
+    assert TRAP_INVENTORY.segment("ab bc") == ("ab", "bc")
+    with pytest.raises(UnsegmentableInput) as err:
+        TRAP_INVENTORY.segment("abc")
+    assert err.value.position == 2
+    assert EMPTY_INVENTORY.segment("") == EMPTY_INVENTORY.segment(" \t ") == ()
+    with pytest.raises(UnsegmentableInput) as err:
+        EMPTY_INVENTORY.segment(" a")
+    assert err.value.position == 1
+    assert ODD_INVENTORY.segment("a b.") == ("a b", ".")
+    with pytest.raises(UnsegmentableInput) as err:
+        ODD_INVENTORY.segment("b c")
+    assert err.value.position == 2
+
+
+def test_inventory_pickles_without_its_scan(inv):
+    """What a worker process receives: the inventory, not its compiled scan."""
+    words = ["tʰum", "tsar", "t a", "kʷati"]
+    want = [inv.segment(w) for w in words]
+    assert "phonology.scan" in inv._memos
+    clone = pickle.loads(pickle.dumps(inv))
+    assert clone._memos == {}
+    assert [clone.segment(w) for w in words] == want
+    assert "phonology.scan" in clone._memos
+    with pytest.raises(UnsegmentableInput) as err:
+        clone.segment("taZu")
+    assert err.value.position == 2
+
+
+# -- the token engine against the loops it replaced --------------------------
+
+
+def preprocess_reference(phones):
+    tokens = ["#", "@"]
+    for p in phones:
+        tokens.append(p)
+        tokens.append("@")
+    tokens.append("#")
+    return tuple(tokens)
+
+
+def is_canonical_reference(tokens):
+    if len(tokens) < 3 or len(tokens) % 2 == 0:
+        return False
+    if tokens[0] != "#" or tokens[-1] != "#":
+        return False
+    for i, tok in enumerate(tokens[1:-1], start=1):
+        if i % 2 == 1:
+            if tok != "@":
+                return False
+        elif tok in RESERVED:
+            return False
+    return True
+
+
+def random_token_sequences(rng, count):
+    """Tuples and lists: canonical ones, the same with one token swapped for
+    a reserved token or a phone (at an odd or even index), and noise."""
+    phones = ["a", "ts", "tʰ", "b"]
+    tokens = phones + sorted(RESERVED)
+    for _ in range(count):
+        seq = list(preprocess_reference([rng.choice(phones) for _ in range(rng.randrange(0, 6))]))
+        roll = rng.random()
+        if roll < 0.5:
+            seq[rng.randrange(len(seq))] = rng.choice(tokens)
+        elif roll < 0.6:
+            seq = [rng.choice(tokens) for _ in range(rng.randrange(0, 9))]
+        yield seq if rng.random() < 0.5 else tuple(seq)
+
+
+def test_preprocess_and_is_canonical_equal_their_loops():
+    rng = random.Random(12)
+    canonical = 0
+    for seq in random_token_sequences(rng, 5000):
+        assert is_canonical(seq) == is_canonical_reference(seq), seq
+        assert preprocess(seq) == preprocess_reference(seq)
+        canonical += is_canonical(seq)
+        if is_canonical(seq):
+            assert render(seq) == tuple(seq[2:-2:2])
+        else:
+            with pytest.raises(NonCanonicalTokenSeq):
+                render(seq)
+    assert 500 < canonical < 4500
 
 
 def test_preprocess_canonical():

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import functools
 import itertools
@@ -305,15 +306,24 @@ def random_hand_built_law(rng, pool, phones):
 
 
 def assert_compiled_equals_scan(candidate, words, inv):
+    """The compiled engine against the scan and reference_apply's token loop;
+    returns how often an edit landed on each token of the words."""
+    edited = collections.Counter()
     for word in words:
-        want = scan_sites(candidate, preprocess(word), inv)
-        assert [m.start for m in find_matches(candidate, preprocess(word), inv)] == want, (candidate, word)
+        tokens = preprocess(word)
+        want = scan_sites(candidate, tokens, inv)
+        assert [m.start for m in find_matches(candidate, tokens, inv)] == want, (candidate, word)
+        edited.update(tokens[start + pos] for start in want for pos in candidate.change_pos)
+        want_tokens = preprocess(reference_apply(candidate, word, inv))
+        for given in (tokens, list(tokens)):
+            assert tuple(apply_law(candidate, given, inv)) == want_tokens, (candidate, word)
     outputs, changed = apply_to_lexicon(candidate, words, inv)
     want_outputs = [reference_apply(candidate, w, inv) for w in words]
     assert outputs == want_outputs, candidate
     want_changed = [o != w for o, w in zip(want_outputs, words)]
     assert changed == want_changed, candidate
     assert law_is_inert(candidate, words, inv) == (not any(want_changed)), candidate
+    return edited
 
 
 def test_compiled_engine_matches_scan_on_random_and_hand_built_laws(inv, monkeypatch):
@@ -331,10 +341,12 @@ def test_compiled_engine_matches_scan_on_random_and_hand_built_laws(inv, monkeyp
     monkeypatch.setattr(R._LawCompiler, "MAX_PATTERNS", 16)  # and the cache starts over
     phones = ["a", "i", "n", "t", "s", "ts", "q", "x"]
     pool = hand_built_pool(phones[:4] + phones[-2:])
+    edited = collections.Counter()
     for _ in range(300):
         candidate = random_hand_built_law(rng, pool, phones)
         words = [tuple(rng.choice(phones) for _ in range(rng.randrange(0, 7))) for _ in range(10)]
-        assert_compiled_equals_scan(candidate, words, tiny)
+        edited += assert_compiled_equals_scan(candidate, words, tiny)
+    assert edited["#"] and edited["@"]  # apply_law's rebuild of edited '#' and '@' slots
 
 
 def test_slot_members_and_site_test_equal_the_matches_scan(inv):
