@@ -125,19 +125,18 @@ class SegmentInventory:
 
         Whitespace acts as an explicit phone delimiter and is discarded, so
         both raw words ("tsar") and pre-tokenized words ("t a") load.  One
-        compiled scan finds the phones; when they do not cover every
-        non-whitespace character, the width-by-width loop runs instead and
-        raises `UnsegmentableInput` at the first position no segment fits.
+        compiled scan, a pattern shaped as the trie of the segments, finds
+        the phones; when they do not cover every non-whitespace character,
+        the width-by-width loop runs instead and raises `UnsegmentableInput`
+        at the first position no segment fits.
         """
         word = nfc(word)
-        scan = self.memo("phonology.scan", _segment_scan)
-        if scan is not None:
-            phones = scan(word)
-            # findall skips what no segment fits, and a segment may hold
-            # whitespace; then the phones differ from the word's
-            # non-whitespace text, and the loop decides
-            if "".join(phones) == "".join(word.split()):
-                return tuple(phones)
+        phones = self.memo("phonology.scan", _segment_scan)(word)
+        # findall skips what no segment fits, and a segment may hold
+        # whitespace; then the phones differ from the word's non-whitespace
+        # text, and the loop decides
+        if "".join(phones) == "".join(word.split()):
+            return tuple(filter(None, phones))  # a whitespace run reads as ''
         return self._segment_by_widths(word)
 
     def _segment_by_widths(self, word: str) -> PhoneSeq:
@@ -181,13 +180,50 @@ class SegmentInventory:
 
 
 def _segment_scan(inv: SegmentInventory):
-    r"""`findall` of `\s*(alt)` with the segments longest first: `re` tries
-    alternatives in order, so each phone is the longest one that fits.  The
-    empty inventory has none (its `\s*()` would find empty phones)."""
-    if not inv.segments:
-        return None
-    alt = "|".join(map(re.escape, sorted(inv.segments, key=len, reverse=True)))
-    return re.compile(rf"\s*({alt})").findall
+    r"""`findall` of `(trie)|\s+`, the trie being the segments' pattern built
+    by `_trie_pattern`: each phone is the longest segment that fits, at a cost
+    per position that grows with the log of the trie's fan-out, not with the
+    inventory's size.  A whitespace run is its own alternative, read as '',
+    so nothing backtracks over it."""
+    trie: dict = {}
+    for seg in inv.segments:
+        node = trie
+        for ch in seg:
+            node = node.setdefault(ch, {})
+        node[""] = {}  # a segment ends here
+    return re.compile(rf"({_trie_pattern(trie)})|\s+").findall
+
+
+def _trie_pattern(node: dict) -> str:
+    """The alternation of what may follow a trie node.  Next characters
+    whose continuations are the same pattern share one alternative, so no two
+    alternatives start with the same character: at most one applies, and a
+    continuation that is optional (`?`) is tried before the node ends."""
+    by_tail: dict[str, list[str]] = {}
+    for ch, child in node.items():
+        if ch:
+            tail = _trie_pattern(child)
+            if tail:
+                tail = f"(?:{tail})" + ("?" if "" in child else "")
+            by_tail.setdefault(tail, []).append(re.escape(ch))
+    return _dispatch(
+        [
+            (chars, (chars[0] if len(chars) == 1 else f"[{''.join(chars)}]") + tail)
+            for tail, chars in by_tail.items()
+        ]
+    )
+
+
+def _dispatch(alternatives: list[tuple[list[str], str]]) -> str:
+    """`|` of the (first characters, pattern) alternatives.  `re` tests
+    alternatives one by one, so past a few of them the list is halved behind a
+    lookahead on the first half's characters: a position then tests about
+    log2 of them, where a table with hundreds of letters would test each."""
+    if len(alternatives) <= 8:
+        return "|".join(pattern for _, pattern in alternatives)
+    half = len(alternatives) // 2
+    first = "".join(ch for chars, _ in alternatives[:half] for ch in chars)
+    return f"(?=[{first}])(?:{_dispatch(alternatives[:half])})|{_dispatch(alternatives[half:])}"
 
 
 def preprocess(phones: PhoneSeq) -> TokenSeq:

@@ -427,24 +427,20 @@ def apply_law(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> TokenSe
             idx = site.start + pos
             if idx not in edits:
                 edits[idx] = mapping
-    end = len(tokens) - 1  # the closing '#'
-    out: list[str] = []
-    done = 2  # phones sit at the even indices 2 .. end - 2: the next one to copy
-    for idx in sorted(edits):
+    out = list(tokens)
+    for idx in sorted(edits, reverse=True):  # so each index is still in place
         mapping = edits[idx]
-        out += tokens[done:idx:2]
-        done = (idx + 2) & ~1
-        if mapping.kind == "replace" or idx & 1 or not 0 < idx < end:
-            out += mapping.phones  # of an edited '#' or '@' only its phones stay
+        tok = tokens[idx]
+        if mapping.kind == "replace":
+            out[idx : idx + 1] = mapping.phones
         elif mapping.kind == "insert-before":
-            out += mapping.phones
-            out.append(tokens[idx])
+            out[idx : idx + 1] = (*mapping.phones, tok)
         elif mapping.kind == "insert-after":
-            out.append(tokens[idx])
-            out += mapping.phones
-        # a deleted phone adds nothing
-    out += tokens[done:end:2]
-    return preprocess(out)
+            out[idx : idx + 1] = (tok, *mapping.phones)
+        else:
+            del out[idx]
+    # every '#' and '@' goes, so of an edited one only the phones stay
+    return preprocess([t for t in out if t not in RESERVED])
 
 
 def apply_law_word(law: SoundLaw, word: PhoneSeq, inv: SegmentInventory) -> PhoneSeq:

@@ -95,14 +95,21 @@ def segment_outcome(segment, word):
 
 
 def assert_scan_equals_loop(inv, words):
+    """`segment` against the loop; and where no segment holds whitespace, the
+    scan alone against every word the loop segments, since `segment` falling
+    back to the loop would hide a scan that skips characters."""
+    scan = phonology._segment_scan(inv)
+    alone = not any(ch.isspace() for seg in inv.segments for ch in seg)
     for word in words:
         want = segment_outcome(inv._segment_by_widths, nfc(word))
         assert segment_outcome(inv.segment, word) == want, (inv.segments, word)
+        if alone and want[:1] != ("unsegmentable",):
+            assert tuple(filter(None, scan(nfc(word)))) == want, (inv.segments, word)
 
 
 # segments that are regex metacharacters or hold whitespace: the loop never
-# matches " c" (it skips the space first), which the scan reaches by
-# backtracking over its leading `\s*`
+# matches " c" (it skips the space first), which the scan tries before it
+# reads a space as whitespace
 ODD_INVENTORY = SegmentInventory((".", "a*", "(", "\\", "[b]", "a", "b", "a b", " c", "c\t"))
 # greedy takes "ab" in "abc" and then fails on "c"; a backtracking match
 # would read "a", "bc"
@@ -131,6 +138,33 @@ def test_segment_scan_equals_loop_on_random_strings(inv, which):
         words.append("".join(rng.choice(pool) for _ in range(rng.randrange(0, 12))))
     words += list(inventory.segments) + [" ".join(inventory.segments), "".join(inventory.segments)]
     assert_scan_equals_loop(inventory, words)
+
+
+def test_segment_scan_equals_loop_on_random_inventories():
+    """Segments that share prefixes and continuations, prefixes of segments
+    that are no segment, characters a character class must escape, and (on
+    the wide alphabet) more first characters than one alternation tests."""
+    rng = random.Random(23)
+    for alphabet in ("ab-^]ʰ. ", "ab-^]ʰ.", "abcdefghijklmnop-^]\\[ʰ."):
+        for _ in range(200):
+            segments = {
+                "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 5)))
+                for _ in range(rng.randrange(1, 40))
+            }
+            inventory = SegmentInventory(tuple(sorted(segments)))
+            pool = alphabet + " Z"
+            words = ["".join(rng.choice(pool) for _ in range(rng.randrange(0, 12))) for _ in range(40)]
+            assert_scan_equals_loop(inventory, words + list(segments))
+
+
+def test_segment_long_whitespace_runs(inv):
+    """A whitespace run is one alternative of the scan, read in one step also
+    where no segment follows it (a scan that backtracks over the run takes
+    time quadratic in its length here)."""
+    run = " \t\u3000" * 2000
+    words = ["ab" + run, "a" + run + "Z", run + "Z", "t" + run + "a" + run, run]
+    for inventory in (inv, ODD_INVENTORY, TRAP_INVENTORY, EMPTY_INVENTORY):
+        assert_scan_equals_loop(inventory, words)
 
 
 def test_segment_whitespace_is_what_isspace_says(inv):
