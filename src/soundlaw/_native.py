@@ -1,8 +1,8 @@
 """Pure-Python string-metric kernels.
 
 Same contract as the compiled module (soundlaw._speedups); soundlaw.kernels
-runs this one only when the compiled module is neither installed nor
-buildable on first import.  The *_bruteforce functions are exhaustive
+runs this one only when the compiled module cannot be built on first
+import or loaded from its cache.  The *_bruteforce functions are exhaustive
 reference algorithms kept around as independent oracles for the dynamic
 programming paths — do not "optimize" them into the DP recurrences.
 `count_scan_occurrences` is the one-word scan that `scan_counts` sums; it

@@ -321,6 +321,8 @@ def _load_samples(path, inv: SegmentInventory) -> dict[str, list]:
             if "program" in doc and doc["program"] is not None:
                 candidate = dsl.doc_to_law(doc["program"])
             elif "raw_text" in doc:
+                if not isinstance(doc["raw_text"], str):
+                    raise dsl.SchemaError(f"samples line {lineno}: raw_text must be a string")
                 laws = dsl.parse_program_text(doc["raw_text"], inv).laws
                 candidate = list(laws) if laws else None
             else:

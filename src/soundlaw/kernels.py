@@ -3,12 +3,11 @@
 The kernels are Levenshtein distance, the pairwise LCS, their brute-force
 oracles, and `scan_counts`, which weights idp-pi context candidates by their
 scan counts over a word list in one call.  The compiled kernels are the
-hand-written CPython module `_speedups.c`.  An
-installed build of it (``pip install``, ``setup.py build_ext``) is used when
-present.  Otherwise the source is compiled on first import with the
-interpreter's configured C compiler (``CC`` overrides it) into a user cache,
-``$XDG_CACHE_HOME/soundlaw`` or ``~/.cache/soundlaw``, keyed by the source's
-sha256 and the interpreter's extension suffix, so later imports only load it.
+hand-written CPython module `_speedups.c`.  It is compiled on first import
+with the interpreter's configured C compiler (``CC`` overrides it) into a
+user cache, ``$XDG_CACHE_HOME/soundlaw`` or ``~/.cache/soundlaw``, keyed by
+the source's sha256 and the interpreter's extension suffix, so later imports
+only load it, and a build of an older source is never loaded.
 Without a compiler, the Python headers or a writable cache, the pure-Python
 twin `_native` runs instead: it is correct but far slower, and misses the
 acceptance suite's A07 budget.
@@ -83,12 +82,6 @@ def _compile(source: str, target: str) -> None:
 
 def _load():
     """(implementation, backend name, reason) for the best available backend."""
-    try:
-        from . import _speedups
-
-        return _speedups, "c", f"installed extension {_speedups.__file__}"
-    except ImportError:
-        pass
     try:
         with open(_SOURCE, "rb") as fh:
             digest = hashlib.sha256(fh.read() + _SUFFIX.encode()).hexdigest()[:16]

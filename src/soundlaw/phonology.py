@@ -1,10 +1,11 @@
 """Segmentation of words into phones, token sequences, and feature classes.
 
 Words are handled as tuples of phone symbols (plain strings, possibly
-multi-character like "tʰ" or "ts").  Rules never see words directly: they
-operate on a token sequence where '#' marks both word edges and '@' sits
-between every pair of adjacent tokens, e.g. "am" becomes
-('#', '@', 'a', '@', 'm', '@', '#').
+multi-character like "tʰ" or "ts").  A symbol holds no whitespace, which
+separates phones in a written word, and no reserved token character.
+Rules never see words directly: they operate on a token sequence where '#'
+marks both word edges and '@' sits between every pair of adjacent tokens,
+e.g. "am" becomes ('#', '@', 'a', '@', 'm', '@', '#').
 """
 
 from __future__ import annotations
@@ -87,13 +88,12 @@ class SegmentInventory:
                 raise MalformedRow(f"segment {seg!r} is not NFC-normalized")
             if any(ch in RESERVED for ch in seg):
                 raise MalformedRow(f"segment {seg!r} uses a reserved character")
+            if any(ch.isspace() for ch in seg):  # whitespace separates phones
+                raise MalformedRow(f"segment {seg!r} holds whitespace")
             if seg in seen:
                 raise DuplicateSegment(seg)
             seen.add(seg)
         object.__setattr__(self, "_segment_set", seen)
-        object.__setattr__(
-            self, "_max_len", max((len(s) for s in self.segments), default=0)
-        )
         object.__setattr__(self, "_memos", {})
 
     def __getstate__(self):
@@ -126,39 +126,19 @@ class SegmentInventory:
         Whitespace acts as an explicit phone delimiter and is discarded, so
         both raw words ("tsar") and pre-tokenized words ("t a") load.  One
         compiled scan, a pattern shaped as the trie of the segments, finds
-        the phones; when they do not cover every non-whitespace character,
-        the width-by-width loop runs instead and raises `UnsegmentableInput`
-        at the first position no segment fits.
+        the phones.  When they do not cover every non-whitespace character,
+        `UnsegmentableInput` names the first position no segment fits.
         """
         word = nfc(word)
-        phones = self.memo("phonology.scan", _segment_scan)(word)
-        # findall skips what no segment fits, and a segment may hold
-        # whitespace; then the phones differ from the word's non-whitespace
-        # text, and the loop decides
+        scan = self.memo("phonology.scan", _segment_scan)
+        phones = scan.findall(word)
+        # findall skips what no segment fits, and a whitespace run reads as ''
         if "".join(phones) == "".join(word.split()):
-            return tuple(filter(None, phones))  # a whitespace run reads as ''
-        return self._segment_by_widths(word)
-
-    def _segment_by_widths(self, word: str) -> PhoneSeq:
-        """`segment` of an NFC word, trying every width from the longest
-        segment down at each position: its error path and test oracle."""
-        phones: list[str] = []
+            return tuple(filter(None, phones))
         pos = 0
-        n = len(word)
-        while pos < n:
-            if word[pos].isspace():
-                pos += 1
-                continue
-            limit = min(self._max_len, n - pos)
-            for width in range(limit, 0, -1):
-                cand = word[pos : pos + width]
-                if cand in self._segment_set:
-                    phones.append(cand)
-                    pos += width
-                    break
-            else:
-                raise UnsegmentableInput(word, pos)
-        return tuple(phones)
+        while m := scan.match(word, pos):  # no alternative matches ''
+            pos = m.end()
+        raise UnsegmentableInput(word, pos)
 
     def in_class(self, name: str, token: str) -> bool:
         """Test a token (phone, '#', or '@') against a feature class."""
@@ -179,19 +159,20 @@ class SegmentInventory:
         return all(row.get(feat, "0") == val for feat, val in spec.items())
 
 
-def _segment_scan(inv: SegmentInventory):
-    r"""`findall` of `(trie)|\s+`, the trie being the segments' pattern built
-    by `_trie_pattern`: each phone is the longest segment that fits, at a cost
+def _segment_scan(inv: SegmentInventory) -> re.Pattern:
+    r"""`(trie)|\s+`, the trie being the segments' pattern built by
+    `_trie_pattern`: each phone is the longest segment that fits, at a cost
     per position that grows with the log of the trie's fan-out, not with the
-    inventory's size.  A whitespace run is its own alternative, read as '',
-    so nothing backtracks over it."""
+    inventory's size.  A whitespace run is its own alternative, which no
+    segment starts, so nothing backtracks over it."""
     trie: dict = {}
     for seg in inv.segments:
         node = trie
         for ch in seg:
             node = node.setdefault(ch, {})
         node[""] = {}  # a segment ends here
-    return re.compile(rf"({_trie_pattern(trie)})|\s+").findall
+    # the empty inventory's trie would match '' everywhere
+    return re.compile(rf"({_trie_pattern(trie) or '(?!)'})|\s+")
 
 
 def _trie_pattern(node: dict) -> str:

@@ -296,12 +296,6 @@ class _LawCompiler:
             pattern = self.patterns[preds] = re.compile(f"(?={body})")
         return pattern
 
-    def encode_tokens(self, tokens: TokenSeq) -> str:
-        try:
-            return "".join(map(self.code.__getitem__, tokens))
-        except KeyError:  # a phone the codebook does not hold yet
-            return "".join(map(self._char, tokens))
-
     def encode(self, words) -> list[str]:
         """Every word as preprocess() would give it, one character per token."""
         code_sep = self.phone_sep.__getitem__
@@ -388,7 +382,7 @@ def find_matches(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> list
     if not is_canonical(tokens):
         raise NonCanonicalTokenSeq(tokens)
     compiler = _compiler(inv)
-    text = compiler.encode_tokens(tokens)
+    text = compiler.encode((tokens[2:-2:2],))[0]
     return [MatchSite(m.start()) for m in compiler.pattern(law.predicates, inv).finditer(text)]
 
 

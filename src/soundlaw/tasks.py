@@ -68,7 +68,8 @@ def task_from_json(text: str, lineno: int = 0) -> PBETask:
         )
     except SchemaError as exc:
         raise SchemaError(f"line {lineno}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    # TypeError and AttributeError: a value of the wrong JSON type
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"line {lineno}: {exc}") from exc
 
 

@@ -45,6 +45,13 @@ def test_apply_unsegmentable_word_exit_2(capsys):
     assert run("apply", "-r", "t > d / _ #", "sunt9") == 2
 
 
+def test_tokenize_table_with_a_spaced_symbol_exit_3(tmp_path, capsys):
+    table = tmp_path / "table.tsv"
+    table.write_text("segment\tsyl\na\t+\nt s\t-\n", encoding="utf-8")
+    assert run("tokenize", "--table", table, "tsa") == 3
+    assert "MalformedRow" in capsys.readouterr().err
+
+
 def test_apply_empty_lexicon(tmp_path, capsys):
     lex = tmp_path / "empty.txt"
     lex.write_text("")
@@ -312,6 +319,23 @@ def test_eval_schema_error_exit_6(tmp_path):
     samples = tmp_path / "s.jsonl"
     samples.write_text('{"task_id": "x", "sample_index": 0, "program": null}\n')
     assert run("eval", "--tasks", tasks, "--samples", samples, "--out", tmp_path / "r") == 6
+
+
+TASK_X = '{"id": "x", "condition": "rp-ri", "inputs": ["a"], "outputs": ["e"]}\n'
+SAMPLE_X = '{"task_id": "x", "sample_index": 0, "program": null}\n'
+
+
+@pytest.mark.parametrize("tasks_text, samples_text, where", [
+    (TASK_X + "[1, 2]\n", SAMPLE_X, "line 2"),  # a task that is no object
+    (TASK_X.replace('["a"]', "[5]"), SAMPLE_X, "line 1"),  # a word that is no string
+    (TASK_X, SAMPLE_X + '{"task_id": "x", "sample_index": 1, "raw_text": 5}\n', "samples line 2"),
+], ids=["task-not-an-object", "word-not-a-string", "raw-text-not-a-string"])
+def test_eval_wrong_json_shape_exit_6(tasks_text, samples_text, where, tmp_path, capsys):
+    tasks, samples = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+    tasks.write_text(tasks_text)
+    samples.write_text(samples_text)
+    assert run("eval", "--tasks", tasks, "--samples", samples, "--out", tmp_path / "r") == 6
+    assert capsys.readouterr().err.startswith(f"error: SchemaError: {where}: ")
 
 
 def test_eval_repeated_sample_index_exit_6(tmp_path, capsys):

@@ -16,8 +16,6 @@ import soundlaw
 from soundlaw import _native, kernels
 
 SRC = Path(soundlaw.__file__).resolve().parent.parent
-# an installed build is imported before anything is compiled
-INSTALLED = importlib.machinery.PathFinder.find_spec("soundlaw._speedups", soundlaw.__path__)
 CC = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")[0]
 PYTHON_H = Path(sysconfig.get_paths()["include"], "Python.h")
 
@@ -176,7 +174,6 @@ def backend_of(proc):
     return out.splitlines()
 
 
-@pytest.mark.skipif(INSTALLED is not None, reason="an installed soundlaw._speedups is used as is")
 def test_missing_compiler_falls_back_to_python(tmp_path):
     missing = str(tmp_path / "no-such-cc")
     backend, reason = backend_of(import_kernels(tmp_path, CC=missing))
@@ -184,7 +181,6 @@ def test_missing_compiler_falls_back_to_python(tmp_path):
     assert missing in reason
 
 
-@pytest.mark.skipif(INSTALLED is not None, reason="an installed soundlaw._speedups is used as is")
 @pytest.mark.skipif(shutil.which(CC) is None, reason=f"no C compiler {CC!r}")
 @pytest.mark.skipif(not PYTHON_H.exists(), reason=f"no Python headers at {PYTHON_H}")
 def test_concurrent_first_imports_share_one_build(tmp_path):
@@ -196,3 +192,16 @@ def test_concurrent_first_imports_share_one_build(tmp_path):
     # a later import loads the cached build without compiling
     backend, reason = backend_of(import_kernels(tmp_path, CC=str(tmp_path / "no-such-cc")))
     assert backend == "c" and reason.startswith("cached build")
+
+
+def test_a_stale_build_in_the_package_is_never_loaded(tmp_path):
+    """A `soundlaw._speedups` left in the package, as an in-place build of an
+    older `_speedups.c` would be, is not what the kernels run."""
+    package = tmp_path / "src" / "soundlaw"
+    shutil.copytree(SRC / "soundlaw", package, ignore=shutil.ignore_patterns("__pycache__"))
+    (package / "_speedups.py").write_text("def levenshtein(a, b):\n    return -1\n", encoding="utf-8")
+    probe = "from soundlaw import kernels; print(kernels.levenshtein('ab', 'b'))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(package.parent)),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
