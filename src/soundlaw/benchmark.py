@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .datagen import derive_rng
 from .dsl import DslError, read_laws
@@ -129,17 +129,7 @@ def dataset_stats(tasks) -> DatasetStats:
 
 
 def stats_to_json(stats: DatasetStats) -> str:
-    return json.dumps(
-        {
-            "task_count": stats.task_count,
-            "min_examples": stats.min_examples,
-            "max_examples": stats.max_examples,
-            "median_examples": stats.median_examples,
-            "per_language_pair": stats.per_language_pair,
-        },
-        ensure_ascii=False,
-        indent=2,
-    )
+    return json.dumps(asdict(stats), ensure_ascii=False, indent=2)
 
 
 def load_cascade(text: str, inv: SegmentInventory, name: str = "") -> Cascade:

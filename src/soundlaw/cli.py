@@ -310,7 +310,16 @@ def _load_samples(path, inv: SegmentInventory) -> dict[str, list]:
                 doc = json.loads(line)
                 task_id = doc["task_id"]
                 index = int(doc["sample_index"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                if doc.get("program") is not None:
+                    candidate = dsl.doc_to_law(doc["program"])
+                elif "raw_text" in doc:
+                    if not isinstance(doc["raw_text"], str):
+                        raise dsl.SchemaError("raw_text must be a string")
+                    laws = dsl.parse_program_text(doc["raw_text"], inv).laws
+                    candidate = list(laws) if laws else None
+                else:
+                    candidate = None
+            except (dsl.SchemaError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise dsl.SchemaError(f"samples line {lineno}: {exc}")
             if (task_id, index) in first_line:
                 raise dsl.SchemaError(
@@ -318,15 +327,6 @@ def _load_samples(path, inv: SegmentInventory) -> dict[str, list]:
                     f"repeats line {first_line[task_id, index]}"
                 )
             first_line[task_id, index] = lineno
-            if "program" in doc and doc["program"] is not None:
-                candidate = dsl.doc_to_law(doc["program"])
-            elif "raw_text" in doc:
-                if not isinstance(doc["raw_text"], str):
-                    raise dsl.SchemaError(f"samples line {lineno}: raw_text must be a string")
-                laws = dsl.parse_program_text(doc["raw_text"], inv).laws
-                candidate = list(laws) if laws else None
-            else:
-                candidate = None
             by_task.setdefault(task_id, {})[index] = candidate
     return {
         task_id: [cands[i] for i in sorted(cands)] for task_id, cands in by_task.items()

@@ -198,11 +198,7 @@ def _atom_slots(atom: Atom, inv: SegmentInventory) -> list[Predicate]:
             if member not in inv:
                 raise UnresolvableSymbol(member)
         return [in_set(atom.value)]
-    try:
-        phones = inv.segment(atom.value[0])
-    except PhonologyError as exc:
-        raise UnresolvableSymbol(atom.value[0]) from exc
-    return [is_token(p) for p in phones]
+    return [is_token(p) for p in _segment_literal(atom.value[0], inv)]
 
 
 def lower_classical(rule: ClassicalRule, inv: SegmentInventory) -> SoundLaw:
@@ -215,22 +211,14 @@ def lower_classical(rule: ClassicalRule, inv: SegmentInventory) -> SoundLaw:
         right_slots.extend(_atom_slots(atom, inv))
 
     if rule.focus:
-        try:
-            focus_phones = inv.segment(rule.focus)
-        except PhonologyError as exc:
-            raise UnresolvableSymbol(rule.focus) from exc
+        focus_phones = _segment_literal(rule.focus, inv)
         if len(focus_phones) != 1:
             raise UnresolvableSymbol(f"focus must be a single phone: {rule.focus!r}")
         focus_slot: Predicate | None = is_token(focus_phones[0])
     else:
         focus_slot = None
 
-    target_phones: tuple[str, ...] = ()
-    if rule.target:
-        try:
-            target_phones = inv.segment(rule.target)
-        except PhonologyError as exc:
-            raise UnresolvableSymbol(rule.target) from exc
+    target_phones = _segment_literal(rule.target, inv) if rule.target else ()
 
     slots = left_slots + ([focus_slot] if focus_slot else []) + right_slots
     if not slots:
@@ -265,6 +253,15 @@ def law_to_doc(law: SoundLaw) -> dict:
     }
 
 
+def json_array(doc: dict, key: str) -> list:
+    """doc[key], which must be a JSON array: a string there would otherwise
+    be read as a sequence of its characters."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise SchemaError(f"{key} must be an array, not {type(value).__name__}")
+    return value
+
+
 def doc_to_law(doc) -> SoundLaw:
     if not isinstance(doc, dict):
         raise SchemaError("law document must be an object")
@@ -273,12 +270,12 @@ def doc_to_law(doc) -> SoundLaw:
         raise SchemaError(f"law document missing {sorted(missing)}")
     try:
         preds = tuple(
-            Predicate(p["kind"], tuple(p["args"])) for p in doc["predicates"]
+            Predicate(p["kind"], tuple(json_array(p, "args"))) for p in doc["predicates"]
         )
         maps = tuple(
-            Mapping(m["kind"], tuple(m["phones"])) for m in doc["mappings"]
+            Mapping(m["kind"], tuple(json_array(m, "phones"))) for m in doc["mappings"]
         )
-        pos = tuple(int(i) for i in doc["change_pos"])
+        pos = tuple(int(i) for i in json_array(doc, "change_pos"))
         return SoundLaw(preds, pos, maps)
     except (KeyError, TypeError, RuleError) as exc:
         raise SchemaError(str(exc)) from exc

@@ -151,15 +151,7 @@ def mean_reward_at(reports, m: int) -> Fraction:
     reports = list(reports)
     if not reports:
         raise EmptyDataset("no reports")
-    vals = []
-    for r in reports:
-        if m == 1:
-            vals.append(r.reward_at_1)
-        elif m == 3 and r.reward_at_3 is not None:
-            vals.append(r.reward_at_3)
-        else:
-            vals.append(reward_at_m(r.rewards, m))
-    return Fraction(sum(vals), len(vals))
+    return Fraction(sum(reward_at_m(r.rewards, m) for r in reports), len(reports))
 
 
 def group_reports(reports, tasks) -> dict[str, list[RewardReport]]:

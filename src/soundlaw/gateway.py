@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 from pathlib import Path
 
-from .dsl import Diagnostic, ParsedProgramSet, extract_code_blocks, parse_program_text
+from .dsl import Diagnostic, ParsedProgramSet, SchemaError, extract_code_blocks, parse_program_text
 from .phonology import SegmentInventory, preprocess
 from .tasks import PBETask, word_to_str
 
@@ -165,14 +165,24 @@ def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float)
 
 
 def load_fixtures(path) -> dict[tuple[str, int], str]:
-    """Recorded transcripts: JSONL of {prompt_hash, sample_index, content}."""
+    """Recorded transcripts: JSONL of {prompt_hash, sample_index, content}.
+
+    A later line wins over an earlier one with the same key.  A line of any
+    other shape raises SchemaError naming the file and the line.
+    """
     store: dict[tuple[str, int], str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
-            store[(doc["prompt_hash"], int(doc["sample_index"]))] = doc["content"]
+            try:
+                doc = json.loads(line)
+                index, content = doc["sample_index"], doc["content"]
+                if not isinstance(index, int) or not isinstance(content, str):
+                    raise SchemaError("sample_index must be an integer and content a string")
+                store[doc["prompt_hash"], index] = content
+            except (SchemaError, json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise SchemaError(f"{path} line {lineno}: {exc}") from exc
     return store
 
 

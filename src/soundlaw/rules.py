@@ -22,7 +22,7 @@ Rewriting works on that encoding too (the compile-the-rewrite approach of
 Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
 `apply_to_lexicon` joins the encoded words with newlines, which no slot
 matches, and scans the whole lexicon in one pass.  The sites of each word
-give apply_law's leftmost-wins edit map, which is spliced straight into the
+give `_splice`'s leftmost-wins edit map, which is applied straight to the
 word's phones; every other word comes back unchanged.  `apply_in_order`
 runs laws one after another on that encoding: it encodes the words once and
 re-encodes only the words a law changed.  A cascade (`apply_cascade`), a
@@ -30,10 +30,11 @@ single-law benchmark and each candidate program of an evaluation all run
 through it, so the encoding never leaves this module.
 
 The token-level engine (`preprocess`, `find_matches`, `apply_law`,
-`render`, behind `apply_law_word`) runs the same patterns one word at a
-time.  It is the public per-word API, the runtime cross-check of stored
-task outputs and, with `Predicate.matches` (the per-token reading of a slot
-that the compiled classes reproduce), the oracle of the tests.
+`render`, behind `apply_law_word`) runs the same patterns and `_splice` one
+word at a time.  It is the public per-word API; `tasks.validate_task`
+re-executes gold laws through it to catch a stale or tampered tasks file.
+The independent oracles are the tests' `scan_sites` and `reference_apply`,
+which read each slot through `Predicate.matches`.
 """
 
 from __future__ import annotations
@@ -197,11 +198,6 @@ class SoundLaw:
 
 
 @dataclass(frozen=True)
-class MatchSite:
-    start: int
-
-
-@dataclass(frozen=True)
 class Cascade:
     """Laws applied in order; a law with no label is labelled "law i" (from 1)."""
 
@@ -338,9 +334,11 @@ class _LawCompiler:
 def _splice(word: PhoneSeq, sites: list[int], edits) -> PhoneSeq:
     """The word after a law's edits at the given sites of its token sequence.
 
-    The edit map is apply_law's: leftmost site wins.  Token 2+2k is word[k];
-    an edit on a '#' or '@' slot contributes only its phones, which is what
-    apply_law's rebuild leaves of it.
+    The one edit map of both engines: leftmost site wins.  Token 2+2k is
+    word[k]; an edit on a '#' or '@' slot contributes only its phones.
+    `tasks.validate_task` re-executes gold laws through it to catch a stale
+    or tampered tasks file; the tests' `reference_apply` and `scan_sites`
+    are its independent oracles.
     """
     at: dict[int, Mapping] = {}
     for start in sites:
@@ -377,13 +375,13 @@ def _compiler(inv: SegmentInventory) -> _LawCompiler:
     return inv.memo("rules.compiler", _LawCompiler)
 
 
-def find_matches(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> list[MatchSite]:
+def find_matches(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> list[int]:
     """All window positions (ascending) where every predicate holds."""
     if not is_canonical(tokens):
         raise NonCanonicalTokenSeq(tokens)
     compiler = _compiler(inv)
     text = compiler.encode((tokens[2:-2:2],))[0]
-    return [MatchSite(m.start()) for m in compiler.pattern(law.predicates, inv).finditer(text)]
+    return [m.start() for m in compiler.pattern(law.predicates, inv).finditer(text)]
 
 
 def site_test(preds: tuple[Predicate, ...], inv: SegmentInventory):
@@ -408,42 +406,24 @@ def apply_law(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> TokenSe
     """Apply one law: match on the original sequence, then edit in one pass.
 
     Edits from distinct sites that land on the same absolute index resolve
-    to the leftmost site; the loser is dropped.  The output is rebuilt into
-    canonical token form, so inserted phones get their separators and a
-    deleted phone takes its separator with it.
+    to the leftmost site; the loser is dropped.  The edits are `_splice`'s,
+    and the output is put back into canonical token form, so inserted phones
+    get their separators and a deleted phone takes its separator with it.
     """
     sites = find_matches(law, tokens, inv)
     if not sites:
         return tokens
-    edits: dict[int, Mapping] = {}
-    for site in sites:
-        for pos, mapping in zip(law.change_pos, law.mappings):
-            idx = site.start + pos
-            if idx not in edits:
-                edits[idx] = mapping
-    out = list(tokens)
-    for idx in sorted(edits, reverse=True):  # so each index is still in place
-        mapping = edits[idx]
-        tok = tokens[idx]
-        if mapping.kind == "replace":
-            out[idx : idx + 1] = mapping.phones
-        elif mapping.kind == "insert-before":
-            out[idx : idx + 1] = (*mapping.phones, tok)
-        elif mapping.kind == "insert-after":
-            out[idx : idx + 1] = (tok, *mapping.phones)
-        else:
-            del out[idx]
-    # every '#' and '@' goes, so of an edited one only the phones stay
-    return preprocess([t for t in out if t not in RESERVED])
+    return preprocess(_splice(tokens[2:-2:2], sites, tuple(zip(law.change_pos, law.mappings))))
 
 
 def apply_law_word(law: SoundLaw, word: PhoneSeq, inv: SegmentInventory) -> PhoneSeq:
     """Apply one law to one word through the token-level engine.
 
     This per-word path (`preprocess`, `find_matches`, `apply_law`, `render`)
-    rebuilds the token sequence where `apply_to_lexicon` splices phones.  It
-    is the runtime cross-check of stored task outputs
-    (`tasks.validate_task`) and the oracle of the tests.
+    gives what `apply_to_lexicon` gives, through the same matcher and
+    `_splice`.  `tasks.validate_task` runs it to re-execute a gold law and
+    so catch a stale or tampered tasks file; the tests' `reference_apply`
+    and `scan_sites` are the independent oracles of both paths.
     """
     return render(apply_law(law, preprocess(word), inv))
 

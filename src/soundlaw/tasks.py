@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .dsl import SchemaError, doc_to_law, law_to_doc
+from .dsl import SchemaError, doc_to_law, json_array, law_to_doc
 from .phonology import PhoneSeq, SegmentInventory
 from .rules import SoundLaw, apply_law_word
 
@@ -61,8 +61,8 @@ def task_from_json(text: str, lineno: int = 0) -> PBETask:
         return PBETask(
             id=doc["id"],
             condition=doc["condition"],
-            inputs=tuple(str_to_word(w) for w in doc["inputs"]),
-            outputs=tuple(str_to_word(w) for w in doc["outputs"]),
+            inputs=tuple(str_to_word(w) for w in json_array(doc, "inputs")),
+            outputs=tuple(str_to_word(w) for w in json_array(doc, "outputs")),
             gold_law=gold,
             provenance=doc.get("provenance", {}),
         )
@@ -99,10 +99,11 @@ def validate_task(task: PBETask, inv: SegmentInventory) -> list[str]:
     """Re-execute the gold law and report mismatches instead of fixing them.
 
     Every stored input goes through the token-level engine (`apply_law_word`),
-    not the lexicon splice that wrote the stored outputs, so this is the
-    runtime cross-check of the two.  Inputs without a site are re-executed
-    too: choosing the words to check by the compiled scan would leave a site
-    that scan misses unchecked.
+    which catches a stale or tampered tasks file; inputs without a site are
+    re-executed too, so a tampered output of an unchanged word is caught as
+    well.  That engine shares the compiled matcher and `rules._splice` with
+    the lexicon path that wrote the outputs, so this is no independent check
+    of either: the tests' `reference_apply` and `scan_sites` are.
     """
     warnings = []
     if task.gold_law is None:

@@ -189,6 +189,26 @@ def test_datagen_rp_li_fixture_replay(tmp_path):
     assert len(tasks) == 5
 
 
+@pytest.mark.parametrize("line", [
+    "not json",
+    '{"prompt_hash": "h", "sample_index": 0}',
+    '{"prompt_hash": "h", "sample_index": "0", "content": "c"}',
+    '{"prompt_hash": "h", "sample_index": 0.5, "content": "c"}',
+    '{"prompt_hash": "h", "sample_index": 0, "content": 5}',
+], ids=["not-json", "no-content", "index-a-string", "index-a-float", "content-not-a-string"])
+def test_datagen_bad_fixtures_line_exit_6(line, tmp_path, capsys):
+    fixtures = tmp_path / "bad.jsonl"
+    fixtures.write_text('{"prompt_hash": "h", "sample_index": 0, "content": "c"}\n' + line + "\n")
+    out = tmp_path / "x.jsonl"
+    code = run(
+        "datagen", "--condition", "rp-li", "--cache-only", "--fixtures", fixtures,
+        "--count", "1", "--seed", "11", "--out", out,
+    )
+    assert code == 6
+    assert capsys.readouterr().err.startswith(f"error: SchemaError: {fixtures} line 2: ")
+    assert not out.exists()
+
+
 def test_datagen_idp_pi_bundled(tmp_path):
     out = tmp_path / "idp.jsonl"
     assert run("datagen", "--condition", "idp-pi", "--count", "3", "--seed", "2", "--out", out) == 0
@@ -323,13 +343,28 @@ def test_eval_schema_error_exit_6(tmp_path):
 
 TASK_X = '{"id": "x", "condition": "rp-ri", "inputs": ["a"], "outputs": ["e"]}\n'
 SAMPLE_X = '{"task_id": "x", "sample_index": 0, "program": null}\n'
+LAW_A_E = ('{"predicates": [{"kind": "is", "args": ["a"]}], "change_pos": [0], '
+           '"mappings": [{"kind": "replace", "phones": ["e"]}]}')
+
+
+def second_sample(program: str) -> str:
+    return SAMPLE_X + '{"task_id": "x", "sample_index": 1, "program": %s}\n' % program
 
 
 @pytest.mark.parametrize("tasks_text, samples_text, where", [
     (TASK_X + "[1, 2]\n", SAMPLE_X, "line 2"),  # a task that is no object
     (TASK_X.replace('["a"]', "[5]"), SAMPLE_X, "line 1"),  # a word that is no string
     (TASK_X, SAMPLE_X + '{"task_id": "x", "sample_index": 1, "raw_text": 5}\n', "samples line 2"),
-], ids=["task-not-an-object", "word-not-a-string", "raw-text-not-a-string"])
+    (TASK_X, second_sample("5"), "samples line 2"),
+    # a string where an array belongs would read as its characters
+    (TASK_X.replace('["a"]', '"a"').replace('["e"]', '"e"'), SAMPLE_X, "line 1"),
+    (TASK_X, second_sample(LAW_A_E.replace('"args": ["a"]', '"args": "a"')), "samples line 2"),
+    (TASK_X, second_sample(LAW_A_E.replace('"phones": ["e"]', '"phones": "e"')), "samples line 2"),
+    (TASK_X, second_sample(LAW_A_E.replace('"change_pos": [0]', '"change_pos": "0"')),
+     "samples line 2"),
+], ids=["task-not-an-object", "word-not-a-string", "raw-text-not-a-string",
+        "program-not-an-object", "words-not-an-array", "args-not-an-array",
+        "phones-not-an-array", "change-pos-not-an-array"])
 def test_eval_wrong_json_shape_exit_6(tasks_text, samples_text, where, tmp_path, capsys):
     tasks, samples = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
     tasks.write_text(tasks_text)
