@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 from .datagen import derive_rng
 from .dsl import DslError, read_laws
-from .evaluation import EmptyDataset  # noqa: F401 (one class, importable from both modules)
+from .evaluation import EmptyDataset
 from .phonology import PhoneSeq, SegmentInventory
 from .rules import Cascade, apply_in_order
 from .tasks import PBETask

@@ -30,7 +30,7 @@ from .phonology import (
     preprocess,
 )
 from .rules import NonCanonicalTokenSeq, RuleError, SoundLaw, apply_cascade, apply_to_lexicon
-from .tasks import read_tasks, validate_task, word_to_str, write_tasks
+from .tasks import read_json, read_jsonl, read_tasks, validate_task, word_to_str, write_tasks
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -132,10 +132,7 @@ def _print_or_write(text: str, out) -> None:
 
 
 def _load_config(args) -> dict:
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            return json.load(fh)
-    return {}
+    return read_json(args.config, dsl.json_object) if args.config else {}
 
 
 def _gateway_from_args(args, config: dict) -> gateway.Gateway:
@@ -255,15 +252,13 @@ def cmd_datagen(args) -> int:
         inputs_used.append(pool_path)
         pool = load_lexicon(pool_path, inv)
         tasks = datagen.gen_llm_tasks(args.condition, gw, pool, cfg, args.count, inv)
-    elif args.condition == "idp-pi":
+    else:  # idp-pi, the last of argparse's choices
         rules_path = args.rules or str(_bundled("demo_rules.txt"))
         lex_path = args.lexicon or str(_bundled("demo_protolexicon_poc.txt"))
         inputs_used.extend([rules_path, lex_path])
         db = dsl.load_rule_db_file(rules_path, inv)
         lexicon = load_lexicon(lex_path, inv)
         tasks = datagen.gen_idp_pi(db, lexicon, cfg, args.count, inv)
-    else:
-        raise CliError(f"unknown condition {args.condition!r}", EXIT_GENERATION)
     write_tasks(args.out, tasks)
     _write_manifest(args, args.out, inputs_used + (args.fixtures or []), [args.out], started)
     print(f"wrote {len(tasks)} tasks to {args.out}", file=sys.stderr)
@@ -299,38 +294,24 @@ def cmd_bench(args) -> int:
 
 
 def _load_samples(path, inv: SegmentInventory) -> dict[str, list]:
-    """samples JSONL -> {task_id: [candidate-by-index, ...]}."""
-    by_task: dict[str, dict[int, object]] = {}
-    first_line: dict[tuple[str, int], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                task_id = doc["task_id"]
-                index = int(doc["sample_index"])
-                if doc.get("program") is not None:
-                    candidate = dsl.doc_to_law(doc["program"])
-                elif "raw_text" in doc:
-                    if not isinstance(doc["raw_text"], str):
-                        raise dsl.SchemaError("raw_text must be a string")
-                    laws = dsl.parse_program_text(doc["raw_text"], inv).laws
-                    candidate = list(laws) if laws else None
-                else:
-                    candidate = None
-            except (dsl.SchemaError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise dsl.SchemaError(f"samples line {lineno}: {exc}")
-            if (task_id, index) in first_line:
-                raise dsl.SchemaError(
-                    f"samples line {lineno}: task {task_id!r} sample {index} "
-                    f"repeats line {first_line[task_id, index]}"
-                )
-            first_line[task_id, index] = lineno
-            by_task.setdefault(task_id, {})[index] = candidate
-    return {
-        task_id: [cands[i] for i in sorted(cands)] for task_id, cands in by_task.items()
-    }
+    """samples JSONL of {task_id, sample_index, program | raw_text} ->
+    {task_id: [candidate-by-index, ...]}; a task's sample index may occur only
+    once (see `read_jsonl`)."""
+
+    def parse(doc):
+        task_id, index = dsl.json_field(doc, "task_id", str), dsl.json_field(doc, "sample_index", int)
+        if doc.get("program") is not None:
+            return task_id, index, dsl.doc_to_law(doc["program"])
+        if "raw_text" in doc:
+            laws = dsl.parse_program_text(dsl.json_field(doc, "raw_text", str), inv).laws
+            return task_id, index, list(laws) if laws else None
+        return task_id, index, None
+
+    samples = read_jsonl(path, parse, "samples line", key=lambda s: f"task {s[0]!r} sample {s[1]}")
+    by_task: dict[str, list] = {}
+    for task_id, _, candidate in sorted(samples, key=lambda s: s[1]):  # index order within a task
+        by_task.setdefault(task_id, []).append(candidate)
+    return by_task
 
 
 def cmd_eval(args) -> int:
@@ -370,23 +351,24 @@ def cmd_eval(args) -> int:
 
 
 def _stats_vector(path, prop: str) -> list[float]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, list):
-        return [float(v) for v in doc]
-    if "per_task" not in doc:
-        raise dsl.SchemaError(f"{path}: neither a flat array nor an eval report")
-    out: list[float] = []
-    for entry in doc["per_task"]:
-        if prop == "reward_per_program":
-            out.extend(float(r) for r in entry["rewards"])
-        elif prop == "passing_programs":
-            out.append(float(sum(1 for r in entry["rewards"] if r == 1.0)))
-        elif prop == "pass_rate":
-            out.append(1.0 if entry["passed"] else 0.0)
-        else:
-            raise dsl.SchemaError(f"unknown property {prop!r}")
-    return out
+    """One sample of `stats`: a flat JSON array, or `prop` of an eval report."""
+
+    def parse(doc):
+        if type(doc) is list:
+            return [float(v) for v in doc]
+        if type(doc) is not dict or "per_task" not in doc:
+            raise dsl.SchemaError("neither a flat array nor an eval report")
+        out: list[float] = []
+        for entry in dsl.json_field(doc, "per_task", list):
+            if prop == "reward_per_program":
+                out.extend(float(r) for r in dsl.json_field(entry, "rewards", list))
+            elif prop == "passing_programs":
+                out.append(float(dsl.json_field(entry, "rewards", list).count(1.0)))
+            else:  # pass_rate, the last of argparse's choices
+                out.append(1.0 if entry["passed"] else 0.0)
+        return out
+
+    return read_json(path, parse)
 
 
 def cmd_stats(args) -> int:
@@ -418,12 +400,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.eval, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if args.format == "json":
-        _print_or_write(json.dumps(doc["aggregates"], ensure_ascii=False, indent=2) + "\n", args.out)
-    else:
-        _print_or_write(evaluation.report_tables(doc), args.out)
+    def render(doc):
+        aggregates = dsl.json_field(doc, "aggregates", dict)
+        if args.format == "json":
+            return json.dumps(aggregates, ensure_ascii=False, indent=2) + "\n"
+        dsl.json_field(aggregates, "per_language_pair", dict)
+        return evaluation.report_tables(doc)
+
+    _print_or_write(read_json(args.eval, render), args.out)
     return EXIT_OK
 
 

@@ -253,12 +253,19 @@ def law_to_doc(law: SoundLaw) -> dict:
     }
 
 
-def json_array(doc: dict, key: str) -> list:
-    """doc[key], which must be a JSON array: a string there would otherwise
-    be read as a sequence of its characters."""
+def json_object(doc) -> dict:
+    """doc, which must be a JSON object: a whole JSONL line or JSON file."""
+    if type(doc) is not dict:
+        raise SchemaError(f"not a JSON object: {type(doc).__name__}")
+    return doc
+
+
+def json_field(doc: dict, key: str, kind: type):
+    """doc[key], which must be of the JSON type `kind` (list, dict, str or int),
+    so no string is read as its characters nor a float or `true` as an integer."""
     value = doc[key]
-    if not isinstance(value, list):
-        raise SchemaError(f"{key} must be an array, not {type(value).__name__}")
+    if type(value) is not kind:  # bool is a subclass of int, and no JSON integer
+        raise SchemaError(f"{key} must be {kind.__name__}, not {type(value).__name__}")
     return value
 
 
@@ -270,13 +277,15 @@ def doc_to_law(doc) -> SoundLaw:
         raise SchemaError(f"law document missing {sorted(missing)}")
     try:
         preds = tuple(
-            Predicate(p["kind"], tuple(json_array(p, "args"))) for p in doc["predicates"]
+            Predicate(p["kind"], tuple(json_field(p, "args", list))) for p in doc["predicates"]
         )
         maps = tuple(
-            Mapping(m["kind"], tuple(json_array(m, "phones"))) for m in doc["mappings"]
+            Mapping(m["kind"], tuple(json_field(m, "phones", list))) for m in doc["mappings"]
         )
-        pos = tuple(int(i) for i in json_array(doc, "change_pos"))
-        return SoundLaw(preds, pos, maps)
+        pos = json_field(doc, "change_pos", list)
+        if not all(type(i) is int for i in pos):
+            raise SchemaError(f"change_pos must hold integers, not {pos!r}")
+        return SoundLaw(preds, tuple(pos), maps)
     except (KeyError, TypeError, RuleError) as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -70,24 +70,21 @@ def reward_at_m(sample_rewards, m: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class SampleScore:
-    task_id: str
-    sample_index: int
-    reward: Fraction
-    passed: bool
-
-
-@dataclass(frozen=True)
 class RewardReport:
     task_id: str
-    scores: tuple[SampleScore, ...]
-    reward_at_1: Fraction
-    reward_at_3: Fraction | None
-    passed: bool
+    rewards: tuple[Fraction, ...]  # one per sample, in sample order
 
     @property
-    def rewards(self) -> tuple[Fraction, ...]:
-        return tuple(s.reward for s in self.scores)
+    def reward_at_1(self) -> Fraction:
+        return reward_at_m(self.rewards, 1)
+
+    @property
+    def reward_at_3(self) -> Fraction | None:
+        return reward_at_m(self.rewards, 3) if len(self.rewards) >= 3 else None
+
+    @property
+    def passed(self) -> bool:
+        return any(r == 1 for r in self.rewards)
 
 
 def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_level: bool = False) -> RewardReport:
@@ -102,8 +99,8 @@ def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_leve
     source = list(task.inputs)
     target = list(task.outputs)
     scored: dict[tuple[SoundLaw, ...], Fraction] = {}  # reward by candidate
-    scores = []
-    for idx, cand in enumerate(candidates):
+    rewards = []
+    for cand in candidates:
         laws = () if cand is None else (cand,) if isinstance(cand, SoundLaw) else tuple(cand)
         r = scored.get(laws)
         if r is None:  # each distinct candidate runs and is scored once per task
@@ -112,11 +109,8 @@ def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_leve
                 for pred, _ in apply_in_order(laws, source, inv):  # ends on the last law's outputs
                     pass
             r = scored[laws] = reward(source, pred, target, char_level)
-        scores.append(SampleScore(task.id, idx, r, r == 1))
-    rewards = [s.reward for s in scores]
-    r1 = reward_at_m(rewards, 1)
-    r3 = reward_at_m(rewards, 3) if len(rewards) >= 3 else None
-    return RewardReport(task.id, tuple(scores), r1, r3, any(s.passed for s in scores))
+        rewards.append(r)
+    return RewardReport(task.id, tuple(rewards))
 
 
 def _evaluate_one(work):
@@ -187,7 +181,7 @@ def summarize(reports, tasks) -> dict:
                 "passed": r.passed,
                 "reward_at_1": float(r.reward_at_1),
                 "reward_at_3": float(r.reward_at_3) if r.reward_at_3 is not None else None,
-                "rewards": [float(s.reward) for s in r.scores],
+                "rewards": [float(x) for x in r.rewards],
             }
             for r in reports
         ],

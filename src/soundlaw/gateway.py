@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 from pathlib import Path
 
-from .dsl import Diagnostic, ParsedProgramSet, SchemaError, extract_code_blocks, parse_program_text
+from .dsl import Diagnostic, ParsedProgramSet, extract_code_blocks, json_field, parse_program_text
 from .phonology import SegmentInventory, preprocess
-from .tasks import PBETask, word_to_str
+from .tasks import PBETask, read_jsonl, word_to_str
 
 _TEMPLATE_FILES = {
     "sli-single-law": "sli_prompt.txt",
@@ -165,25 +165,14 @@ def _http_transport(endpoint: str, payload: dict, headers: dict, timeout: float)
 
 
 def load_fixtures(path) -> dict[tuple[str, int], str]:
-    """Recorded transcripts: JSONL of {prompt_hash, sample_index, content}.
+    """Recorded transcripts: JSONL of {prompt_hash, sample_index, content}
+    (see `read_jsonl`); a later line wins over an earlier one with the same key."""
 
-    A later line wins over an earlier one with the same key.  A line of any
-    other shape raises SchemaError naming the file and the line.
-    """
-    store: dict[tuple[str, int], str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                index, content = doc["sample_index"], doc["content"]
-                if not isinstance(index, int) or not isinstance(content, str):
-                    raise SchemaError("sample_index must be an integer and content a string")
-                store[doc["prompt_hash"], index] = content
-            except (SchemaError, json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise SchemaError(f"{path} line {lineno}: {exc}") from exc
-    return store
+    def parse(doc):
+        key = json_field(doc, "prompt_hash", str), json_field(doc, "sample_index", int)
+        return key, json_field(doc, "content", str)
+
+    return dict(read_jsonl(path, parse, f"{path} line"))
 
 
 class Gateway:

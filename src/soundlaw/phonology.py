@@ -238,17 +238,19 @@ def load_feature_table(text: str) -> SegmentInventory:
     with values in {+, -, 0}.  Tab-separated; comma-separated accepted when
     no tabs are present.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    numbered = enumerate(text.splitlines(), start=1)  # rows keep their line of the text
+    lines = [(n, ln) for n, ln in numbered if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise MalformedRow("empty feature table")
-    delim = "\t" if "\t" in lines[0] else ","
-    header = [col.strip() for col in lines[0].split(delim)]
+    (_, head), *rows = lines
+    delim = "\t" if "\t" in head else ","
+    header = [col.strip() for col in head.split(delim)]
     feature_names = header[1:]
     if not feature_names:
         raise MalformedRow("feature table header names no features")
     segments: list[str] = []
     features: dict[str, dict[str, str]] = {}
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in rows:
         cols = [col.strip() for col in ln.split(delim)]
         if len(cols) != len(header):
             raise MalformedRow(f"line {lineno}: expected {len(header)} columns, got {len(cols)}")

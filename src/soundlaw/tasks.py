@@ -1,4 +1,4 @@
-"""PBE task records and their JSONL serialization.
+"""PBE task records, their JSONL serialization, and the readers of every JSON input.
 
 One task = paired input/output word lists plus (usually) the gold law that
 produced the outputs.  Words serialize as space-joined phone symbols so
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .dsl import SchemaError, doc_to_law, json_array, law_to_doc
+from .dsl import SchemaError, doc_to_law, json_field, json_object, law_to_doc
 from .phonology import PhoneSeq, SegmentInventory
 from .rules import SoundLaw, apply_law_word
 
@@ -54,23 +54,20 @@ def task_to_json(task: PBETask) -> str:
     return json.dumps(doc, ensure_ascii=False, separators=(", ", ": "))
 
 
-def task_from_json(text: str, lineno: int = 0) -> PBETask:
-    try:
-        doc = json.loads(text)
-        gold = doc_to_law(doc["gold_law"]) if doc.get("gold_law") else None
-        return PBETask(
-            id=doc["id"],
-            condition=doc["condition"],
-            inputs=tuple(str_to_word(w) for w in json_array(doc, "inputs")),
-            outputs=tuple(str_to_word(w) for w in json_array(doc, "outputs")),
-            gold_law=gold,
-            provenance=doc.get("provenance", {}),
-        )
-    except SchemaError as exc:
-        raise SchemaError(f"line {lineno}: {exc}") from exc
-    # TypeError and AttributeError: a value of the wrong JSON type
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
-        raise SchemaError(f"line {lineno}: {exc}") from exc
+def task_from_doc(doc: dict) -> PBETask:
+    """The task of one JSON object, as `task_to_json` writes it."""
+    gold = doc_to_law(doc["gold_law"]) if doc.get("gold_law") else None
+    provenance = json_field(doc, "provenance", dict) if "provenance" in doc else {}
+    if "source" in provenance:  # read as an object by every language-pair grouping
+        json_field(provenance, "source", dict)
+    return PBETask(
+        id=json_field(doc, "id", str),
+        condition=doc["condition"],
+        inputs=tuple(str_to_word(w) for w in json_field(doc, "inputs", list)),
+        outputs=tuple(str_to_word(w) for w in json_field(doc, "outputs", list)),
+        gold_law=gold,
+        provenance=provenance,
+    )
 
 
 def write_tasks(path, tasks) -> None:
@@ -80,19 +77,44 @@ def write_tasks(path, tasks) -> None:
             fh.write("\n")
 
 
-def read_tasks(path) -> list[PBETask]:
-    """Every task of a JSONL file; a task id may occur only once."""
-    tasks = []
-    line_of: dict[str, int] = {}
+# what a JSON input of the wrong shape raises: a JSONDecodeError is a
+# ValueError, and a value of the wrong JSON type a TypeError or AttributeError
+SHAPE_ERRORS = (SchemaError, ValueError, KeyError, TypeError, AttributeError)
+
+
+def read_jsonl(path, parse, label: str = "line", key=None) -> list:
+    """`parse(doc)` of the JSON object on each non-blank line of a JSONL file;
+    any error reading a line is a SchemaError naming `label` and the line.
+    With `key`, no two records share `key(record)`, such as "task id 'x'"."""
+    records, line_of = [], {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                task = task_from_json(line, lineno)
-                first = line_of.setdefault(task.id, lineno)
+            if not line.strip():
+                continue
+            try:
+                record = parse(json_object(json.loads(line)))
+                first = line_of.setdefault(key(record), lineno) if key else lineno
                 if first != lineno:
-                    raise SchemaError(f"line {lineno}: task id {task.id!r} repeats line {first}")
-                tasks.append(task)
-    return tasks
+                    raise SchemaError(f"{key(record)} repeats line {first}")
+            except SHAPE_ERRORS as exc:
+                raise SchemaError(f"{label} {lineno}: {exc}") from exc
+            records.append(record)
+    return records
+
+
+def read_json(path, parse):
+    """`parse(doc)` of the JSON document of a whole-file input; any error
+    reading it is a SchemaError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except SHAPE_ERRORS as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
+
+
+def read_tasks(path) -> list[PBETask]:
+    """Every task of a JSONL file (see `read_jsonl`); a task id occurs once."""
+    return read_jsonl(path, task_from_doc, key=lambda task: f"task id {task.id!r}")
 
 
 def validate_task(task: PBETask, inv: SegmentInventory) -> list[str]:

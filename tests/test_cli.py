@@ -195,7 +195,11 @@ def test_datagen_rp_li_fixture_replay(tmp_path):
     '{"prompt_hash": "h", "sample_index": "0", "content": "c"}',
     '{"prompt_hash": "h", "sample_index": 0.5, "content": "c"}',
     '{"prompt_hash": "h", "sample_index": 0, "content": 5}',
-], ids=["not-json", "no-content", "index-a-string", "index-a-float", "content-not-a-string"])
+    '{"prompt_hash": "h", "sample_index": true, "content": "c"}',
+    '{"prompt_hash": ["h"], "sample_index": 0, "content": "c"}',
+    "[1, 2]",
+], ids=["not-json", "no-content", "index-a-string", "index-a-float", "content-not-a-string",
+        "index-a-bool", "hash-not-a-string", "not-an-object"])
 def test_datagen_bad_fixtures_line_exit_6(line, tmp_path, capsys):
     fixtures = tmp_path / "bad.jsonl"
     fixtures.write_text('{"prompt_hash": "h", "sample_index": 0, "content": "c"}\n' + line + "\n")
@@ -362,9 +366,24 @@ def second_sample(program: str) -> str:
     (TASK_X, second_sample(LAW_A_E.replace('"phones": ["e"]', '"phones": "e"')), "samples line 2"),
     (TASK_X, second_sample(LAW_A_E.replace('"change_pos": [0]', '"change_pos": "0"')),
      "samples line 2"),
+    # a value of the wrong JSON type exited 3, or was read as another value
+    (TASK_X.replace("}", ', "provenance": 5}'), SAMPLE_X, "line 1"),
+    (TASK_X.replace("}", ', "provenance": {"source": 5}}'), SAMPLE_X, "line 1"),
+    (TASK_X.replace('"x"', '["x"]'), SAMPLE_X, "line 1"),
+    (TASK_X, second_sample(LAW_A_E.replace('"change_pos": [0]', '"change_pos": [0.7]')),
+     "samples line 2"),
+    (TASK_X, SAMPLE_X.replace('"sample_index": 0', '"sample_index": "0"'), "samples line 1"),
+    # two slots, so that `true` read as position 1 lies in the window
+    (TASK_X, second_sample(LAW_A_E.replace('"change_pos": [0]', '"change_pos": [true]').replace(
+        '"predicates": [', '"predicates": [{"kind": "is", "args": ["a"]}, ')), "samples line 2"),
+    (TASK_X, SAMPLE_X.replace('"sample_index": 0', '"sample_index": 0.9'), "samples line 1"),
+    (TASK_X, SAMPLE_X.replace('"x"', '["x"]'), "samples line 1"),
+    (TASK_X, SAMPLE_X + "[1, 2]\n", "samples line 2: not a JSON object"),
 ], ids=["task-not-an-object", "word-not-a-string", "raw-text-not-a-string",
         "program-not-an-object", "words-not-an-array", "args-not-an-array",
-        "phones-not-an-array", "change-pos-not-an-array"])
+        "phones-not-an-array", "change-pos-not-an-array", "provenance-not-an-object",
+        "source-not-an-object", "id-not-a-string", "change-pos-a-float", "sample-index-a-string",
+        "change-pos-a-bool", "sample-index-a-float", "task-id-not-a-string", "sample-not-an-object"])
 def test_eval_wrong_json_shape_exit_6(tasks_text, samples_text, where, tmp_path, capsys):
     tasks, samples = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
     tasks.write_text(tasks_text)
@@ -386,6 +405,31 @@ def test_eval_repeated_sample_index_exit_6(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 3" in err and "line 1" in err
     assert not (tmp_path / "r.json").exists()
+
+
+DATAGEN_RP_RI = ("datagen", "--condition", "rp-ri", "--count", "1", "--out", "x.jsonl", "--config")
+DATAGEN_RP_LI = ("datagen", "--condition", "rp-li", "--cache-only", "--fixtures", FIXTURES,
+                 "--count", "1", "--out", "x.jsonl", "--config")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (DATAGEN_RP_RI, "[1, 2]"),
+    (DATAGEN_RP_LI, "[1, 2]"),
+    (DATAGEN_RP_RI, "{not json"),
+    (("stats", "-y", "y.json", "-x"), '["a"]'),
+    (("stats", "-y", "y.json", "-x"), '{"per_task": [{"task_id": "a", "passed": true}]}'),
+    (("report", "--eval"), '{"x": 1}'),
+    (("report", "--eval"), '{"aggregates": {"per_language_pair": 3}}'),
+    (("report", "--eval"), "nope"),
+], ids=["config-rp-ri-an-array", "config-rp-li-an-array", "config-not-json", "stats-not-a-number",
+        "stats-no-rewards", "report-no-aggregates", "report-pairs-not-an-object", "report-not-json"])
+def test_json_file_of_the_wrong_shape_exit_6(argv, text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("in.json").write_text(text)
+    Path("y.json").write_text("[1.0, 2.0]")
+    assert run(*argv, "in.json") == 6
+    assert capsys.readouterr().err.startswith("error: SchemaError: in.json: ")
+    assert not Path("x.jsonl").exists()
 
 
 def test_stats_alpha_only(capsys):

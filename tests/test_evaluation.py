@@ -153,7 +153,7 @@ def test_each_distinct_candidate_is_scored_once(inv, monkeypatch):
     report = evaluate_samples(task, cands, inv)
     assert len(calls) == 2
     assert list(report.rewards) == want and want[3] < 1
-    assert [s.passed for s in report.scores] == [True, True, True, False]
+    assert [r == 1 for r in report.rewards] == [True, True, True, False]
 
 
 def test_random_candidates_bounded(inv):
@@ -163,7 +163,7 @@ def test_random_candidates_bounded(inv):
     cfg = GenConfig(seed=21)
     cands = [sample_random_law(cfg, derive_rng(21, "c", i), inv) for i in range(20)]
     report = evaluate_samples(task, cands, inv)
-    assert all(score.reward <= 1 for score in report.scores)
+    assert all(r <= 1 for r in report.rewards)
     assert report.reward_at_1 >= report.reward_at_3
 
 

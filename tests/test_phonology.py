@@ -359,11 +359,15 @@ def test_load_feature_table_rejects_duplicates():
         "segment\tsyl\na\t+\nt s\t-\n",  # a symbol holding a space
         "segment\n",
         "",
+        "# comment\n\nsegment\tsyl\na\t+\nb\tmaybe\n",
     ],
 )
 def test_load_feature_table_rejects_malformed(text):
-    with pytest.raises(MalformedRow):
+    with pytest.raises(MalformedRow) as err:
         load_feature_table(text)
+    # a row's error names its line of the text, comment and blank lines
+    # counted; in each table here the bad row is the last line
+    assert re.findall(r"line (\d+)", str(err.value)) in ([], [str(text.count("\n"))])
 
 
 def test_inventory_rejects_reserved_symbols():

@@ -1,10 +1,12 @@
+import json
+
 import pytest
 
 from soundlaw.dsl import SchemaError, lower_classical, parse_classical
 from soundlaw.tasks import (
     PBETask,
     read_tasks,
-    task_from_json,
+    task_from_doc,
     task_to_json,
     validate_task,
     word_to_str,
@@ -33,7 +35,7 @@ def test_length_mismatch_rejected(inv):
 
 def test_json_roundtrip(inv):
     task = make_task(inv)
-    assert task_from_json(task_to_json(task)) == task
+    assert task_from_doc(json.loads(task_to_json(task))) == task
 
 
 def test_file_roundtrip_bytes(tmp_path, inv):
