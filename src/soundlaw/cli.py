@@ -131,8 +131,30 @@ def _print_or_write(text: str, out) -> None:
         sys.stdout.write(text)
 
 
+# every key a `--config` file may set, with its JSON type(s)
+CONFIG_FIELDS = {
+    "endpoint": str,
+    "model": str,
+    "temperature": (int, float),
+    "max_tokens": int,
+    "retry_budget": int,
+    "cache_dir": str,
+    "cache_only": bool,
+}
+
+
 def _load_config(args) -> dict:
-    return read_json(args.config, dsl.json_object) if args.config else {}
+    def parse(doc):
+        config = {}
+        for key in dsl.json_object(doc):
+            if key not in CONFIG_FIELDS:
+                raise dsl.SchemaError(f"unknown key {key!r}")
+            config[key] = dsl.json_field(doc, key, CONFIG_FIELDS[key])
+        if "temperature" in config:  # 1 and 1.0 would key the gateway cache apart
+            config["temperature"] = float(config["temperature"])
+        return config
+
+    return read_json(args.config, parse) if args.config else {}
 
 
 def _gateway_from_args(args, config: dict) -> gateway.Gateway:
@@ -144,11 +166,11 @@ def _gateway_from_args(args, config: dict) -> gateway.Gateway:
     gw_config = gateway.GatewayConfig(
         endpoint=pick(args.endpoint, "endpoint", gateway.GatewayConfig.endpoint),
         model=pick(args.model, "model", gateway.GatewayConfig.model),
-        temperature=float(pick(args.temperature, "temperature", gateway.GatewayConfig.temperature)),
-        max_tokens=int(pick(None, "max_tokens", gateway.GatewayConfig.max_tokens)),
-        retry_budget=int(pick(None, "retry_budget", gateway.GatewayConfig.retry_budget)),
+        temperature=pick(args.temperature, "temperature", gateway.GatewayConfig.temperature),
+        max_tokens=pick(None, "max_tokens", gateway.GatewayConfig.max_tokens),
+        retry_budget=pick(None, "retry_budget", gateway.GatewayConfig.retry_budget),
         cache_dir=pick(args.cache_dir, "cache_dir", None),
-        cache_only=bool(args.cache_only or config.get("cache_only", False)),
+        cache_only=args.cache_only or config.get("cache_only", False),
     )
     gw = gateway.Gateway(gw_config)
     for fixture_path in args.fixtures or []:
@@ -351,21 +373,28 @@ def cmd_eval(args) -> int:
 
 
 def _stats_vector(path, prop: str) -> list[float]:
-    """One sample of `stats`: a flat JSON array, or `prop` of an eval report."""
+    """One sample of `stats`: a flat JSON array of numbers, or `prop` of an
+    eval report."""
+
+    def numbers(values) -> list[float]:
+        for v in values:
+            if type(v) not in (int, float):  # no string, and `true` is no number
+                raise dsl.SchemaError(f"sample values must be int or float, not {type(v).__name__}")
+        return [float(v) for v in values]
 
     def parse(doc):
         if type(doc) is list:
-            return [float(v) for v in doc]
+            return numbers(doc)
         if type(doc) is not dict or "per_task" not in doc:
             raise dsl.SchemaError("neither a flat array nor an eval report")
         out: list[float] = []
         for entry in dsl.json_field(doc, "per_task", list):
             if prop == "reward_per_program":
-                out.extend(float(r) for r in dsl.json_field(entry, "rewards", list))
+                out.extend(numbers(dsl.json_field(entry, "rewards", list)))
             elif prop == "passing_programs":
-                out.append(float(dsl.json_field(entry, "rewards", list).count(1.0)))
+                out.append(float(numbers(dsl.json_field(entry, "rewards", list)).count(1.0)))
             else:  # pass_rate, the last of argparse's choices
-                out.append(1.0 if entry["passed"] else 0.0)
+                out.append(1.0 if dsl.json_field(entry, "passed", bool) else 0.0)
         return out
 
     return read_json(path, parse)

@@ -16,6 +16,7 @@ import hashlib
 import random
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import kernels
 from .dsl import RuleDB, extract_code_blocks, parse_program_text, print_classical
@@ -40,7 +41,7 @@ from .rules import (
     site_test,
     slot_members,
 )
-from .tasks import PBETask
+from .tasks import PBETask, map_in_order
 
 lcs = kernels.lcs_pair
 
@@ -287,36 +288,29 @@ def sample_inputs_for_law(
     return words
 
 
-def _rp_ri_range(cfg: GenConfig, start: int, stop: int, inv: SegmentInventory) -> list[PBETask]:
-    out: list[PBETask] = []
-    for index in range(start, stop):
-        rng = derive_rng(cfg.seed, "rp-ri", index)
-        last_error: Exception | None = None
-        for _ in range(cfg.retry_budget):
-            law = sample_random_law(cfg, rng, inv)
-            try:
-                inputs = sample_inputs_for_law(law, cfg, rng, inv)
-            except InfeasibleQuota as exc:
-                last_error = exc
-                continue
-            outputs, changed = apply_to_lexicon(law, inputs, inv)
-            if not any(changed):
-                last_error = GenerationError("law is inert on its sampled inputs")
-                continue
-            out.append(
-                PBETask(
-                    id=f"rp-ri-{index:05d}",
-                    condition="rp-ri",
-                    inputs=tuple(inputs),
-                    outputs=tuple(outputs),
-                    gold_law=law,
-                    provenance={"seed": cfg.seed, "source": {"generator": "rp-ri", "index": index}},
-                )
-            )
-            break
-        else:
-            raise GenerationError(f"task {index}: retry budget exhausted ({last_error})")
-    return out
+def _rp_ri_task(cfg: GenConfig, inv: SegmentInventory, index: int) -> PBETask:
+    rng = derive_rng(cfg.seed, "rp-ri", index)
+    last_error: Exception | None = None
+    for _ in range(cfg.retry_budget):
+        law = sample_random_law(cfg, rng, inv)
+        try:
+            inputs = sample_inputs_for_law(law, cfg, rng, inv)
+        except InfeasibleQuota as exc:
+            last_error = exc
+            continue
+        outputs, changed = apply_to_lexicon(law, inputs, inv)
+        if not any(changed):
+            last_error = GenerationError("law is inert on its sampled inputs")
+            continue
+        return PBETask(
+            id=f"rp-ri-{index:05d}",
+            condition="rp-ri",
+            inputs=tuple(inputs),
+            outputs=tuple(outputs),
+            gold_law=law,
+            provenance={"seed": cfg.seed, "source": {"generator": "rp-ri", "index": index}},
+        )
+    raise GenerationError(f"task {index}: retry budget exhausted ({last_error})")
 
 
 def gen_rp_ri(cfg: GenConfig, count: int, inv: SegmentInventory, jobs: int = 1) -> list[PBETask]:
@@ -325,22 +319,7 @@ def gen_rp_ri(cfg: GenConfig, count: int, inv: SegmentInventory, jobs: int = 1) 
     Each task owns an RNG stream derived from (seed, index), so splitting
     the index range over workers changes nothing about the output bytes.
     """
-    if jobs <= 1 or count < 4:
-        return _rp_ri_range(cfg, 0, count, inv)
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = -(-count // jobs)
-    work = [(cfg, a, min(a + chunk, count), inv) for a in range(0, count, chunk)]
-    out: list[PBETask] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_rp_ri_worker, work):
-            out.extend(part)
-    return out
-
-
-def _rp_ri_worker(work: tuple) -> list[PBETask]:
-    cfg, start, stop, inv = work
-    return _rp_ri_range(cfg, start, stop, inv)
+    return map_in_order(partial(_rp_ri_task, cfg, inv), range(count), jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -260,12 +260,15 @@ def json_object(doc) -> dict:
     return doc
 
 
-def json_field(doc: dict, key: str, kind: type):
-    """doc[key], which must be of the JSON type `kind` (list, dict, str or int),
-    so no string is read as its characters nor a float or `true` as an integer."""
+def json_field(doc: dict, key: str, kind: type | tuple[type, ...]):
+    """doc[key], which must be of the JSON type `kind` (list, dict, str, int,
+    float or bool) or of one of a tuple of them, so no string is read as its
+    characters nor a float or `true` as an integer."""
     value = doc[key]
-    if type(value) is not kind:  # bool is a subclass of int, and no JSON integer
-        raise SchemaError(f"{key} must be {kind.__name__}, not {type(value).__name__}")
+    kinds = kind if type(kind) is tuple else (kind,)
+    if type(value) not in kinds:  # bool is a subclass of int, and no JSON integer
+        names = " or ".join(k.__name__ for k in kinds)
+        raise SchemaError(f"{key} must be {names}, not {type(value).__name__}")
     return value
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import kernels
 from .phonology import SegmentInventory
 from .rules import SoundLaw, apply_in_order, apply_to_lexicon  # noqa: F401 (perfbench checks the alias)
-from .tasks import PBETask
+from .tasks import PBETask, map_in_order
 
 
 class EvaluationError(Exception):
@@ -113,8 +114,8 @@ def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_leve
     return RewardReport(task.id, tuple(rewards))
 
 
-def _evaluate_one(work):
-    task, candidates, inv, char_level = work
+def _evaluate_pair(inv: SegmentInventory, char_level: bool, pair) -> RewardReport:
+    task, candidates = pair
     return evaluate_samples(task, candidates, inv, char_level)
 
 
@@ -124,13 +125,7 @@ def evaluate_many(pairs, inv: SegmentInventory, char_level: bool = False, jobs: 
     Scoring is pure per task, so results come back in input order no matter
     how many workers run.
     """
-    work = [(task, cands, inv, char_level) for task, cands in pairs]
-    if jobs <= 1 or len(work) < 4:
-        return [evaluate_samples(t, c, inv, char_level) for t, c, _, _ in work]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_evaluate_one, work))
+    return map_in_order(partial(_evaluate_pair, inv, char_level), pairs, jobs)
 
 
 def pass_rate(reports) -> Fraction:

@@ -1,4 +1,6 @@
-"""PBE task records, their JSONL serialization, and the readers of every JSON input.
+"""PBE task records, their JSONL serialization, the readers of every JSON
+input, and `map_in_order`, the one worker pool for per-task work (rp-ri
+generation and scoring).
 
 One task = paired input/output word lists plus (usually) the gold law that
 produced the outputs.  Words serialize as space-joined phone symbols so
@@ -56,7 +58,7 @@ def task_to_json(task: PBETask) -> str:
 
 def task_from_doc(doc: dict) -> PBETask:
     """The task of one JSON object, as `task_to_json` writes it."""
-    gold = doc_to_law(doc["gold_law"]) if doc.get("gold_law") else None
+    gold = doc_to_law(doc["gold_law"]) if doc.get("gold_law") is not None else None
     provenance = json_field(doc, "provenance", dict) if "provenance" in doc else {}
     if "source" in provenance:  # read as an object by every language-pair grouping
         json_field(provenance, "source", dict)
@@ -87,11 +89,12 @@ def read_jsonl(path, parse, label: str = "line", key=None) -> list:
     any error reading a line is a SchemaError naming `label` and the line.
     With `key`, no two records share `key(record)`, such as "task id 'x'"."""
     records, line_of = [], {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")  # a UnicodeDecodeError is a ValueError
+                if not line.strip():
+                    continue
                 record = parse(json_object(json.loads(line)))
                 first = line_of.setdefault(key(record), lineno) if key else lineno
                 if first != lineno:
@@ -136,3 +139,16 @@ def validate_task(task: PBETask, inv: SegmentInventory) -> list[str]:
     if not any(o != w for o, w in zip(outputs, task.inputs)):
         warnings.append(f"task {task.id}: gold law is inert on the stored inputs")
     return warnings
+
+
+def map_in_order(fn, items, jobs: int = 1) -> list:
+    """`[fn(x) for x in items]` of a sequence, across `jobs` worker processes
+    when there are at least four items.  Each worker gets one contiguous chunk, so `fn`
+    (a `partial` holding the inventory) is pickled once per worker and the
+    scans it compiles serve the whole chunk; results keep the input order."""
+    if jobs <= 1 or len(items) < 4:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items, chunksize=-(-len(items) // jobs)))

@@ -379,15 +379,26 @@ def second_sample(program: str) -> str:
     (TASK_X, SAMPLE_X.replace('"sample_index": 0', '"sample_index": 0.9'), "samples line 1"),
     (TASK_X, SAMPLE_X.replace('"x"', '["x"]'), "samples line 1"),
     (TASK_X, SAMPLE_X + "[1, 2]\n", "samples line 2: not a JSON object"),
+    # a byte that is no UTF-8 exited 3 with a bare UnicodeDecodeError
+    (TASK_X, SAMPLE_X.encode() + b'{"task_id": "x", "sample_index": 1, "raw_text": "\xff"}\n',
+     "samples line 2"),
+    (TASK_X.encode().replace(b'"e"', b'"\xff"'), SAMPLE_X, "line 1"),
+    # only an absent or null gold law means none; a falsy one was read as none
+    (TASK_X.replace("}", ', "gold_law": []}'), SAMPLE_X, "line 1"),
+    (TASK_X.replace("}", ', "gold_law": 0}'), SAMPLE_X, "line 1"),
+    (TASK_X.replace("}", ', "gold_law": ""}'), SAMPLE_X, "line 1"),
+    (TASK_X.replace("}", ', "gold_law": false}'), SAMPLE_X, "line 1"),
 ], ids=["task-not-an-object", "word-not-a-string", "raw-text-not-a-string",
         "program-not-an-object", "words-not-an-array", "args-not-an-array",
         "phones-not-an-array", "change-pos-not-an-array", "provenance-not-an-object",
         "source-not-an-object", "id-not-a-string", "change-pos-a-float", "sample-index-a-string",
-        "change-pos-a-bool", "sample-index-a-float", "task-id-not-a-string", "sample-not-an-object"])
+        "change-pos-a-bool", "sample-index-a-float", "task-id-not-a-string", "sample-not-an-object",
+        "sample-not-utf-8", "task-not-utf-8", "gold-law-an-array", "gold-law-zero",
+        "gold-law-empty-string", "gold-law-false"])
 def test_eval_wrong_json_shape_exit_6(tasks_text, samples_text, where, tmp_path, capsys):
     tasks, samples = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
-    tasks.write_text(tasks_text)
-    samples.write_text(samples_text)
+    for path, text in ((tasks, tasks_text), (samples, samples_text)):
+        path.write_bytes(text if type(text) is bytes else text.encode())
     assert run("eval", "--tasks", tasks, "--samples", samples, "--out", tmp_path / "r") == 6
     assert capsys.readouterr().err.startswith(f"error: SchemaError: {where}: ")
 
@@ -421,8 +432,28 @@ DATAGEN_RP_LI = ("datagen", "--condition", "rp-li", "--cache-only", "--fixtures"
     (("report", "--eval"), '{"x": 1}'),
     (("report", "--eval"), '{"aggregates": {"per_language_pair": 3}}'),
     (("report", "--eval"), "nope"),
+    # config values were cast after reading (exit 3, or silently misread)
+    (DATAGEN_RP_LI, '{"temperature": "hot"}'),
+    (DATAGEN_RP_LI, '{"cache_only": "no"}'),
+    (DATAGEN_RP_LI, '{"max_tokens": 1.9}'),
+    (DATAGEN_RP_LI, '{"retry_budget": true}'),
+    (DATAGEN_RP_LI, '{"endpoint": 5}'),
+    (DATAGEN_RP_LI, '{"cache_dir": 7}'),
+    (DATAGEN_RP_LI, '{"temprature": 1}'),
+    # stats read strings and booleans as numbers and any `passed` as a truth value
+    (("stats", "-y", "y.json", "-x"), '["1.5", 2.0]'),
+    (("stats", "-y", "y.json", "-x"), "[true, 2.0]"),
+    (("stats", "-y", "y.json", "-x"), '{"per_task": [{"rewards": ["1.0"]}, {"rewards": [1.0]}]}'),
+    (("stats", "--property", "passing_programs", "-y", "y.json", "-x"),
+     '{"per_task": [{"rewards": [true]}, {"rewards": [1.0]}]}'),
+    (("stats", "--property", "pass_rate", "-y", "y.json", "-x"),
+     '{"per_task": [{"passed": "no"}, {"passed": true}]}'),
 ], ids=["config-rp-ri-an-array", "config-rp-li-an-array", "config-not-json", "stats-not-a-number",
-        "stats-no-rewards", "report-no-aggregates", "report-pairs-not-an-object", "report-not-json"])
+        "stats-no-rewards", "report-no-aggregates", "report-pairs-not-an-object", "report-not-json",
+        "config-temperature-a-string", "config-cache-only-a-string", "config-max-tokens-a-float",
+        "config-retry-budget-a-bool", "config-endpoint-a-number", "config-cache-dir-a-number",
+        "config-unknown-key", "stats-a-numeric-string", "stats-a-bool", "stats-reward-a-string",
+        "stats-reward-a-bool", "stats-passed-a-string"])
 def test_json_file_of_the_wrong_shape_exit_6(argv, text, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("in.json").write_text(text)

@@ -176,6 +176,28 @@ def test_evaluate_many_parallel_matches_serial(inv):
     assert [r.task_id for r in parallel] == [t.id for t in tasks]
 
 
+def test_worker_pools_send_the_inventory_once_per_worker(inv, monkeypatch):
+    """Each worker unpickles its own inventory, with an empty memo, and then
+    recompiles every scan; chunking the work pays that once per worker."""
+    from soundlaw.datagen import GenConfig, gen_rp_ri
+    from soundlaw.phonology import SegmentInventory
+
+    pickles = []
+    getstate = SegmentInventory.__getstate__
+
+    def counted(self):
+        pickles.append(self)
+        return getstate(self)
+
+    monkeypatch.setattr(SegmentInventory, "__getstate__", counted)
+    tasks = [make_task(inv, f"p-{i}") for i in range(8)]
+    evaluation.evaluate_many([(t, [t.gold_law, None]) for t in tasks], inv, jobs=2)
+    assert len(pickles) <= 2
+    pickles.clear()
+    assert len(gen_rp_ri(GenConfig(seed=9), 12, inv, jobs=3)) == 12
+    assert len(pickles) <= 3
+
+
 def test_summarize_and_markdown(inv):
     tasks = [make_task(inv, f"e-{i}") for i in range(4)]
     for i, t in enumerate(tasks):
