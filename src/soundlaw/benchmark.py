@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field
 from .datagen import derive_rng
 from .dsl import DslError, read_laws
 from .evaluation import EmptyDataset
-from .phonology import PhoneSeq, SegmentInventory
-from .rules import Cascade, apply_in_order
+from .phonology import PhoneSeq, SegmentInventory, read_text
+from .rules import Cascade, apply_cascade
 from .tasks import PBETask
 
 
@@ -61,14 +61,11 @@ def build_single_law_dataset(
         raise EmptyLexicon("lexicon holds no words")
     tasks: list[PBETask] = []
     warnings: list[str] = []
-    current = list(spec.lexicon)
-    for j, (outputs, changed) in enumerate(apply_in_order(spec.cascade.laws, current, inv)):
-        law, label = spec.cascade.laws[j], spec.cascade.labels[j]
-        changed_pairs = [(w, o) for w, o, c in zip(current, outputs, changed) if c]
-        unchanged = [w for w, c in zip(current, changed) if not c]
+    for j, stage in enumerate(apply_cascade(spec.cascade, spec.lexicon, inv)):
+        changed_pairs = [(w, o) for w, o, c in zip(stage.inputs, stage.outputs, stage.changed) if c]
+        unchanged = [w for w, c in zip(stage.inputs, stage.changed) if not c]
         if not changed_pairs:
-            warnings.append(f"{label}: changes no word, skipped")
-            current = outputs
+            warnings.append(f"{stage.label}: changes no word, skipped")
             continue
         n_distractors = min(
             len(unchanged),
@@ -84,20 +81,19 @@ def build_single_law_dataset(
                 condition="single-law",
                 inputs=tuple(inputs),
                 outputs=tuple(outs),
-                gold_law=law,
+                gold_law=spec.cascade.laws[j],
                 provenance={
                     "seed": spec.seed,
                     "source": {
                         "generator": "single-law",
                         "cascade": spec.cascade.name,
                         "law_index": j,
-                        "law": label,
+                        "law": stage.label,
                         "language_pair": spec.language_pair,
                     },
                 },
             )
         )
-        current = outputs
     return tasks, warnings
 
 
@@ -117,7 +113,7 @@ def dataset_stats(tasks) -> DatasetStats:
     sizes = [t.n_examples for t in tasks]
     pairs: dict[str, int] = {}
     for t in tasks:
-        pair = str(t.provenance.get("source", {}).get("language_pair", "")) or "unlabeled"
+        pair = t.language_pair or "unlabeled"
         pairs[pair] = pairs.get(pair, 0) + 1
     return DatasetStats(
         task_count=len(tasks),
@@ -145,5 +141,4 @@ def load_cascade(text: str, inv: SegmentInventory, name: str = "") -> Cascade:
 
 
 def load_cascade_file(path, inv: SegmentInventory) -> Cascade:
-    with open(path, encoding="utf-8") as fh:
-        return load_cascade(fh.read(), inv, name=str(path))
+    return load_cascade(read_text(path), inv, name=str(path))

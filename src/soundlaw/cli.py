@@ -23,11 +23,13 @@ from . import __version__, benchmark, datagen, dsl, evaluation, gateway, kernels
 from .phonology import (
     PhonologyError,
     SegmentInventory,
+    UndecodableText,
     UnsegmentableInput,
     default_inventory,
     load_feature_table_file,
     load_lexicon,
     preprocess,
+    read_text,
 )
 from .rules import NonCanonicalTokenSeq, RuleError, SoundLaw, apply_cascade, apply_to_lexicon
 from .tasks import read_json, read_jsonl, read_tasks, validate_task, word_to_str, write_tasks
@@ -49,7 +51,7 @@ class CliError(Exception):
 def _classify(exc: Exception) -> int:
     if isinstance(exc, (dsl.SchemaError, evaluation.EvaluationError)):
         return EXIT_SCHEMA
-    if isinstance(exc, (dsl.DslError, UnsegmentableInput)):
+    if isinstance(exc, (dsl.DslError, UnsegmentableInput, UndecodableText)):
         return EXIT_PARSE
     if isinstance(exc, gateway.GatewayError):
         return EXIT_GATEWAY
@@ -199,7 +201,7 @@ def cmd_apply(args) -> int:
     if args.rule:
         text = args.rule
     elif args.law_file:
-        text = Path(args.law_file).read_text(encoding="utf-8")
+        text = read_text(args.law_file)
     else:
         raise CliError("no rule given: use -r/--rule or --law-file", EXIT_PARSE)
     laws = _read_laws(text, inv)
@@ -221,16 +223,16 @@ def cmd_derive(args) -> int:
     inv = _inventory(args)
     cascade = benchmark.load_cascade_file(args.cascade, inv)
     words = _read_words(args, inv)
-    trace = apply_cascade(cascade, words, inv)
+    stages = apply_cascade(cascade, words, inv)
     lines = []
     if args.trace:
-        for stage in trace.stages:
+        for stage in stages:
             n = sum(stage.changed)
             lines.append(f"== {stage.label} ({n} changed)")
             for w, o, ch in zip(stage.inputs, stage.outputs, stage.changed):
                 if ch:
                     lines.append(f"  {word_to_str(w)}\t->\t{word_to_str(o)}")
-    for word, out in zip(words, trace.final):
+    for word, out in zip(words, stages[-1].outputs):
         lines.append(f"{word_to_str(word)}\t{word_to_str(out)}")
     _print_or_write("\n".join(lines) + ("\n" if lines else ""), args.out)
     return EXIT_OK
@@ -241,7 +243,7 @@ def cmd_parse_law(args) -> int:
     if args.rule is not None:
         text = args.rule
     elif args.input:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = read_text(args.input)
     else:
         text = sys.stdin.read()
     laws = _read_laws(text, inv)

@@ -26,6 +26,7 @@ from .phonology import (
     PhonologyError,
     SegmentInventory,
     nfc,
+    read_text,
 )
 from .rules import (
     Mapping,
@@ -272,6 +273,16 @@ def json_field(doc: dict, key: str, kind: type | tuple[type, ...]):
     return value
 
 
+def json_items(doc: dict, key: str, kind: type) -> tuple:
+    """doc[key], a JSON array of items of the JSON type `kind` (str or int),
+    as a tuple."""
+    items = json_field(doc, key, list)
+    if any(type(item) is not kind for item in items):
+        names = "strings" if kind is str else "integers"
+        raise SchemaError(f"{key} must hold {names}, not {items!r}")
+    return tuple(items)
+
+
 def doc_to_law(doc) -> SoundLaw:
     if not isinstance(doc, dict):
         raise SchemaError("law document must be an object")
@@ -279,16 +290,9 @@ def doc_to_law(doc) -> SoundLaw:
     if missing:
         raise SchemaError(f"law document missing {sorted(missing)}")
     try:
-        preds = tuple(
-            Predicate(p["kind"], tuple(json_field(p, "args", list))) for p in doc["predicates"]
-        )
-        maps = tuple(
-            Mapping(m["kind"], tuple(json_field(m, "phones", list))) for m in doc["mappings"]
-        )
-        pos = json_field(doc, "change_pos", list)
-        if not all(type(i) is int for i in pos):
-            raise SchemaError(f"change_pos must hold integers, not {pos!r}")
-        return SoundLaw(preds, tuple(pos), maps)
+        preds = tuple(Predicate(p["kind"], json_items(p, "args", str)) for p in doc["predicates"])
+        maps = tuple(Mapping(m["kind"], json_items(m, "phones", str)) for m in doc["mappings"])
+        return SoundLaw(preds, json_items(doc, "change_pos", int), maps)
     except (KeyError, TypeError, RuleError) as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -316,8 +320,8 @@ def read_laws(
     constructor text; the rest is classical rules, one per line, each
     labelled by the last '#' comment line before it, else by itself.  JSON
     and constructor laws get the label "".  Malformed JSON raises
-    SchemaError; a classical rule that does not parse or lower raises its
-    DslError with "line N: " in front.
+    SchemaError, and a classical rule that does not parse or lower its
+    DslError; on a JSON line or a classical one, with "line N: " in front.
     """
     stripped = text.strip()
     if stripped.startswith(("{", "[")):
@@ -326,7 +330,13 @@ def read_laws(
         except json.JSONDecodeError as exc:
             if exc.msg != "Extra data":  # malformed, not one document per line
                 raise SchemaError(str(exc)) from exc
-            laws = [read_law(line) for line in stripped.splitlines() if line.strip()]
+            laws = []
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if line.strip():
+                    try:
+                        laws.append(read_law(line))
+                    except SchemaError as exc:
+                        raise SchemaError(f"line {lineno}: {exc}") from exc
         else:
             laws = [doc_to_law(doc) for doc in (docs if isinstance(docs, list) else [docs])]
         return [("", law) for law in laws], ()
@@ -715,5 +725,4 @@ def load_rule_db(text: str, inv: SegmentInventory) -> RuleDB:
 
 
 def load_rule_db_file(path, inv: SegmentInventory) -> RuleDB:
-    with open(path, encoding="utf-8") as fh:
-        return load_rule_db(fh.read(), inv)
+    return load_rule_db(read_text(path), inv)

@@ -145,9 +145,7 @@ def mean_reward_at(reports, m: int) -> Fraction:
 
 def group_reports(reports, tasks) -> dict[str, list[RewardReport]]:
     """Bucket reports by the tasks' language-pair provenance ('' if unset)."""
-    pair_of = {
-        t.id: str(t.provenance.get("source", {}).get("language_pair", "")) for t in tasks
-    }
+    pair_of = {t.id: t.language_pair for t in tasks}
     groups: dict[str, list[RewardReport]] = {}
     for rep in reports:
         groups.setdefault(pair_of.get(rep.task_id, ""), []).append(rep)

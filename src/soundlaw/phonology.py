@@ -51,6 +51,10 @@ class MalformedRow(PhonologyError):
     pass
 
 
+class UndecodableText(PhonologyError):
+    pass
+
+
 # Feature classes evaluated against the inventory's feature table.  A phone
 # belongs to a class when it carries every listed feature value.
 CLASS_DEFINITIONS: dict[str, dict[str, str]] = {
@@ -268,19 +272,30 @@ def load_feature_table(text: str) -> SegmentInventory:
     return SegmentInventory(tuple(segments), features)
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, newlines read as in text mode ('\r\n' and
+    '\r' become '\n').  A byte that is no UTF-8 is an UndecodableText
+    naming the file and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise UndecodableText(f"{path} line {lineno}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_feature_table_file(path) -> SegmentInventory:
-    with open(path, encoding="utf-8") as fh:
-        return load_feature_table(fh.read())
+    return load_feature_table(read_text(path))
 
 
 def load_lexicon(path, inventory: SegmentInventory) -> list[PhoneSeq]:
     """Read a one-word-per-line lexicon, skipping '#'-prefixed comments."""
     words: list[PhoneSeq] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for line in read_text(path).split("\n"):
+        line = line.strip()
+        if line and not line.startswith("#"):
             words.append(inventory.segment(line))
     return words
 

@@ -25,9 +25,10 @@ matches, and scans the whole lexicon in one pass.  The sites of each word
 give `_splice`'s leftmost-wins edit map, which is applied straight to the
 word's phones; every other word comes back unchanged.  `apply_in_order`
 runs laws one after another on that encoding: it encodes the words once and
-re-encodes only the words a law changed.  A cascade (`apply_cascade`), a
-single-law benchmark and each candidate program of an evaluation all run
-through it, so the encoding never leaves this module.
+re-encodes only the words a law changed.  Each candidate program of an
+evaluation runs through it, and so does a cascade: `apply_cascade` returns
+one `Stage` per law, which `derive` prints and `bench` unrolls into one
+single-law task each.  So the encoding never leaves this module.
 
 The token-level engine (`preprocess`, `find_matches`, `apply_law`,
 `render`, behind `apply_law_word`) runs the same patterns and `_splice` one
@@ -40,7 +41,7 @@ which read each slot through `Predicate.matches`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .phonology import (
     BOUNDARY,
@@ -79,6 +80,8 @@ class Predicate:
             raise RuleError(f"{self.kind} predicate takes exactly one argument")
         if self.kind in ("in", "not-in") and not self.args:
             raise RuleError(f"{self.kind} predicate needs a non-empty set")
+        if "" in self.args:
+            raise RuleError(f"{self.kind} predicate names an empty symbol")
         if self.kind in ("class", "not-class") and self.args[0] not in FEATURE_CLASS_NAMES:
             raise RuleError(f"unknown feature class {self.args[0]!r}")
 
@@ -475,32 +478,25 @@ def law_is_inert(law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory) ->
 
 
 @dataclass(frozen=True)
-class StageTrace:
-    index: int
+class Stage:
+    """One law of a cascade run: its label, the lexicon it read, the lexicon
+    it wrote and which words it changed.  The lists are the ones
+    `apply_in_order` built, so a stage's `inputs` is the previous stage's
+    `outputs` (the first stage's, the words given)."""
+
     label: str
-    inputs: tuple[PhoneSeq, ...]
-    outputs: tuple[PhoneSeq, ...]
-    changed: tuple[bool, ...]
+    inputs: list[PhoneSeq]
+    outputs: list[PhoneSeq]
+    changed: list[bool]
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
-    stages: tuple[StageTrace, ...] = field(default_factory=tuple)
-
-    @property
-    def final(self) -> tuple[PhoneSeq, ...]:
-        return self.stages[-1].outputs
-
-
-def apply_cascade(cascade: Cascade, words: list[PhoneSeq], inv: SegmentInventory) -> DerivationTrace:
-    """Run every law in order, recording the lexicon at each step."""
+def apply_cascade(cascade: Cascade, words: list[PhoneSeq], inv: SegmentInventory) -> list[Stage]:
+    """Run every law in order; one stage per law, the last one's outputs the
+    final lexicon."""
     if not cascade.laws:
         raise RuleError("cannot execute an empty cascade")
     stages = []
-    current = list(words)
-    for i, (outputs, changed) in enumerate(apply_in_order(cascade.laws, current, inv)):
-        stages.append(
-            StageTrace(i, cascade.labels[i], tuple(current), tuple(outputs), tuple(changed))
-        )
-        current = outputs
-    return DerivationTrace(tuple(stages))
+    for label, (outputs, changed) in zip(cascade.labels, apply_in_order(cascade.laws, words, inv)):
+        stages.append(Stage(label, words, outputs, changed))
+        words = outputs
+    return stages

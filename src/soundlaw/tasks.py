@@ -35,6 +35,11 @@ class PBETask:
     def n_examples(self) -> int:
         return len(self.inputs)
 
+    @property
+    def language_pair(self) -> str:
+        """The language pair its provenance source names, "" when none."""
+        return self.provenance.get("source", {}).get("language_pair", "")
+
 
 def word_to_str(word: PhoneSeq) -> str:
     return " ".join(word)
@@ -60,11 +65,13 @@ def task_from_doc(doc: dict) -> PBETask:
     """The task of one JSON object, as `task_to_json` writes it."""
     gold = doc_to_law(doc["gold_law"]) if doc.get("gold_law") is not None else None
     provenance = json_field(doc, "provenance", dict) if "provenance" in doc else {}
-    if "source" in provenance:  # read as an object by every language-pair grouping
-        json_field(provenance, "source", dict)
+    if "source" in provenance:  # read by `PBETask.language_pair`
+        source = json_field(provenance, "source", dict)
+        if "language_pair" in source:
+            json_field(source, "language_pair", str)
     return PBETask(
         id=json_field(doc, "id", str),
-        condition=doc["condition"],
+        condition=json_field(doc, "condition", str),
         inputs=tuple(str_to_word(w) for w in json_field(doc, "inputs", list)),
         outputs=tuple(str_to_word(w) for w in json_field(doc, "outputs", list)),
         gold_law=gold,

@@ -51,17 +51,17 @@ def test_feed_forward_uses_previous_outputs(inv):
     second = tasks[1]
     assert inv.segment("te") in second.inputs
     assert inv.segment("ti") in second.outputs
-    trace = apply_cascade(cascade, list(lexicon), inv)
+    stages = apply_cascade(cascade, list(lexicon), inv)
     # feed-forward consistency: composing per-law outputs = cascade final state
-    assert trace.stages[1].inputs == trace.stages[0].outputs
+    assert stages[1].inputs == stages[0].outputs
 
 
 def test_changed_word_completeness(inv):
     cascade = mini_cascade(inv, "k > ʔ / _ #", "u > o / _ C")
     lexicon = tuple(inv.segment(w) for w in ("pak", "muk", "tun", "suat", "kura"))
     tasks, _ = build_single_law_dataset(BenchmarkSpec(cascade, lexicon, "cc"), inv)
-    trace = apply_cascade(cascade, list(lexicon), inv)
-    for task, stage in zip(tasks, trace.stages):
+    stages = apply_cascade(cascade, list(lexicon), inv)
+    for task, stage in zip(tasks, stages):
         changed = {w for w, c in zip(stage.inputs, stage.changed) if c}
         assert changed <= set(task.inputs)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -50,6 +51,26 @@ def test_tokenize_table_with_a_spaced_symbol_exit_3(tmp_path, capsys):
     table.write_text("segment\tsyl\na\t+\nt s\t-\n", encoding="utf-8")
     assert run("tokenize", "--table", table, "tsa") == 3
     assert "MalformedRow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (("tokenize", "--lexicon", "in.txt"), "sunt"),
+    (("derive", "sunt", "--cascade", "in.txt"), "t > d / _ #"),
+    (("tokenize", "a", "--table", "in.txt"), "segment\tsyl"),
+    (("datagen", "--condition", "idp-pi", "--count", "1", "--out", "x.jsonl", "--rules", "in.txt"),
+     "t > d / _ #"),
+    (("datagen", "--condition", "rp-li", "--cache-only", "--fixtures", FIXTURES, "--count", "1",
+      "--out", "x.jsonl", "--seed-lexicon", "in.txt"), "sunt"),
+    (("apply", "sunt", "--law-file", "in.txt"), "t > d / _ #"),
+    (("parse-law", "--input", "in.txt"), "t > d / _ #"),
+], ids=["lexicon", "cascade", "table", "rules", "seed-lexicon", "law-file", "parse-law-input"])
+def test_text_input_that_is_no_utf_8_exit_2(argv, first_line, tmp_path, monkeypatch, capsys):
+    """A byte that is no UTF-8 exited 3 with a bare UnicodeDecodeError."""
+    monkeypatch.chdir(tmp_path)
+    Path("in.txt").write_bytes(first_line.encode() + b"\n\xff\n")
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: UndecodableText: in.txt line 2: ")
+    assert not Path("x.jsonl").exists()
 
 
 def test_apply_empty_lexicon(tmp_path, capsys):
@@ -388,19 +409,121 @@ def second_sample(program: str) -> str:
     (TASK_X.replace("}", ', "gold_law": 0}'), SAMPLE_X, "line 1"),
     (TASK_X.replace("}", ', "gold_law": ""}'), SAMPLE_X, "line 1"),
     (TASK_X.replace("}", ', "gold_law": false}'), SAMPLE_X, "line 1"),
+    # an item of args or phones that is no string exited 3, or matched nothing
+    (TASK_X, second_sample(LAW_A_E.replace('"phones": ["e"]', '"phones": [[1]]')), "samples line 2"),
+    (TASK_X.replace("}", ', "gold_law": %s}' % LAW_A_E.replace('"phones": ["e"]', '"phones": [[1]]')),
+     SAMPLE_X, "line 1"),
+    *[(TASK_X, second_sample(LAW_A_E.replace('"args": ["a"]', f'"args": [{arg}]')), "samples line 2")
+      for arg in ("5", "null", "true", "1.5", '""')],
+    # a condition or a language pair that is no string passed with exit 0
+    *[(TASK_X.replace('"rp-ri"', condition), SAMPLE_X, "line 1") for condition in ("5", "null", "[1]", "{}")],
+    (TASK_X.replace("}", ', "provenance": {"source": {"language_pair": null}}}'), SAMPLE_X, "line 1"),
+    (TASK_X.replace("}", ', "provenance": {"source": {"language_pair": 5}}}'), SAMPLE_X, "line 1"),
 ], ids=["task-not-an-object", "word-not-a-string", "raw-text-not-a-string",
         "program-not-an-object", "words-not-an-array", "args-not-an-array",
         "phones-not-an-array", "change-pos-not-an-array", "provenance-not-an-object",
         "source-not-an-object", "id-not-a-string", "change-pos-a-float", "sample-index-a-string",
         "change-pos-a-bool", "sample-index-a-float", "task-id-not-a-string", "sample-not-an-object",
         "sample-not-utf-8", "task-not-utf-8", "gold-law-an-array", "gold-law-zero",
-        "gold-law-empty-string", "gold-law-false"])
+        "gold-law-empty-string", "gold-law-false", "phones-item-an-array",
+        "gold-law-phones-item-an-array", "args-item-a-number", "args-item-null", "args-item-a-bool",
+        "args-item-a-float", "args-item-empty", "condition-a-number", "condition-null",
+        "condition-an-array", "condition-an-object", "language-pair-null",
+        "language-pair-a-number"])
 def test_eval_wrong_json_shape_exit_6(tasks_text, samples_text, where, tmp_path, capsys):
     tasks, samples = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
     for path, text in ((tasks, tasks_text), (samples, samples_text)):
         path.write_bytes(text if type(text) is bytes else text.encode())
     assert run("eval", "--tasks", tasks, "--samples", samples, "--out", tmp_path / "r") == 6
     assert capsys.readouterr().err.startswith(f"error: SchemaError: {where}: ")
+
+
+LAW_DOC = json.loads(LAW_A_E)
+VALID_TASK = {"id": "x", "condition": "rp-ri", "inputs": ["a"], "outputs": ["e"], "gold_law": LAW_DOC,
+              "provenance": {"seed": 0, "source": {"language_pair": "p"}}}
+VALID_SAMPLES = [
+    {"task_id": "x", "sample_index": 0, "program": LAW_DOC},
+    {"task_id": "x", "sample_index": 1,
+     "raw_text": "BasicAction(predicates=[lambda x: x == 'a'], change_pos=[0], mapping_fn=[lambda x: 'e'])"},
+]
+# one value of each JSON kind
+JSON_KINDS = {"null": None, "bool": True, "int": 1, "float": 1.5, "string": "s", "array": ["s"], "object": {}}
+LAW_FIELDS = [("predicates",), ("predicates", 0), ("predicates", 0, "kind"), ("predicates", 0, "args"),
+              ("predicates", 0, "args", 0), ("change_pos",), ("change_pos", 0), ("mappings",),
+              ("mappings", 0), ("mappings", 0, "kind"), ("mappings", 0, "phones"),
+              ("mappings", 0, "phones", 0)]
+REQUIRED_LAW_FIELDS = [("predicates",), ("predicates", 0, "kind"), ("predicates", 0, "args"), ("change_pos",),
+                       ("mappings",), ("mappings", 0, "kind"), ("mappings", 0, "phones")]
+# every field eval reads, as (line: 0 for the task, 1 or 2 for a sample, path),
+# mapped to the kinds besides its own that it accepts: with any other kind
+# eval exits 6 naming the line
+EVAL_FIELDS = {
+    **{(0, path): () for path in [("id",), ("condition",), ("inputs",), ("inputs", 0), ("outputs",),
+                                   ("outputs", 0), ("provenance",), ("provenance", "source"),
+                                   ("provenance", "source", "language_pair")]},
+    (0, ("gold_law",)): ("null",),
+    **{(0, ("gold_law", *path)): () for path in LAW_FIELDS},
+    (1, ("task_id",)): (), (1, ("sample_index",)): (), (1, ("program",)): ("null",),
+    **{(1, ("program", *path)): () for path in LAW_FIELDS},
+    (2, ("raw_text",)): (),
+}
+# fields whose absence is a schema error; dropping any other read field exits 0
+REQUIRED_FIELDS = [
+    *[(0, (key,)) for key in ("id", "condition", "inputs", "outputs")],
+    *[(0, ("gold_law", *path)) for path in REQUIRED_LAW_FIELDS],
+    (1, ("task_id",)), (1, ("sample_index",)),
+    *[(1, ("program", *path)) for path in REQUIRED_LAW_FIELDS],
+]
+
+
+def eval_field_cases():
+    """(case name, records, where): records are the task then the samples,
+    one field changed, and where is the line the error names (None: exit 0)."""
+    valid = [VALID_TASK, *VALID_SAMPLES]
+    where = ["line 1", "samples line 1", "samples line 2"]
+
+    def changed(line, path, kind):
+        """The records with the field at `path` set to the value of `kind`,
+        or dropped (kind None)."""
+        records = json.loads(json.dumps(valid))  # gold_law and program share no object
+        *head, last = path
+        node = records[line]
+        for key in head:
+            node = node[key]
+        if kind is None:
+            del node[last]
+        else:
+            node[last] = JSON_KINDS[kind]
+        return records
+
+    yield "valid", valid, None
+    for (line, path), accepted in EVAL_FIELDS.items():
+        name = ".".join(map(str, path))
+        own = type(functools.reduce(lambda node, key: node[key], path, valid[line]))
+        for kind, value in JSON_KINDS.items():
+            if type(value) is not own:
+                yield f"{name}={kind}", changed(line, path, kind), None if kind in accepted else where[line]
+        if not isinstance(path[-1], int):  # an array item is no field to drop
+            required = (line, path) in REQUIRED_FIELDS
+            yield f"{name} dropped", changed(line, path, None), where[line] if required else None
+
+
+def test_every_json_kind_of_every_eval_field_exits_0_or_6_naming_its_line(tmp_path, capsys):
+    """Each field eval reads takes each JSON kind in turn, and each field is
+    dropped in turn: eval exits 0 where the field accepts it, else 6 naming
+    the line, and never 3."""
+    tasks, samples = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+    wrong = []
+    for name, (task, *sample_docs), where in eval_field_cases():
+        tasks.write_text(json.dumps(task) + "\n", encoding="utf-8")
+        samples.write_text("".join(json.dumps(doc) + "\n" for doc in sample_docs), encoding="utf-8")
+        code = run("eval", "--tasks", tasks, "--samples", samples, "--out", tmp_path / "r")
+        err = capsys.readouterr().err
+        if where is None and code != 0:
+            wrong.append((name, code, err))
+        elif where and (code != 6 or not err.startswith(f"error: SchemaError: {where}: ")):
+            wrong.append((name, code, err))
+    assert wrong == []
 
 
 def test_eval_repeated_sample_index_exit_6(tmp_path, capsys):

@@ -325,8 +325,12 @@ def test_read_laws_labels_diagnostics_and_errors(inv):
     bad = CONSTRUCTORS[1] + "\nBasicAction(predicates=[lambda x: foo(x)], change_pos=[0], mapping_fn=[])"
     labelled, diagnostics = read_laws(bad, inv)
     assert labelled == [("", law)] and [d.code for d in diagnostics] == ["bad-constructor"]
-    for malformed in ('[{"predicates": ', print_law(law) + "\n{"):
-        with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError):
+        read_laws('[{"predicates": ', inv)
+    # a JSON line names its line, counted in the text as given
+    for malformed in (print_law(law) + "\n{", print_law(law) + '\n{"predicates": []}',
+                      "\n" + print_law(law) + "\n\n{}"):
+        with pytest.raises(SchemaError, match="^line 2: " if malformed[0] == "{" else "^line 4: "):
             read_laws(malformed, inv)
     with pytest.raises(RuleSyntaxError, match="line 2"):
         read_laws("t > d / _ #\nt d", inv)

@@ -389,3 +389,15 @@ def test_lexicon_loading(tmp_path, inv):
     path.write_text("# comment\ntʰum\nsam\n\nt a\n", encoding="utf-8")
     words = phonology.load_lexicon(path, inv)
     assert words == [("tʰ", "u", "m"), ("s", "a", "m"), ("t", "a")]
+
+
+def test_read_text_reads_newlines_as_text_mode(tmp_path, inv):
+    path = tmp_path / "lex.txt"
+    path.write_bytes("# c\r\ntʰum\r\nsa\rm\n\nt a\r\n".encode())
+    with open(path, encoding="utf-8") as fh:
+        assert phonology.read_text(path) == fh.read()
+    words = phonology.load_lexicon(path, inv)
+    assert words == [("tʰ", "u", "m"), ("s", "a"), ("m",), ("t", "a")]
+    path.write_bytes(b"a\nb\n\xff")
+    with pytest.raises(phonology.UndecodableText, match=f"^{re.escape(str(path))} line 3: "):
+        phonology.read_text(path)

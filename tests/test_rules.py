@@ -210,15 +210,15 @@ def test_law_is_inert(inv):
 def test_apply_cascade_order_and_trace(inv):
     a_e = law([is_token("a")], [0], [replace_with(["e"])])
     e_i = law([is_token("e")], [0], [replace_with(["i"])])
-    trace = apply_cascade(Cascade((a_e, e_i)), [("a",)], inv)
-    assert trace.final == (("i",),)  # hand-composed: a -> e -> i
+    stages = apply_cascade(Cascade((a_e, e_i)), [("a",)], inv)
+    assert stages[-1].outputs == [("i",)]  # hand-composed: a -> e -> i
     # reversed order does not feed the second law
-    trace2 = apply_cascade(Cascade((e_i, a_e)), [("a",)], inv)
-    assert trace2.final == (("e",),)
-    for first, second in zip(trace.stages, trace.stages[1:]):
-        assert first.outputs == second.inputs
+    stages2 = apply_cascade(Cascade((e_i, a_e)), [("a",)], inv)
+    assert stages2[-1].outputs == [("e",)]
+    for first, second in zip(stages, stages[1:]):
+        assert first.outputs is second.inputs
     one = apply_cascade(Cascade((a_e,)), [("a",), ("t",)], inv)
-    assert list(one.final) == apply_to_lexicon(a_e, [("a",), ("t",)], inv)[0]
+    assert one[-1].outputs == apply_to_lexicon(a_e, [("a",), ("t",)], inv)[0]
 
 
 def test_invariant_rejections():
@@ -453,9 +453,9 @@ def test_apply_cascade_equals_chained_reference(inv):
             table = inv
             laws = [datagen.sample_random_law(cfg, rng, inv) for _ in range(rng.randrange(2, 6))]
             words = [tuple(rng.choice(inv.segments) for _ in range(rng.randrange(0, 9))) for _ in range(15)]
-        trace = apply_cascade(Cascade(tuple(laws)), words, table)
+        stages = apply_cascade(Cascade(tuple(laws)), words, table)
         current = words
-        for stage, candidate in zip(trace.stages, laws):
+        for stage, candidate in zip(stages, laws):
             want = [reference_apply(candidate, w, table) for w in current]
             assert list(stage.inputs) == current
             assert list(stage.outputs) == want, candidate
