@@ -82,7 +82,7 @@ class RecordingGateway(gateway.Gateway):
         content = self.responses[self.round % len(self.responses)]
         self.round += 1
         self.recorded.append({"prompt_hash": bundle.prompt_hash, "sample_index": 0, "content": content})
-        return [gateway.Transcript(content, "stop", {}, False, bundle.prompt_hash, 0)]
+        return [gateway.Transcript(content, False, bundle.prompt_hash, 0)]
 
 
 def main():

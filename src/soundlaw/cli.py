@@ -160,21 +160,16 @@ def _load_config(args) -> dict:
 
 
 def _gateway_from_args(args, config: dict) -> gateway.Gateway:
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return config.get(key, default)
-
-    gw_config = gateway.GatewayConfig(
-        endpoint=pick(args.endpoint, "endpoint", gateway.GatewayConfig.endpoint),
-        model=pick(args.model, "model", gateway.GatewayConfig.model),
-        temperature=pick(args.temperature, "temperature", gateway.GatewayConfig.temperature),
-        max_tokens=pick(None, "max_tokens", gateway.GatewayConfig.max_tokens),
-        retry_budget=pick(None, "retry_budget", gateway.GatewayConfig.retry_budget),
-        cache_dir=pick(args.cache_dir, "cache_dir", None),
-        cache_only=args.cache_only or config.get("cache_only", False),
-    )
-    gw = gateway.Gateway(gw_config)
+    # the flags that were given win over the --config values
+    flags = {
+        "endpoint": args.endpoint,
+        "model": args.model,
+        "temperature": args.temperature,
+        "cache_dir": args.cache_dir,
+        "cache_only": args.cache_only or None,
+    }
+    settings = {**config, **{key: value for key, value in flags.items() if value is not None}}
+    gw = gateway.Gateway(gateway.GatewayConfig(**settings))
     for fixture_path in args.fixtures or []:
         gw.add_fixtures(fixture_path)
     return gw

@@ -309,6 +309,18 @@ def read_law(text: str) -> SoundLaw:
     return doc_to_law(doc)
 
 
+def _read_each(numbered, read, label: str) -> list[SoundLaw]:
+    """read(item) for every (number, item), with "<label> <number>: " in
+    front of a SchemaError."""
+    laws = []
+    for number, item in numbered:
+        try:
+            laws.append(read(item))
+        except SchemaError as exc:
+            raise SchemaError(f"{label} {number}: {exc}") from exc
+    return laws
+
+
 def read_laws(
     text: str, inv: SegmentInventory
 ) -> tuple[list[tuple[str, SoundLaw]], tuple[Diagnostic, ...]]:
@@ -321,7 +333,8 @@ def read_laws(
     labelled by the last '#' comment line before it, else by itself.  JSON
     and constructor laws get the label "".  Malformed JSON raises
     SchemaError, and a classical rule that does not parse or lower its
-    DslError; on a JSON line or a classical one, with "line N: " in front.
+    DslError; on a JSON line or a classical one, with "line N: " in front,
+    and on an element of a JSON array with "law N: " (counted from 1).
     """
     stripped = text.strip()
     if stripped.startswith(("{", "[")):
@@ -330,15 +343,13 @@ def read_laws(
         except json.JSONDecodeError as exc:
             if exc.msg != "Extra data":  # malformed, not one document per line
                 raise SchemaError(str(exc)) from exc
-            laws = []
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                if line.strip():
-                    try:
-                        laws.append(read_law(line))
-                    except SchemaError as exc:
-                        raise SchemaError(f"line {lineno}: {exc}") from exc
+            lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+            laws = _read_each(lines, read_law, "line")
         else:
-            laws = [doc_to_law(doc) for doc in (docs if isinstance(docs, list) else [docs])]
+            if isinstance(docs, list):
+                laws = _read_each(enumerate(docs, start=1), doc_to_law, "law")
+            else:
+                laws = [doc_to_law(docs)]
         return [("", law) for law in laws], ()
     lines = [line.strip() for line in text.splitlines()]
     if any("BasicAction" in line for line in lines if not line.startswith("#")):

@@ -1,9 +1,12 @@
 """Prompt assembly and the chat-completion client.
 
 Prompts render deterministically from the versioned templates in
-soundlaw/templates.  Completions go through a content-addressed disk cache
-(plus optional recorded fixture transcripts), so whole experiments replay
-offline byte-for-byte; live calls hit any OpenAI-compatible endpoint with
+soundlaw/templates.  `Gateway.complete_prompt(bundle, n)` is the one way to
+ask for completions; every request setting comes from `GatewayConfig`, and
+the API key is read from the fixed environment variable SOUNDLAW_API_KEY.
+Completions go through a content-addressed disk cache (plus optional
+recorded fixture transcripts), so whole experiments replay offline
+byte-for-byte; live calls hit any OpenAI-compatible endpoint with
 exponential-backoff retries.
 
 Model output is interpreted through the closed constructor grammar only;
@@ -18,7 +21,7 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
 
@@ -115,6 +118,12 @@ def build_sli_prompt(task: PBETask) -> PromptBundle:
     return PromptBundle("sli-single-law", text)
 
 
+# the environment variable holding the endpoint's API key, and the seconds
+# one HTTP request may take
+API_KEY_ENV = "SOUNDLAW_API_KEY"
+TIMEOUT = 120.0
+
+
 @dataclass(frozen=True)
 class GatewayConfig:
     endpoint: str = "http://localhost:8000/v1/chat/completions"
@@ -126,28 +135,11 @@ class GatewayConfig:
     backoff: float = 0.5
     cache_dir: str | None = None
     cache_only: bool = False
-    api_key_env: str = "SOUNDLAW_API_KEY"
-    timeout: float = 120.0
-
-
-@dataclass(frozen=True)
-class CompletionRequest:
-    prompt: str
-    model: str
-    temperature: float
-    samples: int
-    max_tokens: int
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise GatewayError("sample count must be >= 1")
 
 
 @dataclass(frozen=True)
 class Transcript:
     text: str
-    finish_reason: str = "stop"
-    usage: dict = field(default_factory=dict)
     cached: bool = False
     prompt_hash: str = ""
     sample_index: int = 0
@@ -192,13 +184,13 @@ class Gateway:
 
     # -- cache ------------------------------------------------------------
 
-    def _cache_key(self, req: CompletionRequest, prompt_hash: str, index: int) -> str:
+    def _cache_key(self, prompt_hash: str, index: int) -> str:
         payload = json.dumps(
             {
                 "endpoint": self.config.endpoint,
-                "model": req.model,
-                "temperature": req.temperature,
-                "max_tokens": req.max_tokens,
+                "model": self.config.model,
+                "temperature": self.config.temperature,
+                "max_tokens": self.config.max_tokens,
                 "prompt": prompt_hash,
                 "sample": index,
             },
@@ -242,16 +234,16 @@ class Gateway:
 
     # -- completion -------------------------------------------------------
 
-    def _call_network(self, req: CompletionRequest, index: int) -> dict:
+    def _call_network(self, prompt: str) -> dict:
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.config.api_key_env)
+        api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         payload = {
-            "model": req.model,
-            "messages": [{"role": "user", "content": req.prompt}],
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
+            "model": self.config.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": self.config.temperature,
+            "max_tokens": self.config.max_tokens,
             "n": 1,
         }
         last_error: str = "no attempt made"
@@ -259,9 +251,7 @@ class Gateway:
             if attempt:
                 time.sleep(self.config.backoff * (2 ** (attempt - 1)))
             try:
-                status, body = self.transport(
-                    self.config.endpoint, payload, headers, self.config.timeout
-                )
+                status, body = self.transport(self.config.endpoint, payload, headers, TIMEOUT)
             except Exception as exc:  # transport-level failure: retry
                 last_error = str(exc)
                 continue
@@ -281,39 +271,30 @@ class Gateway:
             raise GatewayError(f"completion request failed: HTTP {status}", status)
         raise BudgetExhausted(f"retry budget exhausted ({last_error})")
 
-    def _one_sample(self, req: CompletionRequest, prompt_hash: str, index: int) -> Transcript:
+    def _one_sample(self, prompt: str, prompt_hash: str, index: int) -> Transcript:
         fixture = self.fixtures.get((prompt_hash, index))
         if fixture is not None:
-            return Transcript(fixture, "stop", {}, True, prompt_hash, index)
-        key = self._cache_key(req, prompt_hash, index)
+            return Transcript(fixture, True, prompt_hash, index)
+        key = self._cache_key(prompt_hash, index)
         with self._lock:
             doc = self._memo.get(key) or self._cache_read(key)
             cached = doc is not None
             if not cached:
                 if self.config.cache_only:
                     raise CacheMiss(f"no cached transcript for prompt {prompt_hash[:12]} sample {index}")
-                doc = self._call_network(req, index)
+                doc = self._call_network(prompt)
                 self._memo[key] = doc
                 self._cache_write(key, doc)
-        return Transcript(
-            doc["content"], doc.get("finish_reason", "stop"), doc.get("usage", {}),
-            cached, prompt_hash, index,
-        )
-
-    def complete(self, req: CompletionRequest) -> list[Transcript]:
-        """Exactly req.samples transcripts, or an exception — never partial."""
-        prompt_hash = _sha256(req.prompt)
-        return [self._one_sample(req, prompt_hash, i) for i in range(req.samples)]
+        return Transcript(doc["content"], cached, prompt_hash, index)
 
     def complete_prompt(self, bundle: PromptBundle, n: int | None = None) -> list[Transcript]:
-        req = CompletionRequest(
-            prompt=bundle.text,
-            model=self.config.model,
-            temperature=self.config.temperature,
-            samples=n if n is not None else self.config.samples,
-            max_tokens=self.config.max_tokens,
-        )
-        return self.complete(req)
+        """Exactly n transcripts (config.samples when n is None), or an
+        exception — never partial."""
+        samples = n if n is not None else self.config.samples
+        if samples < 1:
+            raise GatewayError("sample count must be >= 1")
+        prompt_hash = bundle.prompt_hash
+        return [self._one_sample(bundle.text, prompt_hash, i) for i in range(samples)]
 
 
 def extract_programs(transcript: Transcript, inv: SegmentInventory) -> ParsedProgramSet:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .dsl import SchemaError, doc_to_law, json_field, json_object, law_to_doc
+from .dsl import SchemaError, doc_to_law, json_field, json_items, json_object, law_to_doc
 from .phonology import PhoneSeq, SegmentInventory
 from .rules import SoundLaw, apply_law_word
 
@@ -72,8 +72,8 @@ def task_from_doc(doc: dict) -> PBETask:
     return PBETask(
         id=json_field(doc, "id", str),
         condition=json_field(doc, "condition", str),
-        inputs=tuple(str_to_word(w) for w in json_field(doc, "inputs", list)),
-        outputs=tuple(str_to_word(w) for w in json_field(doc, "outputs", list)),
+        inputs=tuple(str_to_word(w) for w in json_items(doc, "inputs", str)),
+        outputs=tuple(str_to_word(w) for w in json_items(doc, "outputs", str)),
         gold_law=gold,
         provenance=provenance,
     )

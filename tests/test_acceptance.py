@@ -9,6 +9,7 @@ why it was chosen.
 """
 
 import hashlib
+import importlib.util
 import itertools
 import random
 import time
@@ -258,6 +259,18 @@ def test_a11_offline_replay_byte_identical(tmp_path):
         tasks = read_tasks(out)
         reports = [evaluation.evaluate_samples(t, [t.gold_law], INV) for t in tasks]
         assert evaluation.pass_rate(reports) == Fraction(1)
+
+
+def test_record_fixtures_script_rerecords_the_bundled_fixtures(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).parent.parent / "scripts" / "record_fixtures.py"
+    spec = importlib.util.spec_from_file_location("record_fixtures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "FIXTURE_PATH", tmp_path / "rp_li_fixtures.jsonl")
+    script.main()
+    recorded = (tmp_path / "rp_li_fixtures.jsonl").read_bytes()
+    assert recorded == (DATA / "rp_li_fixtures.jsonl").read_bytes()
+    assert f"replay corpus sha256: {RP_LI_REPLAY_SHA256}\n" in capsys.readouterr().out
 
 
 def test_a12_parser_round_trips():

@@ -419,6 +419,10 @@ def second_sample(program: str) -> str:
     *[(TASK_X.replace('"rp-ri"', condition), SAMPLE_X, "line 1") for condition in ("5", "null", "[1]", "{}")],
     (TASK_X.replace("}", ', "provenance": {"source": {"language_pair": null}}}'), SAMPLE_X, "line 1"),
     (TASK_X.replace("}", ', "provenance": {"source": {"language_pair": 5}}}'), SAMPLE_X, "line 1"),
+    # a word that is no string failed inside the word reader, naming no field
+    (TASK_X.replace('"inputs": ["a"]', '"inputs": [null]'), SAMPLE_X, "line 1"),
+    (TASK_X.replace('"outputs": ["e"]', '"outputs": [1]'), SAMPLE_X, "line 1"),
+    (TASK_X.replace('"outputs": ["e"]', '"outputs": [["e"]]'), SAMPLE_X, "line 1"),
 ], ids=["task-not-an-object", "word-not-a-string", "raw-text-not-a-string",
         "program-not-an-object", "words-not-an-array", "args-not-an-array",
         "phones-not-an-array", "change-pos-not-an-array", "provenance-not-an-object",
@@ -429,13 +433,24 @@ def second_sample(program: str) -> str:
         "gold-law-phones-item-an-array", "args-item-a-number", "args-item-null", "args-item-a-bool",
         "args-item-a-float", "args-item-empty", "condition-a-number", "condition-null",
         "condition-an-array", "condition-an-object", "language-pair-null",
-        "language-pair-a-number"])
+        "language-pair-a-number", "inputs-item-null", "outputs-item-a-number",
+        "outputs-item-an-array"])
 def test_eval_wrong_json_shape_exit_6(tasks_text, samples_text, where, tmp_path, capsys):
     tasks, samples = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
     for path, text in ((tasks, tasks_text), (samples, samples_text)):
         path.write_bytes(text if type(text) is bytes else text.encode())
     assert run("eval", "--tasks", tasks, "--samples", samples, "--out", tmp_path / "r") == 6
     assert capsys.readouterr().err.startswith(f"error: SchemaError: {where}: ")
+
+
+@pytest.mark.parametrize("field, old", [("inputs", '["a"]'), ("outputs", '["e"]')])
+def test_eval_task_word_that_is_no_string_names_its_field(field, old, tmp_path, capsys):
+    tasks, samples = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+    tasks.write_text(TASK_X.replace(f'"{field}": {old}', f'"{field}": [1]'))
+    samples.write_text(SAMPLE_X)
+    assert run("eval", "--tasks", tasks, "--samples", samples, "--out", tmp_path / "r") == 6
+    err = capsys.readouterr().err
+    assert err == f"error: SchemaError: line 1: {field} must hold strings, not [1]\n"
 
 
 LAW_DOC = json.loads(LAW_A_E)
@@ -585,6 +600,34 @@ def test_json_file_of_the_wrong_shape_exit_6(argv, text, tmp_path, monkeypatch, 
     assert capsys.readouterr().err.startswith("error: SchemaError: in.json: ")
     assert not Path("x.jsonl").exists()
 
+
+def test_gateway_settings_are_the_config_overlaid_by_the_given_flags(tmp_path, monkeypatch):
+    from soundlaw import datagen, gateway
+
+    seen = []
+
+    def gen_llm_tasks(condition, gw, pool, cfg, count, inv):
+        seen.append(gw.config)
+        return []
+
+    monkeypatch.setattr(datagen, "gen_llm_tasks", gen_llm_tasks)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "endpoint": "http://e", "model": "from-config", "temperature": 1, "max_tokens": 9,
+        "retry_budget": 0, "cache_dir": "from-config", "cache_only": False,
+    }))
+    out = tmp_path / "x.jsonl"
+    base = ("datagen", "--condition", "rp-li", "--count", "1", "--config", config, "--out", out)
+    assert run(*base) == 0
+    assert run(*base, "--model", "m", "--temperature", "0.5", "--cache-dir", "d", "--cache-only",
+               "--endpoint", "http://f") == 0
+    assert seen == [
+        gateway.GatewayConfig(endpoint="http://e", model="from-config", temperature=1.0,
+                              max_tokens=9, retry_budget=0, cache_dir="from-config"),
+        gateway.GatewayConfig(endpoint="http://f", model="m", temperature=0.5, max_tokens=9,
+                              retry_budget=0, cache_dir="d", cache_only=True),
+    ]
+    assert type(seen[0].temperature) is float  # 1 and 1.0 would key the cache apart
 
 def test_stats_alpha_only(capsys):
     assert run("stats", "--alpha", "0.05", "--m", "7") == 0

@@ -376,7 +376,7 @@ class ScriptedGateway(gateway.Gateway):
     def complete_prompt(self, bundle, n=None):
         content = self.responses[min(self.calls, len(self.responses) - 1)]
         self.calls += 1
-        return [gateway.Transcript(content, "stop", {}, False, bundle.prompt_hash, 0)]
+        return [gateway.Transcript(content, False, bundle.prompt_hash, 0)]
 
 
 S_DELETION = """```python

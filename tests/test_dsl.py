@@ -332,6 +332,9 @@ def test_read_laws_labels_diagnostics_and_errors(inv):
                       "\n" + print_law(law) + "\n\n{}"):
         with pytest.raises(SchemaError, match="^line 2: " if malformed[0] == "{" else "^line 4: "):
             read_laws(malformed, inv)
+    # an element of a JSON array names its place in the array
+    with pytest.raises(SchemaError, match=r"^law 2: law document missing \['change_pos', 'mappings'\]"):
+        read_laws(json.dumps([law_to_doc(law), {"predicates": []}], indent=2), inv)
     with pytest.raises(RuleSyntaxError, match="line 2"):
         read_laws("t > d / _ #\nt d", inv)
     with pytest.raises(UnresolvableSymbol, match="line 4: Z"):

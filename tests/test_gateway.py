@@ -7,9 +7,9 @@ from soundlaw import gateway
 from soundlaw.gateway import (
     BudgetExhausted,
     CacheMiss,
-    CompletionRequest,
     Gateway,
     GatewayConfig,
+    PromptBundle,
     Transcript,
     WrongSeedCount,
     build_datagen_prompt,
@@ -102,14 +102,13 @@ def test_rp_li_prompt_matches_golden_template(inv):
 # -- completion client -----------------------------------------------------------
 
 
-def request(prompt="p", samples=1):
-    return CompletionRequest(prompt=prompt, model="m", temperature=0.8, samples=samples, max_tokens=64)
+BUNDLE = PromptBundle("t", "p")
 
 
 def test_complete_returns_exactly_s_transcripts(tmp_path):
     transport = ok_transport()
     gw = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
-    transcripts = gw.complete(request(samples=4))
+    transcripts = gw.complete_prompt(BUNDLE, n=4)
     assert len(transcripts) == 4
     assert all(t.text == "hello" for t in transcripts)
     assert len(transport.calls) == 4  # one call per sample index
@@ -118,9 +117,9 @@ def test_complete_returns_exactly_s_transcripts(tmp_path):
 def test_second_request_served_from_cache(tmp_path):
     transport = ok_transport()
     gw = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
-    first = gw.complete(request())
+    first = gw.complete_prompt(BUNDLE, n=1)
     assert not first[0].cached
-    again = gw.complete(request())
+    again = gw.complete_prompt(BUNDLE, n=1)
     assert again[0].cached and again[0].text == first[0].text
     assert len(transport.calls) == 1  # zero new network calls
     # byte-identical across the cached and live path
@@ -130,7 +129,7 @@ def test_second_request_served_from_cache(tmp_path):
 def test_cache_only_miss(tmp_path):
     gw = Gateway(GatewayConfig(cache_dir=str(tmp_path), cache_only=True))
     with pytest.raises(CacheMiss):
-        gw.complete(request())
+        gw.complete_prompt(BUNDLE, n=1)
 
 
 def test_concurrent_cache_writers_of_one_key(tmp_path):
@@ -160,12 +159,14 @@ def test_concurrent_cache_writers_of_one_key(tmp_path):
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     transport = ok_transport()
-    Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport).complete(request())
+    live = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
+    live.complete_prompt(BUNDLE, n=1)
     (entry,) = tmp_path.iterdir()
     entry.write_text(entry.read_text()[:10])  # truncated JSON
     with pytest.raises(CacheMiss):
-        Gateway(GatewayConfig(cache_dir=str(tmp_path), cache_only=True)).complete(request())
-    (t,) = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport).complete(request())
+        Gateway(GatewayConfig(cache_dir=str(tmp_path), cache_only=True)).complete_prompt(BUNDLE, n=1)
+    live = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
+    (t,) = live.complete_prompt(BUNDLE, n=1)
     assert t.text == "hello" and not t.cached
     assert len(transport.calls) == 2  # refetched
     assert json.loads(entry.read_text())["content"] == "hello"  # and overwritten
@@ -179,7 +180,7 @@ def test_fixture_store(tmp_path, inv):
     path = tmp_path / "fx.jsonl"
     path.write_text(json.dumps({"prompt_hash": phash, "sample_index": 0, "content": "fixed"}) + "\n")
     gw = Gateway(GatewayConfig(cache_only=True), fixtures=load_fixtures(path))
-    (t,) = gw.complete(request(prompt=prompt))
+    (t,) = gw.complete_prompt(PromptBundle("t", prompt), n=1)
     assert t.text == "fixed" and t.cached
 
 
@@ -193,7 +194,7 @@ def test_retry_then_success(tmp_path):
         return 200, {"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]}
 
     gw = Gateway(GatewayConfig(cache_dir=str(tmp_path), backoff=0.0), transport=flaky)
-    (t,) = gw.complete(request())
+    (t,) = gw.complete_prompt(BUNDLE, n=1)
     assert t.text == "ok" and state["n"] == 3
 
 
@@ -211,7 +212,7 @@ def test_no_partial_results_on_midway_failure(tmp_path):
         transport=fails_later,
     )
     with pytest.raises(BudgetExhausted):
-        gw.complete(request(samples=5))
+        gw.complete_prompt(BUNDLE, n=5)
 
 
 def test_budget_exhausted():
@@ -220,7 +221,7 @@ def test_budget_exhausted():
 
     gw = Gateway(GatewayConfig(retry_budget=2, backoff=0.0), transport=always_down)
     with pytest.raises(BudgetExhausted):
-        gw.complete(request())
+        gw.complete_prompt(BUNDLE, n=1)
 
 
 def test_client_error_no_retry():
@@ -232,7 +233,7 @@ def test_client_error_no_retry():
 
     gw = Gateway(GatewayConfig(retry_budget=3, backoff=0.0), transport=bad_request)
     with pytest.raises(gateway.GatewayError):
-        gw.complete(request())
+        gw.complete_prompt(BUNDLE, n=1)
     assert len(calls) == 1
 
 
@@ -248,8 +249,8 @@ def test_failed_fetch_leaves_the_key_free():
 
     gw = Gateway(GatewayConfig(retry_budget=3, backoff=0.0), transport=bad_then_ok)
     with pytest.raises(gateway.GatewayError):
-        gw.complete(request())
-    (t,) = gw.complete(request())
+        gw.complete_prompt(BUNDLE, n=1)
+    (t,) = gw.complete_prompt(BUNDLE, n=1)
     assert t.text == "second" and not t.cached
     assert len(calls) == 2
 
@@ -277,7 +278,7 @@ def test_http_transport_non_json_body_lets_the_status_decide(monkeypatch, status
     monkeypatch.setattr("requests.post", post)
     gw = Gateway(GatewayConfig(retry_budget=2, backoff=0.0))
     with pytest.raises(error) as info:
-        gw.complete(request())
+        gw.complete_prompt(BUNDLE, n=1)
     assert len(posted) == calls
     if status != 503:
         assert type(info.value) is gateway.GatewayError and info.value.status == status
@@ -296,7 +297,7 @@ def test_coalescing_without_disk_cache():
     gw = Gateway(GatewayConfig(), transport=slow)  # no cache_dir
     results = []
     threads = [
-        threading.Thread(target=lambda: results.append(gw.complete(request())[0].text))
+        threading.Thread(target=lambda: results.append(gw.complete_prompt(BUNDLE, n=1)[0].text))
         for _ in range(4)
     ]
     for th in threads:
@@ -323,7 +324,7 @@ def test_concurrent_identical_requests_coalesce(tmp_path):
     results = []
 
     def worker():
-        results.append(gw.complete(request())[0].text)
+        results.append(gw.complete_prompt(BUNDLE, n=1)[0].text)
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for th in threads:
@@ -365,3 +366,34 @@ def test_extract_programs_redefinition_diagnostic(inv):
     parsed = extract_programs(Transcript(text), inv)
     assert len(parsed.laws) == 1
     assert any(d.code == "redefinition" for d in parsed.diagnostics)
+
+
+def test_wire_contract_and_cache_file_names(monkeypatch, tmp_path):
+    monkeypatch.setenv("SOUNDLAW_API_KEY", "sk-test")
+    seen = []
+
+    def transport(endpoint, payload, headers, timeout):
+        seen.append((endpoint, payload, headers))
+        return 200, {"choices": [{"message": {"content": "ok"}}]}
+
+    gw = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
+    transcripts = gw.complete_prompt(PromptBundle("t", "p"), n=2)
+    assert [t.text for t in transcripts] == ["ok", "ok"]
+    assert len(seen) == 2
+    for endpoint, payload, headers in seen:
+        assert endpoint == GatewayConfig.endpoint
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert payload == {
+            "model": GatewayConfig.model,
+            "messages": [{"role": "user", "content": "p"}],
+            "temperature": GatewayConfig.temperature,
+            "max_tokens": GatewayConfig.max_tokens,
+            "n": 1,
+        }
+    # the cache key's JSON must not move, so caches written earlier keep hitting
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "24941f78e8a076c9dec0a2a9770c72fb8e92a655987ac06097ce43a081762767.json",
+        "ed74810c3713c474cb598031aba1d52b092b255ba1cce1a83c3bb3cf58ffbf56.json",
+    ]
+    with pytest.raises(gateway.GatewayError, match="sample count must be >= 1"):
+        gw.complete_prompt(PromptBundle("t", "p"), n=0)
