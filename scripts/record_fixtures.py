@@ -78,11 +78,12 @@ class RecordingGateway(gateway.Gateway):
         self.round = 0
         self.recorded = []
 
-    def complete_prompt(self, bundle, n=None):
+    def complete_prompt(self, prompt, n):
         content = self.responses[self.round % len(self.responses)]
         self.round += 1
-        self.recorded.append({"prompt_hash": bundle.prompt_hash, "sample_index": 0, "content": content})
-        return [gateway.Transcript(content, False, bundle.prompt_hash, 0)]
+        digest = gateway.prompt_hash(prompt)
+        self.recorded.append({"prompt_hash": digest, "sample_index": 0, "content": content})
+        return [gateway.Transcript(content, False, digest, 0)]
 
 
 def main():

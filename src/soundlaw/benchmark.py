@@ -132,10 +132,13 @@ def load_cascade(text: str, inv: SegmentInventory, name: str = "") -> Cascade:
     """A cascade of every law a law text holds, in order (see
     `dsl.read_laws`).  A classical rule is labelled by the '#' comment line
     before it, else by itself; any other law by its place ("law 3").  A
-    constructor that does not parse is a DslError, so no law is dropped."""
+    constructor that does not parse is a DslError, so no law is dropped, and
+    so is a text holding no law."""
     labelled, diagnostics = read_laws(text, inv)
     if diagnostics:
         raise DslError("; ".join(f"{d.code}: {d.message}" for d in diagnostics))
+    if not labelled:
+        raise DslError("no parseable law in input")
     laws = tuple(law for _, law in labelled)
     return Cascade(laws, name=name, labels=tuple(label for label, _ in labelled))
 

@@ -169,10 +169,10 @@ def _gateway_from_args(args, config: dict) -> gateway.Gateway:
         "cache_only": args.cache_only or None,
     }
     settings = {**config, **{key: value for key, value in flags.items() if value is not None}}
-    gw = gateway.Gateway(gateway.GatewayConfig(**settings))
-    for fixture_path in args.fixtures or []:
-        gw.add_fixtures(fixture_path)
-    return gw
+    fixtures = {}
+    for path in args.fixtures or []:  # a later file wins
+        fixtures.update(gateway.load_fixtures(path))
+    return gateway.Gateway(gateway.GatewayConfig(**settings), fixtures=fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,9 @@ def cmd_stats(args) -> int:
         "m": args.m,
         "alpha_adjusted": alpha_adjusted,
     }
-    if args.x and args.y:
+    if (args.x is None) != (args.y is None):
+        raise CliError("stats compares two samples: give both -x and -y, or neither", EXIT_PARSE)
+    if args.x is not None:
         x = _stats_vector(args.x, args.property)
         y = _stats_vector(args.y, args.property)
         result = stats_mod.wilcoxon_signed_rank(x, y, alternative=args.alternative)

@@ -436,8 +436,7 @@ def gen_llm_tasks(
         if barren > cfg.retry_budget:
             raise ZeroYield(f"{barren} consecutive rounds yielded no usable program")
         seeds = rng.sample(seed_pool, min(5, len(seed_pool)))
-        bundle = build_datagen_prompt(kind, seeds)
-        transcripts = gateway.complete_prompt(bundle, n=1)
+        transcripts = gateway.complete_prompt(build_datagen_prompt(kind, seeds), n=1)
         yielded = 0
         for transcript in transcripts:
             for law, nonce in harvest_actions(transcript.text, inv):
@@ -455,14 +454,11 @@ def gen_llm_tasks(
         round_index += 1
     candidates = candidates[:count]
 
-    # distractor pool: every other candidate's inputs, then the seed pool
+    # distractor pool: every candidate's inputs, then the seed pool;
+    # add_distractors skips a task's own inputs
+    pool = [word for _, inputs, _ in candidates for word in inputs] + list(seed_pool)
     tasks: list[PBETask] = []
     for i, (law, inputs, rnd) in enumerate(candidates):
-        pool: list[PhoneSeq] = []
-        for j, (_, other_inputs, _) in enumerate(candidates):
-            if j != i:
-                pool.extend(other_inputs)
-        pool.extend(seed_pool)
         outputs, _ = apply_to_lexicon(law, inputs, inv)
         task = PBETask(
             id=f"{kind}-{i:05d}",

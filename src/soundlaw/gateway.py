@@ -1,13 +1,16 @@
 """Prompt assembly and the chat-completion client.
 
-Prompts render deterministically from the versioned templates in
-soundlaw/templates.  `Gateway.complete_prompt(bundle, n)` is the one way to
-ask for completions; every request setting comes from `GatewayConfig`, and
-the API key is read from the fixed environment variable SOUNDLAW_API_KEY.
-Completions go through a content-addressed disk cache (plus optional
-recorded fixture transcripts), so whole experiments replay offline
-byte-for-byte; live calls hit any OpenAI-compatible endpoint with
-exponential-backoff retries.
+Prompts render deterministically, as plain text, from the versioned
+templates in soundlaw/templates; `prompt_hash(text)` is the one sha256 that
+keys recorded fixtures and the disk cache.  `Gateway.complete_prompt(prompt,
+n)` is the one way to ask for completions; every request setting comes from
+`GatewayConfig`, whose fields are exactly the keys a `--config` file may
+set, and the API key is read from the fixed environment variable
+SOUNDLAW_API_KEY.  Completions go through a content-addressed disk cache
+(plus optional recorded fixture transcripts), so whole experiments replay
+offline byte-for-byte; live calls hit any OpenAI-compatible endpoint, and a
+429 or 5xx status is retried after a fixed 0.5 s backoff that doubles on
+each further retry.
 
 Model output is interpreted through the closed constructor grammar only;
 no transcript content is ever executed.
@@ -28,12 +31,6 @@ from pathlib import Path
 from .dsl import Diagnostic, ParsedProgramSet, extract_code_blocks, json_field, parse_program_text
 from .phonology import SegmentInventory, preprocess
 from .tasks import PBETask, read_jsonl, word_to_str
-
-_TEMPLATE_FILES = {
-    "sli-single-law": "sli_prompt.txt",
-    "rp-li-datagen": "rp_li_datagen.txt",
-    "rp-pi-datagen": "rp_pi_datagen.txt",
-}
 
 ADDITIONAL_INSTRUCTIONS = (
     "Do not import any other packages. Do not modify or repeat the definition "
@@ -60,41 +57,32 @@ class WrongSeedCount(GatewayError):
     pass
 
 
-def load_template(template_id: str) -> str:
-    return (files("soundlaw") / "templates" / _TEMPLATE_FILES[template_id]).read_text("utf-8")
+def load_template(name: str) -> str:
+    """The text of one file in soundlaw/templates."""
+    return (files("soundlaw") / "templates" / name).read_text("utf-8")
 
 
-def _sha256(text: str) -> str:
+def prompt_hash(text: str) -> str:
+    """The sha256 that keys a prompt's recorded fixtures and its cache entries."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    template_id: str
-    text: str
-
-    @property
-    def prompt_hash(self) -> str:
-        return _sha256(self.text)
 
 
 def _word_list_literal(words) -> str:
     return "[" + ", ".join("'" + word_to_str(w) + "'" for w in words) + "]"
 
 
-def build_datagen_prompt(kind: str, seed_words) -> PromptBundle:
+def build_datagen_prompt(kind: str, seed_words) -> str:
     """Render the rp-li / rp-pi generation prompt for five seed words."""
-    template_id = {"rp-li": "rp-li-datagen", "rp-pi": "rp-pi-datagen"}.get(kind)
-    if template_id is None:
+    template = {"rp-li": "rp_li_datagen.txt", "rp-pi": "rp_pi_datagen.txt"}.get(kind)
+    if template is None:
         raise GatewayError(f"unknown datagen prompt kind {kind!r}")
     seed_words = list(seed_words)
     if len(seed_words) != 5:
         raise WrongSeedCount(f"datagen prompts take exactly 5 seed words, got {len(seed_words)}")
-    text = load_template(template_id).replace("{input_words}", _word_list_literal(seed_words))
-    return PromptBundle(template_id, text)
+    return load_template(template).replace("{input_words}", _word_list_literal(seed_words))
 
 
-def build_sli_prompt(task: PBETask) -> PromptBundle:
+def build_sli_prompt(task: PBETask) -> str:
     """Render the six-section single-law induction prompt for one task."""
     before = "\n".join(
         f"{''.join(src)} -> {''.join(tgt)}" for src, tgt in zip(task.inputs, task.outputs)
@@ -103,25 +91,25 @@ def build_sli_prompt(task: PBETask) -> PromptBundle:
         f"{' '.join(preprocess(src))} -> {' '.join(preprocess(tgt))}"
         for src, tgt in zip(task.inputs, task.outputs)
     )
-    demos = (files("soundlaw") / "templates" / "sli_demos.txt").read_text("utf-8").strip()
-    code = (files("soundlaw") / "templates" / "basic_action.py.txt").read_text("utf-8").strip()
     bindings = {
         "word_list": before,
         "processed_word_list": after,
-        "basic_action_demonstration": demos,
-        "basic_action_code": code,
+        "basic_action_demonstration": load_template("sli_demos.txt").strip(),
+        "basic_action_code": load_template("basic_action.py.txt").strip(),
         "additional_instructions": ADDITIONAL_INSTRUCTIONS,
     }
-    text = load_template("sli-single-law")
+    text = load_template("sli_prompt.txt")
     for key, value in bindings.items():
         text = text.replace("{" + key + "}", value)
-    return PromptBundle("sli-single-law", text)
+    return text
 
 
-# the environment variable holding the endpoint's API key, and the seconds
-# one HTTP request may take
+# the environment variable holding the endpoint's API key, the seconds one
+# HTTP request may take, and the seconds before the first retry (doubled on
+# each retry after it)
 API_KEY_ENV = "SOUNDLAW_API_KEY"
 TIMEOUT = 120.0
+BACKOFF = 0.5
 
 
 @dataclass(frozen=True)
@@ -129,10 +117,8 @@ class GatewayConfig:
     endpoint: str = "http://localhost:8000/v1/chat/completions"
     model: str = "codestral-22b"
     temperature: float = 0.8
-    samples: int = 20
     max_tokens: int = 1024
     retry_budget: int = 3
-    backoff: float = 0.5
     cache_dir: str | None = None
     cache_only: bool = False
 
@@ -179,24 +165,21 @@ class Gateway:
         self._lock = threading.Lock()
         self._memo: dict[str, dict] = {}
 
-    def add_fixtures(self, path) -> None:
-        self.fixtures.update(load_fixtures(path))
-
     # -- cache ------------------------------------------------------------
 
-    def _cache_key(self, prompt_hash: str, index: int) -> str:
+    def _cache_key(self, digest: str, index: int) -> str:
         payload = json.dumps(
             {
                 "endpoint": self.config.endpoint,
                 "model": self.config.model,
                 "temperature": self.config.temperature,
                 "max_tokens": self.config.max_tokens,
-                "prompt": prompt_hash,
+                "prompt": digest,
                 "sample": index,
             },
             sort_keys=True,
         )
-        return _sha256(payload)
+        return prompt_hash(payload)
 
     def _cache_path(self, key: str) -> Path | None:
         if not self.config.cache_dir:
@@ -249,7 +232,7 @@ class Gateway:
         last_error: str = "no attempt made"
         for attempt in range(self.config.retry_budget + 1):
             if attempt:
-                time.sleep(self.config.backoff * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF * (2 ** (attempt - 1)))
             try:
                 status, body = self.transport(self.config.endpoint, payload, headers, TIMEOUT)
             except Exception as exc:  # transport-level failure: retry
@@ -271,30 +254,28 @@ class Gateway:
             raise GatewayError(f"completion request failed: HTTP {status}", status)
         raise BudgetExhausted(f"retry budget exhausted ({last_error})")
 
-    def _one_sample(self, prompt: str, prompt_hash: str, index: int) -> Transcript:
-        fixture = self.fixtures.get((prompt_hash, index))
+    def _one_sample(self, prompt: str, digest: str, index: int) -> Transcript:
+        fixture = self.fixtures.get((digest, index))
         if fixture is not None:
-            return Transcript(fixture, True, prompt_hash, index)
-        key = self._cache_key(prompt_hash, index)
+            return Transcript(fixture, True, digest, index)
+        key = self._cache_key(digest, index)
         with self._lock:
             doc = self._memo.get(key) or self._cache_read(key)
             cached = doc is not None
             if not cached:
                 if self.config.cache_only:
-                    raise CacheMiss(f"no cached transcript for prompt {prompt_hash[:12]} sample {index}")
+                    raise CacheMiss(f"no cached transcript for prompt {digest[:12]} sample {index}")
                 doc = self._call_network(prompt)
                 self._memo[key] = doc
                 self._cache_write(key, doc)
-        return Transcript(doc["content"], cached, prompt_hash, index)
+        return Transcript(doc["content"], cached, digest, index)
 
-    def complete_prompt(self, bundle: PromptBundle, n: int | None = None) -> list[Transcript]:
-        """Exactly n transcripts (config.samples when n is None), or an
-        exception — never partial."""
-        samples = n if n is not None else self.config.samples
-        if samples < 1:
+    def complete_prompt(self, prompt: str, n: int) -> list[Transcript]:
+        """Exactly n transcripts of one prompt, or an exception — never partial."""
+        if n < 1:
             raise GatewayError("sample count must be >= 1")
-        prompt_hash = bundle.prompt_hash
-        return [self._one_sample(bundle.text, prompt_hash, i) for i in range(samples)]
+        digest = prompt_hash(prompt)
+        return [self._one_sample(prompt, digest, i) for i in range(n)]
 
 
 def extract_programs(transcript: Transcript, inv: SegmentInventory) -> ParsedProgramSet:

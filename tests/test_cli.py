@@ -115,6 +115,19 @@ def test_parse_law_without_rule_line_exit_2(argv, tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("text", ["# a comment only\n\n", "[]\n"], ids=["comment-only", "empty-array"])
+@pytest.mark.parametrize("command", ["derive", "bench"])
+def test_cascade_holding_no_law_exit_2(command, text, tmp_path, capsys):
+    cascade = tmp_path / "empty.rules"
+    cascade.write_text(text)
+    out = tmp_path / "x.jsonl"
+    argv = ("derive", "--cascade", cascade, "tap") if command == "derive" else (
+        "bench", "--cascade", cascade, "--out", out)
+    assert run(*argv) == 2
+    assert "no parseable law" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_law_output_is_law_text_to_every_command(tmp_path, capsys):
     """parse-law prints one JSON law per line; parse-law, apply, derive and
     bench read those lines with the outputs of the classical source."""
@@ -629,10 +642,27 @@ def test_gateway_settings_are_the_config_overlaid_by_the_given_flags(tmp_path, m
     ]
     assert type(seen[0].temperature) is float  # 1 and 1.0 would key the cache apart
 
+
+def test_gateway_config_fields_are_the_config_keys():
+    from soundlaw import cli, gateway
+
+    assert set(cli.CONFIG_FIELDS) == {f.name for f in dataclasses.fields(gateway.GatewayConfig)}
+
+
 def test_stats_alpha_only(capsys):
     assert run("stats", "--alpha", "0.05", "--m", "7") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["alpha_adjusted"] == pytest.approx(0.05 / 7)
+
+
+@pytest.mark.parametrize("flag", ["-x", "-y"])
+def test_stats_one_sample_without_the_other_exit_2(flag, tmp_path, capsys):
+    sample = tmp_path / "s.json"
+    sample.write_text("[1.0, 2.0, 3.0]")
+    assert run("stats", flag, sample) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stats compares two samples: give both -x and -y, or neither\n"
 
 
 def test_stats_comparison(tmp_path, capsys):

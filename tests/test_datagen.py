@@ -373,10 +373,10 @@ class ScriptedGateway(gateway.Gateway):
         self.responses = list(responses)
         self.calls = 0
 
-    def complete_prompt(self, bundle, n=None):
+    def complete_prompt(self, prompt, n):
         content = self.responses[min(self.calls, len(self.responses) - 1)]
         self.calls += 1
-        return [gateway.Transcript(content, False, bundle.prompt_hash, 0)]
+        return [gateway.Transcript(content, False, gateway.prompt_hash(prompt), 0)]
 
 
 S_DELETION = """```python

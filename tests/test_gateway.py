@@ -9,13 +9,13 @@ from soundlaw.gateway import (
     CacheMiss,
     Gateway,
     GatewayConfig,
-    PromptBundle,
     Transcript,
     WrongSeedCount,
     build_datagen_prompt,
     build_sli_prompt,
     extract_programs,
     load_fixtures,
+    prompt_hash,
 )
 from soundlaw.tasks import PBETask
 
@@ -58,31 +58,31 @@ def ok_transport(content="hello"):
 
 
 def test_sli_prompt_sections_in_order(inv):
-    bundle = build_sli_prompt(sample_task(inv))
-    positions = [bundle.text.find(m) for m in SLI_SECTION_MARKERS]
+    prompt = build_sli_prompt(sample_task(inv))
+    positions = [prompt.find(m) for m in SLI_SECTION_MARKERS]
     assert all(p >= 0 for p in positions)
     assert positions == sorted(positions)
-    assert bundle.text.count(SLI_SECTION_MARKERS[0]) == 1
+    assert prompt.count(SLI_SECTION_MARKERS[0]) == 1
 
 
 def test_sli_prompt_preprocessed_rows(inv):
-    bundle = build_sli_prompt(sample_task(inv))
-    assert "# @ a @ m @ #" in bundle.text
-    assert "am -> em" in bundle.text
+    prompt = build_sli_prompt(sample_task(inv))
+    assert "# @ a @ m @ #" in prompt
+    assert "am -> em" in prompt
 
 
 def test_prompt_hash_deterministic(inv):
     a = build_sli_prompt(sample_task(inv))
     b = build_sli_prompt(sample_task(inv))
-    assert a.text == b.text and a.prompt_hash == b.prompt_hash
+    assert a == b and prompt_hash(a) == prompt_hash(b)
 
 
 def test_datagen_prompt_terminal_words(inv):
     seeds = [inv.segment(w) for w in ("san", "an", "lam", "wam", "ap")]
-    bundle = build_datagen_prompt("rp-pi", seeds)
-    assert bundle.text.rstrip().endswith("Example nonsense words: ['s a n', 'a n', 'l a m', 'w a m', 'a p']")
+    prompt = build_datagen_prompt("rp-pi", seeds)
+    assert prompt.rstrip().endswith("Example nonsense words: ['s a n', 'a n', 'l a m', 'w a m', 'a p']")
     li = build_datagen_prompt("rp-li", seeds)
-    assert "Now write more actions that follow this format:" in li.text
+    assert "Now write more actions that follow this format:" in li
 
 
 def test_datagen_prompt_seed_count(inv):
@@ -92,23 +92,28 @@ def test_datagen_prompt_seed_count(inv):
 
 def test_rp_li_prompt_matches_golden_template(inv):
     seeds = [inv.segment(w) for w in ("san", "an", "lam", "wam", "ap")]
-    bundle = build_datagen_prompt("rp-li", seeds)
-    golden = gateway.load_template("rp-li-datagen").replace(
+    prompt = build_datagen_prompt("rp-li", seeds)
+    golden = gateway.load_template("rp_li_datagen.txt").replace(
         "{input_words}", "['s a n', 'a n', 'l a m', 'w a m', 'a p']"
     )
-    assert bundle.text == golden
+    assert prompt == golden
 
 
 # -- completion client -----------------------------------------------------------
 
 
-BUNDLE = PromptBundle("t", "p")
+PROMPT = "p"
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(gateway, "BACKOFF", 0.0)
 
 
 def test_complete_returns_exactly_s_transcripts(tmp_path):
     transport = ok_transport()
     gw = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
-    transcripts = gw.complete_prompt(BUNDLE, n=4)
+    transcripts = gw.complete_prompt(PROMPT, n=4)
     assert len(transcripts) == 4
     assert all(t.text == "hello" for t in transcripts)
     assert len(transport.calls) == 4  # one call per sample index
@@ -117,9 +122,9 @@ def test_complete_returns_exactly_s_transcripts(tmp_path):
 def test_second_request_served_from_cache(tmp_path):
     transport = ok_transport()
     gw = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
-    first = gw.complete_prompt(BUNDLE, n=1)
+    first = gw.complete_prompt(PROMPT, n=1)
     assert not first[0].cached
-    again = gw.complete_prompt(BUNDLE, n=1)
+    again = gw.complete_prompt(PROMPT, n=1)
     assert again[0].cached and again[0].text == first[0].text
     assert len(transport.calls) == 1  # zero new network calls
     # byte-identical across the cached and live path
@@ -129,7 +134,7 @@ def test_second_request_served_from_cache(tmp_path):
 def test_cache_only_miss(tmp_path):
     gw = Gateway(GatewayConfig(cache_dir=str(tmp_path), cache_only=True))
     with pytest.raises(CacheMiss):
-        gw.complete_prompt(BUNDLE, n=1)
+        gw.complete_prompt(PROMPT, n=1)
 
 
 def test_concurrent_cache_writers_of_one_key(tmp_path):
@@ -160,13 +165,13 @@ def test_concurrent_cache_writers_of_one_key(tmp_path):
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     transport = ok_transport()
     live = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
-    live.complete_prompt(BUNDLE, n=1)
+    live.complete_prompt(PROMPT, n=1)
     (entry,) = tmp_path.iterdir()
     entry.write_text(entry.read_text()[:10])  # truncated JSON
     with pytest.raises(CacheMiss):
-        Gateway(GatewayConfig(cache_dir=str(tmp_path), cache_only=True)).complete_prompt(BUNDLE, n=1)
+        Gateway(GatewayConfig(cache_dir=str(tmp_path), cache_only=True)).complete_prompt(PROMPT, n=1)
     live = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
-    (t,) = live.complete_prompt(BUNDLE, n=1)
+    (t,) = live.complete_prompt(PROMPT, n=1)
     assert t.text == "hello" and not t.cached
     assert len(transport.calls) == 2  # refetched
     assert json.loads(entry.read_text())["content"] == "hello"  # and overwritten
@@ -180,10 +185,11 @@ def test_fixture_store(tmp_path, inv):
     path = tmp_path / "fx.jsonl"
     path.write_text(json.dumps({"prompt_hash": phash, "sample_index": 0, "content": "fixed"}) + "\n")
     gw = Gateway(GatewayConfig(cache_only=True), fixtures=load_fixtures(path))
-    (t,) = gw.complete_prompt(PromptBundle("t", prompt), n=1)
+    (t,) = gw.complete_prompt(prompt, n=1)
     assert t.text == "fixed" and t.cached
 
 
+@pytest.mark.usefixtures("no_backoff")
 def test_retry_then_success(tmp_path):
     state = {"n": 0}
 
@@ -193,11 +199,12 @@ def test_retry_then_success(tmp_path):
             return 503, {}
         return 200, {"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]}
 
-    gw = Gateway(GatewayConfig(cache_dir=str(tmp_path), backoff=0.0), transport=flaky)
-    (t,) = gw.complete_prompt(BUNDLE, n=1)
+    gw = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=flaky)
+    (t,) = gw.complete_prompt(PROMPT, n=1)
     assert t.text == "ok" and state["n"] == 3
 
 
+@pytest.mark.usefixtures("no_backoff")
 def test_no_partial_results_on_midway_failure(tmp_path):
     state = {"n": 0}
 
@@ -208,22 +215,38 @@ def test_no_partial_results_on_midway_failure(tmp_path):
         return 200, {"choices": [{"message": {"content": "x"}, "finish_reason": "stop"}]}
 
     gw = Gateway(
-        GatewayConfig(cache_dir=str(tmp_path), retry_budget=0, backoff=0.0),
+        GatewayConfig(cache_dir=str(tmp_path), retry_budget=0),
         transport=fails_later,
     )
     with pytest.raises(BudgetExhausted):
-        gw.complete_prompt(BUNDLE, n=5)
+        gw.complete_prompt(PROMPT, n=5)
 
 
+@pytest.mark.usefixtures("no_backoff")
 def test_budget_exhausted():
     def always_down(endpoint, payload, headers, timeout):
         return 500, {}
 
-    gw = Gateway(GatewayConfig(retry_budget=2, backoff=0.0), transport=always_down)
+    gw = Gateway(GatewayConfig(retry_budget=2), transport=always_down)
     with pytest.raises(BudgetExhausted):
-        gw.complete_prompt(BUNDLE, n=1)
+        gw.complete_prompt(PROMPT, n=1)
 
 
+def test_retries_wait_the_fixed_backoff_doubling(monkeypatch):
+    waits = []
+    monkeypatch.setattr(gateway.time, "sleep", waits.append)
+
+    def always_busy(endpoint, payload, headers, timeout):
+        return 429, {}
+
+    gw = Gateway(GatewayConfig(retry_budget=3), transport=always_busy)
+    with pytest.raises(BudgetExhausted):
+        gw.complete_prompt(PROMPT, n=1)
+    assert gateway.BACKOFF == 0.5
+    assert waits == [0.5, 1.0, 2.0]
+
+
+@pytest.mark.usefixtures("no_backoff")
 def test_client_error_no_retry():
     calls = []
 
@@ -231,12 +254,13 @@ def test_client_error_no_retry():
         calls.append(1)
         return 400, {}
 
-    gw = Gateway(GatewayConfig(retry_budget=3, backoff=0.0), transport=bad_request)
+    gw = Gateway(GatewayConfig(retry_budget=3), transport=bad_request)
     with pytest.raises(gateway.GatewayError):
-        gw.complete_prompt(BUNDLE, n=1)
+        gw.complete_prompt(PROMPT, n=1)
     assert len(calls) == 1
 
 
+@pytest.mark.usefixtures("no_backoff")
 def test_failed_fetch_leaves_the_key_free():
     statuses = [400, 200]
     calls = []
@@ -247,10 +271,10 @@ def test_failed_fetch_leaves_the_key_free():
             "choices": [{"message": {"content": "second"}, "finish_reason": "stop"}]
         }
 
-    gw = Gateway(GatewayConfig(retry_budget=3, backoff=0.0), transport=bad_then_ok)
+    gw = Gateway(GatewayConfig(retry_budget=3), transport=bad_then_ok)
     with pytest.raises(gateway.GatewayError):
-        gw.complete_prompt(BUNDLE, n=1)
-    (t,) = gw.complete_prompt(BUNDLE, n=1)
+        gw.complete_prompt(PROMPT, n=1)
+    (t,) = gw.complete_prompt(PROMPT, n=1)
     assert t.text == "second" and not t.cached
     assert len(calls) == 2
 
@@ -264,6 +288,7 @@ class HtmlResponse:
         return json.loads(self.content)
 
 
+@pytest.mark.usefixtures("no_backoff")
 @pytest.mark.parametrize(
     "status, error, calls",
     [(401, gateway.GatewayError, 1), (503, BudgetExhausted, 3), (200, gateway.GatewayError, 1)],
@@ -276,9 +301,9 @@ def test_http_transport_non_json_body_lets_the_status_decide(monkeypatch, status
         return HtmlResponse(status)
 
     monkeypatch.setattr("requests.post", post)
-    gw = Gateway(GatewayConfig(retry_budget=2, backoff=0.0))
+    gw = Gateway(GatewayConfig(retry_budget=2))
     with pytest.raises(error) as info:
-        gw.complete_prompt(BUNDLE, n=1)
+        gw.complete_prompt(PROMPT, n=1)
     assert len(posted) == calls
     if status != 503:
         assert type(info.value) is gateway.GatewayError and info.value.status == status
@@ -297,7 +322,7 @@ def test_coalescing_without_disk_cache():
     gw = Gateway(GatewayConfig(), transport=slow)  # no cache_dir
     results = []
     threads = [
-        threading.Thread(target=lambda: results.append(gw.complete_prompt(BUNDLE, n=1)[0].text))
+        threading.Thread(target=lambda: results.append(gw.complete_prompt(PROMPT, n=1)[0].text))
         for _ in range(4)
     ]
     for th in threads:
@@ -324,7 +349,7 @@ def test_concurrent_identical_requests_coalesce(tmp_path):
     results = []
 
     def worker():
-        results.append(gw.complete_prompt(BUNDLE, n=1)[0].text)
+        results.append(gw.complete_prompt(PROMPT, n=1)[0].text)
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for th in threads:
@@ -377,7 +402,7 @@ def test_wire_contract_and_cache_file_names(monkeypatch, tmp_path):
         return 200, {"choices": [{"message": {"content": "ok"}}]}
 
     gw = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
-    transcripts = gw.complete_prompt(PromptBundle("t", "p"), n=2)
+    transcripts = gw.complete_prompt("p", n=2)
     assert [t.text for t in transcripts] == ["ok", "ok"]
     assert len(seen) == 2
     for endpoint, payload, headers in seen:
@@ -396,4 +421,4 @@ def test_wire_contract_and_cache_file_names(monkeypatch, tmp_path):
         "ed74810c3713c474cb598031aba1d52b092b255ba1cce1a83c3bb3cf58ffbf56.json",
     ]
     with pytest.raises(gateway.GatewayError, match="sample count must be >= 1"):
-        gw.complete_prompt(PromptBundle("t", "p"), n=0)
+        gw.complete_prompt("p", n=0)

@@ -46,12 +46,12 @@ PROSE = "I am not sure how to express this transformation."
 
 def test_full_induction_and_scoring(inv):
     task = induction_task(inv)
-    bundle = build_sli_prompt(task)
-    assert "# @ tʰ @ u @ m @ #" in bundle.text  # preprocessed row, multigraph intact
-    assert "tʰum -> tʰun" in bundle.text
+    prompt = build_sli_prompt(task)
+    assert "# @ tʰ @ u @ m @ #" in prompt  # preprocessed row, multigraph intact
+    assert "tʰum -> tʰun" in prompt
 
-    gw = Gateway(GatewayConfig(samples=3), transport=scripted_transport([GOOD, OVERSHOOT, PROSE]))
-    transcripts = gw.complete_prompt(bundle)
+    gw = Gateway(GatewayConfig(), transport=scripted_transport([GOOD, OVERSHOOT, PROSE]))
+    transcripts = gw.complete_prompt(prompt, n=3)
     assert len(transcripts) == 3
 
     candidates = []
@@ -71,25 +71,25 @@ def test_full_induction_and_scoring(inv):
 
 def test_induction_loop_is_replayable(inv, tmp_path):
     task = induction_task(inv)
-    bundle = build_sli_prompt(task)
+    prompt = build_sli_prompt(task)
     transport = scripted_transport([GOOD])
-    live = Gateway(GatewayConfig(samples=1, cache_dir=str(tmp_path)), transport=transport)
-    first = live.complete_prompt(bundle)
+    live = Gateway(GatewayConfig(cache_dir=str(tmp_path)), transport=transport)
+    first = live.complete_prompt(prompt, n=1)
 
     def refuse(endpoint, payload, headers, timeout):
         raise AssertionError("network touched in cache-only mode")
 
     offline = Gateway(
-        GatewayConfig(samples=1, cache_dir=str(tmp_path), cache_only=True), transport=refuse
+        GatewayConfig(cache_dir=str(tmp_path), cache_only=True), transport=refuse
     )
-    replay = offline.complete_prompt(bundle)
+    replay = offline.complete_prompt(prompt, n=1)
     assert replay[0].text == first[0].text
     assert replay[0].cached
 
 
 def test_gateway_module_extraction_marks_provenance(inv):
-    gw = Gateway(GatewayConfig(samples=1), transport=scripted_transport(["text only, no code"]))
-    bundle = gateway.build_datagen_prompt("rp-pi", [inv.segment(w) for w in ("sa", "ta", "ka", "ma", "na")])
-    (t,) = gw.complete_prompt(bundle, n=1)
+    gw = Gateway(GatewayConfig(), transport=scripted_transport(["text only, no code"]))
+    prompt = gateway.build_datagen_prompt("rp-pi", [inv.segment(w) for w in ("sa", "ta", "ka", "ma", "na")])
+    (t,) = gw.complete_prompt(prompt, n=1)
     parsed = extract_programs(t, inv)
     assert not parsed.laws and not parsed.diagnostics  # prose block, no constructors
