@@ -3,91 +3,130 @@
  * Mirrors soundlaw._native exactly (same functions, same tie-breaks, same
  * ValueError guard); the test suite asserts that the two backends agree and
  * expose the same functions, bar the Python-only oracle
- * count_scan_occurrences.  Symbols are interned to small integers per
- * call through a dict, so any hashable symbols work (tuple, list or str
- * operands alike) and the inner loops run on C arrays.  Besides the pairwise
- * edit-distance and LCS kernels, scan_counts weights a whole batch of idp-pi
- * context candidates against one word list in a single call.
- * soundlaw.kernels compiles this file on first import when no built
+ * count_scan_occurrences.  The pairwise kernels compare symbols with `==`,
+ * as _native does, so any symbols work (tuple, list or str operands alike):
+ * each call fills an m x n equality table once, and the inner loops read it.
+ * Besides the pairwise edit-distance and LCS kernels, scan_counts weights a
+ * whole batch of idp-pi context candidates against one word list in a
+ * single call; it interns symbols to small integers through one dict per
+ * call.  soundlaw.kernels compiles this file on first import when no built
  * extension is installed.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* Both operands of one call: their fast-sequence views and interned codes. */
+/* Bytes of a pair's DP rows and equality table kept on the stack; a larger
+ * pair (a 60 x 60 one in every kernel) takes them from the heap. */
+#define PAIR_STACK 2048
+
+/* Both operands of one call, as tuples so that no __eq__ can change them
+ * under the kernel, with the kernel's DP slots and eq[i * n + j], which is 1
+ * when a[i] == b[j]. */
 typedef struct {
-    PyObject *fa, *fb;
+    PyObject *ta, *tb;
     Py_ssize_t m, n;
-    Py_ssize_t *xa, *xb;
+    Py_ssize_t *work;
+    unsigned char *eq;
+    void *heap;
+    Py_ssize_t stack[PAIR_STACK / sizeof(Py_ssize_t)];
 } Pair;
 
+/* x == y: 1 or 0, or -1 with the exception of a raising __eq__ set. */
 static int
-encode(PyObject *fast, Py_ssize_t *out, PyObject *code)
+same(PyObject *x, PyObject *y)
 {
-    Py_ssize_t i, len = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (i = 0; i < len; i++) {
-        PyObject *v = PyDict_GetItemWithError(code, items[i]);
-        if (v != NULL) {
-            out[i] = PyLong_AsSsize_t(v);
-            continue;
-        }
-        if (PyErr_Occurred())
-            return -1;
-        out[i] = PyDict_GET_SIZE(code);
-        v = PyLong_FromSsize_t(out[i]);
-        if (v == NULL || PyDict_SetItem(code, items[i], v) < 0) {
-            Py_XDECREF(v);
-            return -1;
-        }
-        Py_DECREF(v);
+    if (x == y)
+        return 1;
+    if (PyUnicode_CheckExact(x) && PyUnicode_CheckExact(y)) {
+        /* equal strings share one canonical kind, as CPython's own == relies on */
+        Py_ssize_t len = PyUnicode_GET_LENGTH(x);
+        int kind = PyUnicode_KIND(x);
+        return len == PyUnicode_GET_LENGTH(y) && kind == (int)PyUnicode_KIND(y)
+               && memcmp(PyUnicode_DATA(x), PyUnicode_DATA(y), (size_t)len * kind) == 0;
     }
-    return 0;
+    return PyObject_RichCompareBool(x, y, Py_EQ);
 }
 
 static void
 pair_close(Pair *p)
 {
-    Py_XDECREF(p->fa);
-    Py_XDECREF(p->fb);
-    PyMem_Free(p->xa);
+    Py_XDECREF(p->ta);
+    Py_XDECREF(p->tb);
+    PyMem_Free(p->heap);
 }
 
+/* Take both operands of a call, reserve the DP slots `words_for` counts
+ * (none when it is NULL) and fill the equality table; on failure the pair is
+ * closed and an exception set. */
 static int
-pair_open(Pair *p, PyObject *const *args, Py_ssize_t nargs, const char *name)
+pair_open(Pair *p, PyObject *const *args, Py_ssize_t nargs, const char *name,
+          Py_ssize_t (*words_for)(Py_ssize_t m, Py_ssize_t n))
 {
-    PyObject *code;
-    p->fa = p->fb = NULL;
-    p->xa = NULL;
+    Py_ssize_t i, j, words, cells;
+    PyObject **xa, **xb;
+    unsigned char *eq;
+    size_t bytes;
+    int r;
+    p->ta = p->tb = NULL;
+    p->heap = NULL;
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "%s() takes exactly 2 arguments (%zd given)", name, nargs);
         return -1;
     }
-    p->fa = PySequence_Fast(args[0], "expected a sequence");
-    p->fb = p->fa ? PySequence_Fast(args[1], "expected a sequence") : NULL;
-    if (p->fb == NULL)
+    p->ta = PySequence_Tuple(args[0]);
+    p->tb = p->ta ? PySequence_Tuple(args[1]) : NULL;
+    if (p->tb == NULL)
         goto fail;
-    p->m = PySequence_Fast_GET_SIZE(p->fa);
-    p->n = PySequence_Fast_GET_SIZE(p->fb);
-    p->xa = PyMem_New(Py_ssize_t, p->m + p->n + 1);
-    if (p->xa == NULL) {
-        PyErr_NoMemory();
-        goto fail;
+    p->m = PyTuple_GET_SIZE(p->ta);
+    p->n = PyTuple_GET_SIZE(p->tb);
+    words = words_for ? words_for(p->m, p->n) : 0;
+    if ((p->n > 0 && p->m > PY_SSIZE_T_MAX / p->n) || words < 0)
+        goto nomem;
+    cells = p->m * p->n;
+    if (words > (PY_SSIZE_T_MAX - cells) / (Py_ssize_t)sizeof(Py_ssize_t))
+        goto nomem;
+    bytes = (size_t)words * sizeof(Py_ssize_t) + (size_t)cells;
+    if (bytes <= sizeof(p->stack))
+        p->work = p->stack;
+    else if ((p->work = p->heap = PyMem_Malloc(bytes)) == NULL)
+        goto nomem;
+    p->eq = eq = (unsigned char *)(p->work + words);
+    xa = PySequence_Fast_ITEMS(p->ta);
+    xb = PySequence_Fast_ITEMS(p->tb);
+    for (i = 0; i < p->m; i++) {
+        for (j = 0; j < p->n; j++) {
+            if ((r = same(xa[i], xb[j])) < 0)
+                goto fail;
+            *eq++ = (unsigned char)r;
+        }
     }
-    p->xb = p->xa + p->m;
-    code = PyDict_New();
-    if (code == NULL)
-        goto fail;
-    if (encode(p->fa, p->xa, code) < 0 || encode(p->fb, p->xb, code) < 0) {
-        Py_DECREF(code);
-        goto fail;
-    }
-    Py_DECREF(code);
     return 0;
+nomem:
+    PyErr_NoMemory();
 fail:
     pair_close(p);
     return -1;
+}
+
+/* DP slots per kernel; -1 when their count overflows */
+
+static Py_ssize_t
+two_rows(Py_ssize_t m, Py_ssize_t n)
+{
+    return 2 * (n + 1);
+}
+
+static Py_ssize_t
+full_table(Py_ssize_t m, Py_ssize_t n)
+{
+    return m + 1 > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Py_ssize_t) / (n + 1) ? -1 : (m + 1) * (n + 1);
+}
+
+static Py_ssize_t
+two_combinations(Py_ssize_t m, Py_ssize_t n)
+{
+    return 2 * (m < n ? m : n);
 }
 
 PyDoc_STRVAR(levenshtein_doc, "Unit-cost edit distance between two symbol sequences.");
@@ -96,28 +135,18 @@ static PyObject *
 levenshtein(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Pair p;
-    Py_ssize_t i, j, d, *rows, *prev, *cur, *tmp;
-    if (pair_open(&p, args, nargs, "levenshtein") < 0)
+    Py_ssize_t i, j, d, *prev, *cur, *tmp;
+    if (pair_open(&p, args, nargs, "levenshtein", two_rows) < 0)
         return NULL;
-    if (p.m == 0 || p.n == 0) {
-        d = p.m + p.n;
-        pair_close(&p);
-        return PyLong_FromSsize_t(d);
-    }
-    rows = PyMem_New(Py_ssize_t, 2 * (p.n + 1));
-    if (rows == NULL) {
-        pair_close(&p);
-        return PyErr_NoMemory();
-    }
-    prev = rows;
-    cur = rows + p.n + 1;
+    prev = p.work;
+    cur = prev + p.n + 1;
     for (j = 0; j <= p.n; j++)
         prev[j] = j;
     for (i = 1; i <= p.m; i++) {
-        Py_ssize_t ai = p.xa[i - 1];
+        const unsigned char *eq = p.eq + (i - 1) * p.n;
         cur[0] = i;
         for (j = 1; j <= p.n; j++) {
-            d = prev[j - 1] + (ai != p.xb[j - 1]);
+            d = prev[j - 1] + !eq[j - 1];
             if (prev[j] + 1 < d)
                 d = prev[j] + 1;
             if (cur[j - 1] + 1 < d)
@@ -129,7 +158,6 @@ levenshtein(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         cur = tmp;
     }
     d = prev[p.n];
-    PyMem_Free(rows);
     pair_close(&p);
     return PyLong_FromSsize_t(d);
 }
@@ -142,26 +170,19 @@ lcs_pair(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Pair p;
     Py_ssize_t i, j, k, w, *L;
     PyObject *out;
-    if (pair_open(&p, args, nargs, "lcs_pair") < 0)
+    if (pair_open(&p, args, nargs, "lcs_pair", full_table) < 0)
         return NULL;
     w = p.n + 1;
-    if (p.m + 1 > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Py_ssize_t) / w) {
-        pair_close(&p);
-        return PyErr_NoMemory();
-    }
     /* L[i * w + j] is the LCS length of a[i:], b[j:] */
-    L = PyMem_New(Py_ssize_t, (p.m + 1) * w);
-    if (L == NULL) {
-        pair_close(&p);
-        return PyErr_NoMemory();
-    }
+    L = p.work;
     for (j = 0; j <= p.n; j++)
         L[p.m * w + j] = 0;
     for (i = p.m - 1; i >= 0; i--) {
-        Py_ssize_t ai = p.xa[i], *row = L + i * w, *below = row + w;
+        const unsigned char *eq = p.eq + i * p.n;
+        Py_ssize_t *row = L + i * w, *below = row + w;
         row[p.n] = 0;
         for (j = p.n - 1; j >= 0; j--) {
-            if (ai == p.xb[j])
+            if (eq[j])
                 row[j] = below[j + 1] + 1;
             else
                 row[j] = below[j] >= row[j + 1] ? below[j] : row[j + 1];
@@ -169,8 +190,8 @@ lcs_pair(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     out = PyTuple_New(L[0]);
     for (i = j = k = 0; out != NULL && i < p.m && j < p.n;) {
-        if (p.xa[i] == p.xb[j]) {
-            PyObject *sym = PySequence_Fast_GET_ITEM(p.fa, i);
+        if (p.eq[i * p.n + j]) {
+            PyObject *sym = PyTuple_GET_ITEM(p.ta, i);
             Py_INCREF(sym);
             PyTuple_SET_ITEM(out, k++, sym);
             i++;
@@ -181,7 +202,6 @@ lcs_pair(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         else
             i++;
     }
-    PyMem_Free(L);
     pair_close(&p);
     return out;
 }
@@ -210,15 +230,11 @@ levenshtein_bruteforce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Pair p;
     Py_ssize_t k, t, kmax, cost, best, *ii, *jj;
-    if (pair_open(&p, args, nargs, "levenshtein_bruteforce") < 0)
+    if (pair_open(&p, args, nargs, "levenshtein_bruteforce", two_combinations) < 0)
         return NULL;
     best = p.m + p.n;
     kmax = p.m < p.n ? p.m : p.n;
-    ii = PyMem_New(Py_ssize_t, 2 * kmax + 1);
-    if (ii == NULL) {
-        pair_close(&p);
-        return PyErr_NoMemory();
-    }
+    ii = p.work;
     jj = ii + kmax;
     for (k = 1; k <= kmax; k++) {
         for (t = 0; t < k; t++)
@@ -229,13 +245,12 @@ levenshtein_bruteforce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             do {
                 cost = (p.m - k) + (p.n - k);
                 for (t = 0; t < k; t++)
-                    cost += p.xa[ii[t]] != p.xb[jj[t]];
+                    cost += !p.eq[ii[t] * p.n + jj[t]];
                 if (cost < best)
                     best = cost;
             } while (next_comb(jj, k, p.n));
         } while (next_comb(ii, k, p.m));
     }
-    PyMem_Free(ii);
     pair_close(&p);
     return PyLong_FromSsize_t(best);
 }
@@ -256,7 +271,7 @@ lcs_len_bruteforce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                         "bruteforce LCS limited to sequences of length <= 20");
         return NULL;
     }
-    if (pair_open(&p, args, nargs, "lcs_len_bruteforce") < 0)
+    if (pair_open(&p, args, nargs, "lcs_len_bruteforce", NULL) < 0)
         return NULL;
     for (mask = 0; mask < (1UL << p.m); mask++) {
         for (cnt = i = 0; i < p.m; i++)
@@ -267,7 +282,7 @@ lcs_len_bruteforce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         for (i = j = 0; i < p.m; i++) {
             if (!((mask >> i) & 1UL))
                 continue;
-            while (j < p.n && p.xb[j] != p.xa[i])
+            while (j < p.n && !p.eq[i * p.n + j])
                 j++;
             if (j == p.n)
                 break;
@@ -278,6 +293,31 @@ lcs_len_bruteforce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     pair_close(&p);
     return PyLong_FromSsize_t(best);
+}
+
+/* Intern each symbol of `fast` to a small integer through the dict `code`. */
+static int
+encode(PyObject *fast, Py_ssize_t *out, PyObject *code)
+{
+    Py_ssize_t i, len = PySequence_Fast_GET_SIZE(fast);
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    for (i = 0; i < len; i++) {
+        PyObject *v = PyDict_GetItemWithError(code, items[i]);
+        if (v != NULL) {
+            out[i] = PyLong_AsSsize_t(v);
+            continue;
+        }
+        if (PyErr_Occurred())
+            return -1;
+        out[i] = PyDict_GET_SIZE(code);
+        v = PyLong_FromSsize_t(out[i]);
+        if (v == NULL || PyDict_SetItem(code, items[i], v) < 0) {
+            Py_XDECREF(v);
+            return -1;
+        }
+        Py_DECREF(v);
+    }
+    return 0;
 }
 
 /* Intern the symbols of `seq` onto the end of the growable array `*buf`,

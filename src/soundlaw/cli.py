@@ -24,6 +24,7 @@ from .phonology import (
     PhonologyError,
     SegmentInventory,
     UndecodableText,
+    UnreadableInput,
     UnsegmentableInput,
     default_inventory,
     load_feature_table_file,
@@ -51,7 +52,7 @@ class CliError(Exception):
 def _classify(exc: Exception) -> int:
     if isinstance(exc, (dsl.SchemaError, evaluation.EvaluationError)):
         return EXIT_SCHEMA
-    if isinstance(exc, (dsl.DslError, UnsegmentableInput, UndecodableText)):
+    if isinstance(exc, (dsl.DslError, UnsegmentableInput, UndecodableText, UnreadableInput)):
         return EXIT_PARSE
     if isinstance(exc, gateway.GatewayError):
         return EXIT_GATEWAY

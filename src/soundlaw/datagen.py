@@ -17,6 +17,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import combinations, starmap
 
 from . import kernels
 from .dsl import RuleDB, extract_code_blocks, parse_program_text, print_classical
@@ -481,9 +482,8 @@ def sample_idp_context(inputs: list[PhoneSeq], rng: random.Random) -> PhoneSeq:
     candidate occurs (scan counting) across the input words."""
     if len(inputs) < 2:
         raise GenerationError("need at least two inputs")
-    n = len(inputs)
     # distinct candidates in first-seen order, so the draw below is reproducible
-    cands = dict.fromkeys(lcs(inputs[i], inputs[j]) for i in range(n) for j in range(i + 1, n))
+    cands = dict.fromkeys(starmap(lcs, combinations(inputs, 2)))
     cands.pop((), None)
     if not cands:
         raise NoCommonSubsequence("all pairwise LCSs are empty")

@@ -2,7 +2,9 @@
 
 The kernels are Levenshtein distance, the pairwise LCS, their brute-force
 oracles, and `scan_counts`, which weights idp-pi context candidates by their
-scan counts over a word list in one call.  The compiled kernels are the
+scan counts over a word list in one call.  The pairwise kernels compare
+symbols with `==` on both backends, so symbols need not be hashable; the
+compiled `scan_counts` alone hashes them.  The compiled kernels are the
 hand-written CPython module `_speedups.c`.  It is compiled on first import
 with the interpreter's configured C compiler (``CC`` overrides it) into a
 user cache, ``$XDG_CACHE_HOME/soundlaw`` or ``~/.cache/soundlaw``, keyed by

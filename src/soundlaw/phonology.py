@@ -55,6 +55,10 @@ class UndecodableText(PhonologyError):
     pass
 
 
+class UnreadableInput(PhonologyError):
+    pass
+
+
 # Feature classes evaluated against the inventory's feature table.  A phone
 # belongs to a class when it carries every listed feature value.
 CLASS_DEFINITIONS: dict[str, dict[str, str]] = {
@@ -272,11 +276,20 @@ def load_feature_table(text: str) -> SegmentInventory:
     return SegmentInventory(tuple(segments), features)
 
 
+def open_input(path, mode: str = "rb", **kwargs):
+    """`open(path, mode)` of an input file; one that cannot be opened
+    (missing, a directory, unreadable) is an UnreadableInput naming it."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise UnreadableInput(f"{path}: {exc.strerror or exc}") from exc
+
+
 def read_text(path) -> str:
     """The text of a UTF-8 file, newlines read as in text mode ('\r\n' and
     '\r' become '\n').  A byte that is no UTF-8 is an UndecodableText
     naming the file and its line."""
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .dsl import SchemaError, doc_to_law, json_field, json_items, json_object, law_to_doc
-from .phonology import PhoneSeq, SegmentInventory
+from .phonology import PhoneSeq, SegmentInventory, open_input
 from .rules import SoundLaw, apply_law_word
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def read_jsonl(path, parse, label: str = "line", key=None) -> list:
     any error reading a line is a SchemaError naming `label` and the line.
     With `key`, no two records share `key(record)`, such as "task id 'x'"."""
     records, line_of = [], {}
-    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+    with open_input(path) as fh:  # decoded line by line, so a bad byte names its line
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")  # a UnicodeDecodeError is a ValueError
@@ -115,7 +115,7 @@ def read_jsonl(path, parse, label: str = "line", key=None) -> list:
 def read_json(path, parse):
     """`parse(doc)` of the JSON document of a whole-file input; any error
     reading it is a SchemaError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "r", encoding="utf-8") as fh:
         try:
             return parse(json.load(fh))
         except SHAPE_ERRORS as exc:

@@ -73,6 +73,45 @@ def test_text_input_that_is_no_utf_8_exit_2(argv, first_line, tmp_path, monkeypa
     assert not Path("x.jsonl").exists()
 
 
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"), ("directory", "Is a directory")],
+                         ids=["missing", "directory"])
+@pytest.mark.parametrize("argv", [
+    ("tokenize", "--lexicon", "in.txt"),
+    ("tokenize", "a", "--table", "in.txt"),
+    ("apply", "sunt", "--law-file", "in.txt"),
+    ("apply", "-r", "t > d / _ #", "--lexicon", "in.txt"),
+    ("derive", "sunt", "--cascade", "in.txt"),
+    ("derive", "--cascade", DEMO_CASCADE, "--lexicon", "in.txt"),
+    ("parse-law", "--input", "in.txt"),
+    ("datagen", "--condition", "rp-ri", "--count", "1", "--out", "x.jsonl", "--config", "in.txt"),
+    ("datagen", "--condition", "rp-li", "--cache-only", "--count", "1", "--out", "x.jsonl", "--fixtures", "in.txt"),
+    ("datagen", "--condition", "rp-li", "--cache-only", "--fixtures", FIXTURES, "--count", "1",
+     "--out", "x.jsonl", "--seed-lexicon", "in.txt"),
+    ("datagen", "--condition", "idp-pi", "--count", "1", "--out", "x.jsonl", "--rules", "in.txt"),
+    ("datagen", "--condition", "idp-pi", "--count", "1", "--out", "x.jsonl", "--lexicon", "in.txt"),
+    ("bench", "--out", "x.jsonl", "--cascade", "in.txt"),
+    ("bench", "--out", "x.jsonl", "--lexicon", "in.txt"),
+    ("eval", "--out", "x", "--samples", "samples.jsonl", "--tasks", "in.txt"),
+    ("eval", "--out", "x", "--tasks", "tasks.jsonl", "--samples", "in.txt"),
+    ("stats", "-y", "y.json", "-x", "in.txt"),
+    ("stats", "-x", "y.json", "-y", "in.txt"),
+    ("report", "--eval", "in.txt"),
+], ids=["tokenize-lexicon", "table", "law-file", "apply-lexicon", "derive-cascade", "derive-lexicon",
+        "parse-law-input", "config", "fixtures", "seed-lexicon", "rules", "datagen-lexicon", "bench-cascade",
+        "bench-lexicon", "tasks", "samples", "stats-x", "stats-y", "report-eval"])
+def test_input_file_that_cannot_be_opened_exit_2(argv, kind, reason, tmp_path, monkeypatch, capsys):
+    """A missing input file exited 3 with a bare FileNotFoundError."""
+    monkeypatch.chdir(tmp_path)
+    Path("tasks.jsonl").write_text('{"id": "x", "condition": "rp-ri", "inputs": ["a"], "outputs": ["e"]}\n')
+    Path("samples.jsonl").write_text('{"task_id": "x", "sample_index": 0, "program": null}\n')
+    Path("y.json").write_text("[1.0, 2.0]")
+    if kind == "directory":
+        Path("in.txt").mkdir()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: UnreadableInput: in.txt: {reason}\n"
+    assert not Path("x.jsonl").exists() and not Path("x.json").exists()
+
+
 def test_apply_empty_lexicon(tmp_path, capsys):
     lex = tmp_path / "empty.txt"
     lex.write_text("")

@@ -249,6 +249,30 @@ def test_sample_idp_context_draws_the_same_on_both_scan_backends(inv, monkeypatc
     assert draws() == compiled
 
 
+def test_sample_idp_context_candidates_are_the_native_lcs_candidates_in_pair_order(monkeypatch):
+    """The candidate list fixes the draw, so its order is checked, not just its set."""
+    from importlib.resources import files
+
+    from soundlaw.phonology import default_inventory, load_lexicon
+
+    lexicon = load_lexicon(files("soundlaw") / "data" / "demo_protolexicon_poc.txt", default_inventory())
+    pick = random.Random(13)
+    input_sets = [pick.sample(lexicon, 50) for _ in range(5)]
+    weighed = []
+
+    def recording_scan_counts(cands, words):
+        weighed.append(cands)
+        return scan_counts(cands, words)
+
+    scan_counts = kernels.scan_counts
+    monkeypatch.setattr(kernels, "scan_counts", recording_scan_counts)
+    for seed, words in enumerate(input_sets):
+        sample_idp_context(words, random.Random(seed))
+        pairs = [(words[i], words[j]) for i in range(len(words)) for j in range(i + 1, len(words))]
+        expect = [cand for cand in dict.fromkeys(_native.lcs_pair(a, b) for a, b in pairs) if cand]
+        assert weighed[-1] == expect
+
+
 def test_sample_idp_context_no_common():
     with pytest.raises(NoCommonSubsequence):
         sample_idp_context([("a",), ("b",)], random.Random(0))

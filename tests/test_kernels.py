@@ -16,7 +16,8 @@ import soundlaw
 from soundlaw import _native, kernels
 
 SRC = Path(soundlaw.__file__).resolve().parent.parent
-CC = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")[0]
+CC_ARGS = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+CC = CC_ARGS[0]
 PYTHON_H = Path(sysconfig.get_paths()["include"], "Python.h")
 
 
@@ -112,6 +113,123 @@ def test_backends_agree():
     ]
     for cands, words in edge_cases:
         assert kernels.scan_counts(cands, words) == _native.scan_counts(cands, words)
+
+
+def distinct(word):
+    """Equal str phones built by join, so that no identity check can match them."""
+    out = tuple("".join(["", phone]) for phone in word)
+    assert all(copy is not phone for copy, phone in zip(out, word))
+    return out
+
+
+def equality_classes(*seqs):
+    """Each sequence with every symbol replaced by the index of the first
+    symbol equal to it, found by a linear `==` scan (no hashing)."""
+    seen = []
+
+    def code(sym):
+        for k, other in enumerate(seen):
+            if other == sym:
+                return k
+        seen.append(sym)
+        return len(seen) - 1
+
+    return [tuple(map(code, seq)) for seq in seqs]
+
+
+def assert_matches_equality_classes(backend, a, b, bruteforce=True):
+    """`backend`'s kernels on (a, b) equal `_native`'s on their equality classes."""
+    got_lcs = backend.lcs_pair(a, b)
+    if isinstance(a, tuple):  # the LCS holds symbols of `a`, whatever `b` holds equal to them
+        assert all(any(sym is x for x in a) for sym in got_lcs)
+    ca, cb, c_lcs = equality_classes(a, b, got_lcs)
+    assert c_lcs == _native.lcs_pair(ca, cb)
+    assert backend.levenshtein(a, b) == _native.levenshtein(ca, cb)
+    if bruteforce:
+        assert backend.levenshtein_bruteforce(a, b) == _native.levenshtein(ca, cb)
+        assert backend.lcs_len_bruteforce(a, b) == len(c_lcs)
+
+
+BACKENDS = pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
+
+
+@BACKENDS
+@pytest.mark.parametrize("a, b", [
+    (("tʰ", "a", "ʃ", "k", "a"), distinct(("a", "tʰ", "k", "ʃ"))),
+    (distinct(("p", "a", "t")), ("p", "a", "t")),
+    (("ʃ", "tʰ", "ə", "ŋʷ", "ʃ"), ("tʰ", "ʃ", "ʃ", "ə")),
+    ((1, 2.0, True, "1", 0), (1.0, True, 2, False, 1)),
+    (([1], ["a"], [1, 2], []), (["a"], [1], [], [1.0], ("a",))),
+    ("tʰaʃa", "aʃtʰ"),
+    ((), ("a",)),
+], ids=["distinct-str-objects", "distinct-latin-1", "non-latin-1-multichar", "cross-type",
+        "list-symbols", "str-operands", "empty"])
+def test_pairwise_kernels_compare_symbols_by_equality(backend, a, b):
+    assert_matches_equality_classes(backend, a, b)
+    assert_matches_equality_classes(backend, b, a)
+
+
+@BACKENDS
+def test_pairwise_kernels_past_the_stack_buffer(backend):
+    """Pairs whose DP rows and equality table outgrow the compiled kernels'
+    stack buffer (2048 bytes) take the heap path."""
+    rng = random.Random(29)
+    alpha = [*distinct(("tʰ", "a")), "tʰ", "a", "ʃ", 1, 1.0, [2]]
+
+    def word(length):
+        return tuple(rng.choice(alpha) for _ in range(length))
+
+    for _ in range(3):
+        assert_matches_equality_classes(backend, word(60), word(60), bruteforce=False)
+    # the brute-force oracles stay cheap with one short operand
+    assert_matches_equality_classes(backend, word(1), word(2100))
+    a, b = word(3), word(700)
+    assert backend.lcs_len_bruteforce(a, b) == len(_native.lcs_pair(*equality_classes(a, b)))
+
+
+class RaisingEq:
+    def __eq__(self, other):
+        raise RuntimeError("no comparison")
+
+    __hash__ = object.__hash__
+
+
+@BACKENDS
+@pytest.mark.parametrize("name, m, n", [
+    ("levenshtein", 3, 4), ("lcs_pair", 3, 4), ("levenshtein_bruteforce", 3, 4), ("lcs_len_bruteforce", 3, 4),
+    ("levenshtein", 60, 60), ("lcs_pair", 60, 60), ("levenshtein_bruteforce", 1, 2100),
+    ("lcs_len_bruteforce", 1, 2100),
+])
+def test_an_eq_that_raises_propagates(backend, name, m, n):
+    a = ("a",) * (m - 1) + (RaisingEq(),)
+    with pytest.raises(RuntimeError, match="no comparison"):
+        getattr(backend, name)(a, ("a", "b") * (n // 2))
+
+
+def test_compiled_kernels_keep_their_operands_while_comparing():
+    """An __eq__ that empties the list being compared cannot pull its items
+    from under the compiled kernels: they compare a snapshot."""
+    if kernels.BACKEND != "c":
+        pytest.skip(f"compiled backend not built ({kernels.BACKEND_REASON}); nothing to check")
+
+    class Emptying:
+        def __eq__(self, other):
+            victim.clear()
+            return False
+
+    for name in ("levenshtein", "lcs_pair", "levenshtein_bruteforce", "lcs_len_bruteforce"):
+        victim = [Emptying(), "a", "b", "c"]
+        snapshot = tuple(victim)
+        assert getattr(kernels, name)(victim, ("a", "b", "c")) == getattr(_native, name)(snapshot, ("a", "b", "c"))
+
+
+@pytest.mark.skipif(shutil.which(CC) is None, reason=f"no C compiler {CC!r}")
+@pytest.mark.skipif(not PYTHON_H.exists(), reason=f"no Python headers at {PYTHON_H}")
+def test_compiled_kernels_build_without_warnings(tmp_path):
+    cmd = [*CC_ARGS, *shlex.split(sysconfig.get_config_var("CCSHARED") or ""), "-O2", "-Wall", "-Werror",
+           f"-I{PYTHON_H.parent}", "-c", str(SRC / "soundlaw" / "_speedups.c"), "-o", str(tmp_path / "_speedups.o")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scan_counts_sum_the_one_word_oracle():
