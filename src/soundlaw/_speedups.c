@@ -4,8 +4,10 @@
  * ValueError guard); the test suite asserts that the two backends agree and
  * expose the same functions, bar the Python-only oracle
  * count_scan_occurrences.  The pairwise kernels compare symbols with `==`,
- * as _native does, so any symbols work (tuple, list or str operands alike):
- * each call fills an m x n equality table once, and the inner loops read it.
+ * as _native does, so any symbols work (tuple, list or str operands alike).
+ * levenshtein compares each pair of symbols once, inside its two-row DP;
+ * lcs_pair and the brute-force oracles read each pair more than once, so
+ * they first fill an m x n equality table, and their loops read it.
  * Besides the pairwise edit-distance and LCS kernels, scan_counts weights a
  * whole batch of idp-pi context candidates against one word list in a
  * single call; it interns symbols to small integers through one dict per
@@ -16,15 +18,19 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* Bytes of a pair's DP rows and equality table kept on the stack; a larger
- * pair (a 60 x 60 one in every kernel) takes them from the heap. */
+/* Bytes of DP slots and equality table a call keeps on the stack; a larger
+ * pair takes them from the heap.  An lcs_pair of up to 14 x 14 symbols fits,
+ * which covers every pair of idp-pi's words; one PyMem_Malloc per call
+ * instead read idp_pi's wall_ref 4.6% slower, in 10 of 10 pairs of runs
+ * (BENCH_20.json). */
 #define PAIR_STACK 2048
 
 /* Both operands of one call, as tuples so that no __eq__ can change them
- * under the kernel, with the kernel's DP slots and eq[i * n + j], which is 1
- * when a[i] == b[j]. */
+ * under the kernel, and the kernel's work area: its DP slots, then (if it
+ * asked for one) eq[i * n + j], which is 1 when a[i] == b[j]. */
 typedef struct {
     PyObject *ta, *tb;
+    PyObject **a, **b;
     Py_ssize_t m, n;
     Py_ssize_t *work;
     unsigned char *eq;
@@ -56,18 +62,11 @@ pair_close(Pair *p)
     PyMem_Free(p->heap);
 }
 
-/* Take both operands of a call, reserve the DP slots `words_for` counts
- * (none when it is NULL) and fill the equality table; on failure the pair is
- * closed and an exception set. */
+/* Take both operands of a call; on failure the pair is closed and an
+ * exception set. */
 static int
-pair_open(Pair *p, PyObject *const *args, Py_ssize_t nargs, const char *name,
-          Py_ssize_t (*words_for)(Py_ssize_t m, Py_ssize_t n))
+pair_open(Pair *p, PyObject *const *args, Py_ssize_t nargs, const char *name)
 {
-    Py_ssize_t i, j, words, cells;
-    PyObject **xa, **xb;
-    unsigned char *eq;
-    size_t bytes;
-    int r;
     p->ta = p->tb = NULL;
     p->heap = NULL;
     if (nargs != 2) {
@@ -76,14 +75,34 @@ pair_open(Pair *p, PyObject *const *args, Py_ssize_t nargs, const char *name,
     }
     p->ta = PySequence_Tuple(args[0]);
     p->tb = p->ta ? PySequence_Tuple(args[1]) : NULL;
-    if (p->tb == NULL)
-        goto fail;
+    if (p->tb == NULL) {
+        pair_close(p);
+        return -1;
+    }
+    p->a = PySequence_Fast_ITEMS(p->ta);
+    p->b = PySequence_Fast_ITEMS(p->tb);
     p->m = PyTuple_GET_SIZE(p->ta);
     p->n = PyTuple_GET_SIZE(p->tb);
-    words = words_for ? words_for(p->m, p->n) : 0;
-    if ((p->n > 0 && p->m > PY_SSIZE_T_MAX / p->n) || words < 0)
+    return 0;
+}
+
+/* Reserve rows * cols DP slots and, when `table` is set, fill the equality
+ * table after them; on failure the pair is closed and an exception set. */
+static int
+pair_reserve(Pair *p, Py_ssize_t rows, Py_ssize_t cols, int table)
+{
+    Py_ssize_t i, j, words, cells = 0;
+    size_t bytes;
+    unsigned char *eq;
+    int r;
+    if (table) {
+        if (p->n > 0 && p->m > PY_SSIZE_T_MAX / p->n)
+            goto nomem;
+        cells = p->m * p->n;
+    }
+    if (cols > 0 && rows > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Py_ssize_t) / cols)
         goto nomem;
-    cells = p->m * p->n;
+    words = rows * cols;
     if (words > (PY_SSIZE_T_MAX - cells) / (Py_ssize_t)sizeof(Py_ssize_t))
         goto nomem;
     bytes = (size_t)words * sizeof(Py_ssize_t) + (size_t)cells;
@@ -92,41 +111,20 @@ pair_open(Pair *p, PyObject *const *args, Py_ssize_t nargs, const char *name,
     else if ((p->work = p->heap = PyMem_Malloc(bytes)) == NULL)
         goto nomem;
     p->eq = eq = (unsigned char *)(p->work + words);
-    xa = PySequence_Fast_ITEMS(p->ta);
-    xb = PySequence_Fast_ITEMS(p->tb);
-    for (i = 0; i < p->m; i++) {
+    for (i = 0; table && i < p->m; i++) {
         for (j = 0; j < p->n; j++) {
-            if ((r = same(xa[i], xb[j])) < 0)
-                goto fail;
+            if ((r = same(p->a[i], p->b[j])) < 0) {
+                pair_close(p);
+                return -1;
+            }
             *eq++ = (unsigned char)r;
         }
     }
     return 0;
 nomem:
     PyErr_NoMemory();
-fail:
     pair_close(p);
     return -1;
-}
-
-/* DP slots per kernel; -1 when their count overflows */
-
-static Py_ssize_t
-two_rows(Py_ssize_t m, Py_ssize_t n)
-{
-    return 2 * (n + 1);
-}
-
-static Py_ssize_t
-full_table(Py_ssize_t m, Py_ssize_t n)
-{
-    return m + 1 > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Py_ssize_t) / (n + 1) ? -1 : (m + 1) * (n + 1);
-}
-
-static Py_ssize_t
-two_combinations(Py_ssize_t m, Py_ssize_t n)
-{
-    return 2 * (m < n ? m : n);
 }
 
 PyDoc_STRVAR(levenshtein_doc, "Unit-cost edit distance between two symbol sequences.");
@@ -136,17 +134,22 @@ levenshtein(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Pair p;
     Py_ssize_t i, j, d, *prev, *cur, *tmp;
-    if (pair_open(&p, args, nargs, "levenshtein", two_rows) < 0)
+    int r;
+    /* each cell is read once, so the DP compares in place and keeps two rows */
+    if (pair_open(&p, args, nargs, "levenshtein") < 0 || pair_reserve(&p, 2, p.n + 1, 0) < 0)
         return NULL;
     prev = p.work;
     cur = prev + p.n + 1;
     for (j = 0; j <= p.n; j++)
         prev[j] = j;
     for (i = 1; i <= p.m; i++) {
-        const unsigned char *eq = p.eq + (i - 1) * p.n;
         cur[0] = i;
         for (j = 1; j <= p.n; j++) {
-            d = prev[j - 1] + !eq[j - 1];
+            if ((r = same(p.a[i - 1], p.b[j - 1])) < 0) {
+                pair_close(&p);
+                return NULL;
+            }
+            d = prev[j - 1] + !r;
             if (prev[j] + 1 < d)
                 d = prev[j] + 1;
             if (cur[j - 1] + 1 < d)
@@ -170,7 +173,8 @@ lcs_pair(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Pair p;
     Py_ssize_t i, j, k, w, *L;
     PyObject *out;
-    if (pair_open(&p, args, nargs, "lcs_pair", full_table) < 0)
+    /* the backtrack reads the DP's equalities again, so both read one table */
+    if (pair_open(&p, args, nargs, "lcs_pair") < 0 || pair_reserve(&p, p.m + 1, p.n + 1, 1) < 0)
         return NULL;
     w = p.n + 1;
     /* L[i * w + j] is the LCS length of a[i:], b[j:] */
@@ -191,7 +195,7 @@ lcs_pair(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     out = PyTuple_New(L[0]);
     for (i = j = k = 0; out != NULL && i < p.m && j < p.n;) {
         if (p.eq[i * p.n + j]) {
-            PyObject *sym = PyTuple_GET_ITEM(p.ta, i);
+            PyObject *sym = p.a[i];
             Py_INCREF(sym);
             PyTuple_SET_ITEM(out, k++, sym);
             i++;
@@ -230,10 +234,12 @@ levenshtein_bruteforce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Pair p;
     Py_ssize_t k, t, kmax, cost, best, *ii, *jj;
-    if (pair_open(&p, args, nargs, "levenshtein_bruteforce", two_combinations) < 0)
+    if (pair_open(&p, args, nargs, "levenshtein_bruteforce") < 0)
         return NULL;
     best = p.m + p.n;
     kmax = p.m < p.n ? p.m : p.n;
+    if (pair_reserve(&p, 2, kmax, 1) < 0)
+        return NULL;
     ii = p.work;
     jj = ii + kmax;
     for (k = 1; k <= kmax; k++) {
@@ -271,7 +277,7 @@ lcs_len_bruteforce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                         "bruteforce LCS limited to sequences of length <= 20");
         return NULL;
     }
-    if (pair_open(&p, args, nargs, "lcs_len_bruteforce", NULL) < 0)
+    if (pair_open(&p, args, nargs, "lcs_len_bruteforce") < 0 || pair_reserve(&p, 0, 0, 1) < 0)
         return NULL;
     for (mask = 0; mask < (1UL << p.m); mask++) {
         for (cnt = i = 0; i < p.m; i++)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,22 @@ def test_pairwise_kernels_past_the_stack_buffer(backend):
     assert_matches_equality_classes(backend, word(1), word(2100))
     a, b = word(3), word(700)
     assert backend.lcs_len_bruteforce(a, b) == len(_native.lcs_pair(*equality_classes(a, b)))
+
+
+def test_compiled_levenshtein_keeps_two_rows():
+    """levenshtein compares in place: a 3000 x 3000 pair needs two DP rows
+    (48 kB), not an m x n equality table (9 MB)."""
+    if kernels.BACKEND != "c":
+        pytest.skip(f"compiled backend not built ({kernels.BACKEND_REASON}); nothing to check")
+    a, b = distinct(("tʰ", "a") * 1500), ("a", "tʰ") * 1500
+    tracemalloc.start()
+    try:
+        d = kernels.levenshtein(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 2
+    assert peak < 500_000
 
 
 class RaisingEq:
