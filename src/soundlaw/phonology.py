@@ -112,9 +112,9 @@ class SegmentInventory:
         """The value `build(self)` stored under `name`, built on first use.
 
         Holds lookups derived from this inventory: the compiled scan of
-        `segment` and the law compiler of `rules` (its codebook and compiled
-        patterns).  They are left out of pickles, so each worker process
-        builds its own instead of sharing a parent's.
+        `segment`, and `rules`' feature-class members and law compiler (its
+        codebook and compiled patterns).  They are left out of pickles, so
+        each worker process builds its own instead of sharing a parent's.
         """
         try:
             return self._memos[name]

@@ -12,11 +12,15 @@ character: '#' and '@' stand for themselves, the first 128 phones get
 U+0080-U+00FF and any later ones a private-use code point, so a lexicon
 over a table of up to 128 phones encodes to a one-byte string and its
 classes compile to byte maps.  Each window slot becomes a character class
-and a predicate window one lookahead pattern, compiled once per (window,
-inventory) and cached on the inventory, so `finditer` reports every site,
-overlapping ones included.  Datagen reads the same slots: `slot_members`
-the token set a slot's class is built from, `site_test` the compiled window
-as a test of one word.
+(a feature class's members are read once per inventory), and a predicate
+window the first slot's class followed by a lookahead on the rest, compiled
+once per (window, inventory) and cached on the inventory.  A match consumes
+exactly the one character of its first slot, so `finditer` reports every
+site, overlapping ones included, as an all-lookahead pattern would, while
+`re` searches for that first character instead of entering the lookahead at
+every position.  Datagen reads the same slots: `slot_members` the token set
+a slot's class is built from, `site_test` the compiled window as a test of
+one word.
 
 Rewriting works on that encoding too (the compile-the-rewrite approach of
 Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 
 from .phonology import (
     BOUNDARY,
+    CLASS_DEFINITIONS,
     DELETION_MARK,
     RESERVED,
     SEPARATOR,
@@ -234,10 +239,17 @@ def _slot_tokens(pred: Predicate, inv: SegmentInventory) -> tuple[bool, tuple[st
     elif name == "is_nothing":
         negated, tokens = False, (SEPARATOR,)
     else:  # only phones with a feature row can belong
-        negated, tokens = False, tuple(t for t in inv.features if inv.in_class(name, t))
+        negated, tokens = False, inv.memo("rules.class_members", _class_members)[name]
     if kind == "not-class":
         negated = not negated
     return negated, tokens
+
+
+def _class_members(inv: SegmentInventory) -> dict[str, tuple[str, ...]]:
+    """Each feature class's members, in the order of the feature table."""
+    return {
+        name: tuple(t for t in inv.features if inv.in_class(name, t)) for name in CLASS_DEFINITIONS
+    }
 
 
 class _LawCompiler:
@@ -291,8 +303,8 @@ class _LawCompiler:
         if pattern is None:
             if len(self.patterns) >= self.MAX_PATTERNS:
                 self.patterns.clear()
-            body = "".join(self._slot(p, inv) for p in preds)
-            pattern = self.patterns[preds] = re.compile(f"(?={body})")
+            first, *rest = (self._slot(p, inv) for p in preds)
+            pattern = self.patterns[preds] = re.compile(f"{first}(?={''.join(rest)})")
         return pattern
 
     def encode(self, words) -> list[str]:
@@ -439,19 +451,23 @@ def apply_to_lexicon(
     One compiled scan finds the sites, and each word holding one is rewritten
     by splicing the edits into its phones.  `codes`, if given, is the words'
     encoding; it is updated in place to encode the outputs, so the next law
-    of a cascade scans it without encoding the unchanged words again.
+    of a cascade scans it without encoding the unchanged words again.  The
+    changed words are re-encoded by one `encode` call after the scan.
     Outside this module, `apply_in_order` carries it.
     """
     compiler = _compiler(inv)
     outputs = [tuple(w) for w in words]
     changed = [False] * len(words)
     scanned = compiler.encode(words) if codes is None else codes
+    edited = []
     for i, out in compiler.rewrites(law, words, scanned, inv):
         if out != words[i]:
             outputs[i] = out
             changed[i] = True
-            if codes is not None:
-                codes[i] = compiler.encode((out,))[0]
+            edited.append(i)
+    if codes is not None:
+        for i, code in zip(edited, compiler.encode([outputs[i] for i in edited])):
+            codes[i] = code
     return outputs, changed
 
 

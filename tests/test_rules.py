@@ -3,13 +3,17 @@ import concurrent.futures
 import functools
 import itertools
 import multiprocessing
+import pickle
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
 
 from soundlaw import datagen, evaluation
 from soundlaw import rules as R
 from soundlaw.phonology import (
+    CLASS_DEFINITIONS,
     FEATURE_CLASS_NAMES,
     NonCanonicalTokenSeq,
     SegmentInventory,
@@ -381,14 +385,23 @@ def window_scan(preds, word, inv):
     )
 
 
+def wide_inventory():
+    """150 segments p0..p149, so codes run past U+00FF; only is_consonant,
+    is_vowel and is_son have members."""
+    segments = tuple(f"p{i}" for i in range(150))
+    features = {
+        s: {"syl": "+-"[i % 2], "cons": "-+"[i % 2], "son": "+-0"[i % 3]} for i, s in enumerate(segments)
+    }
+    return SegmentInventory(segments, features)
+
+
 def test_codebook_boundary(inv):
     """Phones coded on both sides of U+00FF: a table of 150 segments, and
     words adding 100 more phones no table holds, all in one lexicon."""
     assert all(ord(c) < 0x100 for c in R._compiler(inv).code.values())  # the bundled table
     rng = random.Random(7)
-    segments = tuple(f"p{i}" for i in range(150))
-    features = {s: {"syl": "+-"[i % 2], "cons": "-+"[i % 2]} for i, s in enumerate(segments)}
-    big = SegmentInventory(segments, features)
+    big = wide_inventory()
+    segments = big.segments
     alphabet = list(segments[:3]) + list(segments[125:132]) + [f"u{i}" for i in range(100)]
     words = [tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 9))) for _ in range(300)]
     R._compiler(big).encode(words)  # every unseen phone gets a code on first sight
@@ -406,6 +419,71 @@ def test_codebook_boundary(inv):
         has_site = R.site_test((SEP_PRED, *R.interleave(preds), SEP_PRED), big)
         for word in words[:40]:
             assert has_site(word) == window_scan(preds, word, big), (preds, word)
+
+
+def test_first_slot_scan_finds_the_sites_of_the_lookahead_form_and_the_scan(inv):
+    """A window compiles to its first slot's class followed by a lookahead on
+    the rest.  Each match consumes one character, so every site start,
+    overlapping and adjacent ones included, is the start an all-lookahead
+    pattern reports and the one `scan_sites` finds."""
+    rng = random.Random(211)
+    tables = (
+        (inv, ["a", "t", "e", "k"]),
+        (tiny_inventory(), ["a", "i", "n", "t", "s", "ts", "q", "x"]),
+        (wide_inventory(), ["p0", "p1", "p2", "p129", "p130", "u1"]),
+    )
+    for table, phones in tables:
+        compiler = R._compiler(table)
+        pool = hand_built_pool(phones[:4]) + [R.in_set(["#", "@"]), Predicate("not-in", ("@",))]
+        a, b = is_token(phones[0]), is_token(phones[1])
+        windows = [(p,) for p in pool] + [(a, SEP_PRED, a), (a, SEP_PRED, a, SEP_PRED, a), (SEP_PRED, a)]
+        windows += [(p, *rng.sample(pool, rng.randrange(1, 4))) for p in pool for _ in range(2)]
+        firsts = {compiler._slot(w[0], table) for w in windows}
+        assert "(?!)" in firsts and any(f.startswith("[^") for f in firsts)
+        # runs of one phone give overlapping and adjacent sites
+        words = [(phones[0],) * k for k in range(6)] + [(phones[0], phones[1]) * 3, (phones[1], phones[0], phones[0])]
+        words += [tuple(rng.choice(phones) for _ in range(rng.randrange(0, 8))) for _ in range(20)]
+        codes = compiler.encode(words)
+        text = "\n".join(codes)
+        offsets = list(itertools.accumulate((len(c) + 1 for c in codes), initial=0))
+        for window in windows:
+            lookahead = re.compile(f"(?={''.join(compiler._slot(p, table) for p in window)})")
+            want = [m.start() for m in lookahead.finditer(text)]
+            assert [m.start() for m in compiler.pattern(window, table).finditer(text)] == want, window
+            candidate = SimpleNamespace(predicates=window)
+            sites = [scan_sites(candidate, preprocess(w), table) for w in words]
+            assert want == [off + s for off, found in zip(offsets, sites) for s in found], window
+            has_site = R.site_test(window, table)
+            assert [has_site(w) for w in words] == [bool(found) for found in sites], window
+        assert sum(len(R.find_matches(law([a, SEP_PRED, a], [0], [delete()]), preprocess(w), table))
+                   for w in words[:6]) == 0 + 0 + 1 + 2 + 3 + 4
+        for _ in range(300):  # datagen's form of a window, against the phone-level scan
+            slots = rng.sample(pool, rng.randrange(1, 4))
+            has_site = R.site_test((SEP_PRED, *R.interleave(slots), SEP_PRED), table)
+            for word in words:
+                assert has_site(word) == window_scan(slots, word, table), (slots, word)
+
+
+def test_class_member_table_equals_the_in_class_walk(inv):
+    """Each feature class's members, read once per inventory: the in_class walk
+    over the feature table, in its order, on every table and after a pickle."""
+    tiny = tiny_inventory()
+    for table in (inv, tiny, wide_inventory()):
+        for name in CLASS_DEFINITIONS:
+            R._slot_tokens(feature_class(name), table)
+        members = table._memos["rules.class_members"]
+        assert list(members) == list(CLASS_DEFINITIONS)
+        for name in CLASS_DEFINITIONS:
+            want = tuple(t for t in table.features if table.in_class(name, t))
+            assert members[name] == want, name
+            assert R._slot_tokens(feature_class(name), table) == (False, want)
+            assert R._slot_tokens(Predicate("not-class", (name,)), table) == (True, want)
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone._memos == {}
+        assert R._slot_tokens(feature_class("is_vowel"), clone) == (False, members["is_vowel"])
+        assert clone._memos["rules.class_members"] == members
+    assert "q" in tiny._memos["rules.class_members"]["is_consonant"] and "q" not in tiny
+    assert tiny._memos["rules.class_members"]["is_velar"] == ()
 
 
 def test_apply_to_lexicon_codes_track_the_outputs(inv):
