@@ -435,7 +435,7 @@ def test_first_slot_scan_finds_the_sites_of_the_lookahead_form_and_the_scan(inv)
     for table, phones in tables:
         compiler = R._compiler(table)
         pool = hand_built_pool(phones[:4]) + [R.in_set(["#", "@"]), Predicate("not-in", ("@",))]
-        a, b = is_token(phones[0]), is_token(phones[1])
+        a = is_token(phones[0])
         windows = [(p,) for p in pool] + [(a, SEP_PRED, a), (a, SEP_PRED, a, SEP_PRED, a), (SEP_PRED, a)]
         windows += [(p, *rng.sample(pool, rng.randrange(1, 4))) for p in pool for _ in range(2)]
         firsts = {compiler._slot(w[0], table) for w in windows}
@@ -469,8 +469,7 @@ def test_class_member_table_equals_the_in_class_walk(inv):
     over the feature table, in its order, on every table and after a pickle."""
     tiny = tiny_inventory()
     for table in (inv, tiny, wide_inventory()):
-        for name in CLASS_DEFINITIONS:
-            R._slot_tokens(feature_class(name), table)
+        R._slot_tokens(feature_class("is_vowel"), table)
         members = table._memos["rules.class_members"]
         assert list(members) == list(CLASS_DEFINITIONS)
         for name in CLASS_DEFINITIONS:
