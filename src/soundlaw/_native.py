@@ -11,6 +11,8 @@ lives only here, as the oracle the tests check both backends against.
 
 from __future__ import annotations
 
+import operator
+import sys
 from itertools import combinations
 
 
@@ -127,3 +129,107 @@ def scan_counts(candidates, words) -> list[int]:
     """For each candidate, its disjoint left-to-right scan count summed over `words`."""
     words = [tuple(word) for word in words]
     return [sum(count_scan_occurrences(cand, word) for word in words) for cand in map(tuple, candidates)]
+
+
+# the kind codes of a law's edits: the order of rules.MAP_KINDS
+DELETE, REPLACE, INSERT_BEFORE, INSERT_AFTER = range(4)
+
+
+def _index_below(value, limit: int, what: str) -> int:
+    value = operator.index(value)
+    if not 0 <= value < limit:
+        raise ValueError(f"{what} out of range")
+    return value
+
+
+def splice_sites(words, text, starts, edits) -> list:
+    """(index, output) of every word that a law's edits at the given site starts change.
+
+    `text` is the words' encodings joined by newlines, word i's line holding
+    2 * len(words[i]) + 3 characters; `starts` the ascending offsets of the
+    law's sites in it; `edits` its (pos, kind code, phones) edits.  A word
+    counts as changed when its output differs from `tuple(word)`.  The sites
+    of each word give `_splice`'s leftmost-wins edit map.
+    """
+    if not isinstance(text, str):
+        raise TypeError("text must be a str")
+    words = words if isinstance(words, (list, tuple)) else list(words)
+    edits = [
+        (_index_below(pos, sys.maxsize, "edit position"), _index_below(kind, 4, "edit kind code"), tuple(phones))
+        for pos, kind, phones in edits
+    ]
+    out = []
+    index = -1  # the word being read: its line is text[first:last]
+    first = prev = last = -1
+    word: tuple = ()
+    sites: list[int] = []
+    for start in starts:
+        start = _index_below(start, len(text), "site start")
+        if start <= prev:
+            raise ValueError("site starts must ascend")
+        prev = start
+        if start > last:  # the first site of a later word
+            if sites:
+                _emit(out, index, word, sites, edits)
+                sites = []
+            index += text.count("\n", last + 1, start) + 1
+            first = text.rfind("\n", 0, start) + 1
+            last = text.find("\n", start)
+            if last < 0:
+                last = len(text)
+            if start == last:
+                raise ValueError("a site starts on a newline")
+            if index >= len(words):
+                raise ValueError("a site lies past the last word")
+            word = tuple(words[index])
+            if last - first != 2 * len(word) + 3:
+                raise ValueError(f"line {index} of the text does not encode word {index}")
+        if any(pos >= last - start for pos, _, _ in edits):
+            raise ValueError("an edit falls outside its word")
+        sites.append(start - first)
+    if sites:
+        _emit(out, index, word, sites, edits)
+    return out
+
+
+def _emit(out: list, index: int, word: tuple, sites: list[int], edits) -> None:
+    spliced = _splice(word, sites, edits)
+    if spliced != word:
+        out.append((index, spliced))
+
+
+def _splice(word: tuple, sites: list[int], edits) -> tuple:
+    """The word after a law's edits at the given sites of its token sequence.
+
+    Leftmost site wins.  Token 2+2k is word[k]; an edit on a '#' or '@' slot
+    contributes only its phones.
+    """
+    at: dict[int, tuple] = {}
+    for start in sites:
+        for pos, kind, phones in edits:
+            at.setdefault(start + pos, (kind, phones))
+    n = len(word)
+    out: list = []
+    done = 0  # phones of the word already copied or edited
+    for idx in sorted(at):
+        kind, phones = at[idx]
+        if idx & 1 or not 0 < idx <= 2 * n:  # '@' before word[idx // 2], or '#'
+            k = min(idx >> 1, n)
+            out += word[done:k]
+            done = k
+            out += phones  # empty for a delete
+            continue
+        k = (idx >> 1) - 1
+        out += word[done:k]
+        done = k + 1
+        if kind == REPLACE:
+            out += phones
+        elif kind == INSERT_BEFORE:
+            out += phones
+            out.append(word[k])
+        elif kind == INSERT_AFTER:
+            out.append(word[k])
+            out += phones
+        # a delete adds nothing
+    out += word[done:]
+    return tuple(out)

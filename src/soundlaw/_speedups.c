@@ -429,6 +429,322 @@ done:
     return out;
 }
 
+/* The kind codes of a law's edits: the order of soundlaw.rules.MAP_KINDS. */
+enum { DELETE, REPLACE, INSERT_BEFORE, INSERT_AFTER, N_KINDS };
+
+/* One edit of a law: the window slot it lands on, what it does there and
+ * the phones it brings, as a tuple the call owns. */
+typedef struct {
+    Py_ssize_t pos;
+    int kind;
+    PyObject *phones;
+} Edit;
+
+/* The integer `obj` as a Py_ssize_t in [0, limit), or -1 with TypeError
+ * (not an integer) or ValueError (out of range) set. */
+static Py_ssize_t
+index_below(PyObject *obj, Py_ssize_t limit, const char *what)
+{
+    Py_ssize_t v;
+    PyObject *num = PyNumber_Index(obj);
+    if (num == NULL)
+        return -1;
+    v = PyLong_AsSsize_t(num);
+    Py_DECREF(num);
+    if (v == -1 && PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+    }
+    else if (v >= 0 && v < limit)
+        return v;
+    PyErr_Format(PyExc_ValueError, "%s out of range", what);
+    return -1;
+}
+
+/* The offset of the first newline of `data` at or after `from`, or `len`. */
+static Py_ssize_t
+line_end(int kind, const void *data, Py_ssize_t from, Py_ssize_t len)
+{
+    if (kind == PyUnicode_1BYTE_KIND) {
+        const char *nl = memchr((const char *)data + from, '\n', (size_t)(len - from));
+        return nl == NULL ? len : nl - (const char *)data;
+    }
+    while (from < len && PyUnicode_READ(kind, data, from) != '\n')
+        from++;
+    return from;
+}
+
+/* The state of the word being spliced: its phones, its token count and, per
+ * token index, the edit that owns it (-1 for none); `buf` collects its
+ * output. */
+typedef struct {
+    PyObject *word;
+    Py_ssize_t ntok;
+    Py_ssize_t *at;
+    Py_ssize_t at_cap;
+    PyObject **buf;
+    Py_ssize_t buf_cap;
+} Splice;
+
+/* `p`, an array of `size`-byte items with room for `*cap`, grown to hold at
+ * least `want`; NULL with MemoryError set (and `p` left as it was) when it
+ * cannot be. */
+static void *
+grow(void *p, Py_ssize_t *cap, Py_ssize_t want, size_t size)
+{
+    void *grown;
+    if (p != NULL && want <= *cap)
+        return p;
+    if ((size_t)want > PY_SSIZE_T_MAX / size || (grown = PyMem_Realloc(p, want * size)) == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    *cap = want;
+    return grown;
+}
+
+/* Take words[index], whose line of the text holds `ntok` characters, as the
+ * word being spliced, no edit owning any of its tokens yet. */
+static int
+splice_open(Splice *s, PyObject *words, Py_ssize_t index, Py_ssize_t ntok)
+{
+    Py_ssize_t i, *at;
+    if (index >= PyTuple_GET_SIZE(words)) {
+        PyErr_SetString(PyExc_ValueError, "a site lies past the last word");
+        return -1;
+    }
+    s->word = PySequence_Tuple(PyTuple_GET_ITEM(words, index));
+    if (s->word == NULL)
+        return -1;
+    if (ntok != 2 * PyTuple_GET_SIZE(s->word) + 3) {
+        PyErr_Format(PyExc_ValueError, "line %zd of the text does not encode word %zd", index, index);
+        Py_CLEAR(s->word);
+        return -1;
+    }
+    if ((at = grow(s->at, &s->at_cap, ntok, sizeof(Py_ssize_t))) == NULL) {
+        Py_CLEAR(s->word);
+        return -1;
+    }
+    s->at = at;
+    for (i = 0; i < ntok; i++)
+        s->at[i] = -1;
+    s->ntok = ntok;
+    return 0;
+}
+
+/* Record the edits of a site `rel` tokens into the word; an index some
+ * earlier site already owns stays with it (leftmost site wins). */
+static int
+splice_site(Splice *s, Py_ssize_t rel, const Edit *edits, Py_ssize_t ne)
+{
+    Py_ssize_t e;
+    for (e = 0; e < ne; e++) {
+        if (edits[e].pos >= s->ntok - rel) {
+            PyErr_SetString(PyExc_ValueError, "an edit falls outside its word");
+            return -1;
+        }
+        if (s->at[rel + edits[e].pos] < 0)
+            s->at[rel + edits[e].pos] = e;
+    }
+    return 0;
+}
+
+/* Token `idx` of `ntok` is '#' (the first or the last) or '@' (odd). */
+static int
+reserved_slot(Py_ssize_t idx, Py_ssize_t ntok)
+{
+    return idx & 1 || idx == 0 || idx == ntok - 1;
+}
+
+/* Append `count` borrowed references from `src` to the output at `*i`. */
+static void
+put(Splice *s, Py_ssize_t *i, PyObject *const *src, Py_ssize_t count)
+{
+    if (count > 0)
+        memcpy(s->buf + *i, src, (size_t)count * sizeof(PyObject *));
+    *i += count;
+}
+
+/* Apply the owned edits to the word and append (index, output) to `out`
+ * when the output differs from the word.  Token 2+2k is word[k]; an edit on
+ * a '#' or '@' slot contributes only its phones.  The word is released. */
+static int
+splice_close(Splice *s, Py_ssize_t index, const Edit *edits, PyObject *out)
+{
+    PyObject **word = PySequence_Fast_ITEMS(s->word), **buf, *tuple, *pair;
+    Py_ssize_t n = PyTuple_GET_SIZE(s->word), len = n, done = 0, k, idx, i;
+    const Edit *ed;
+    int rc = -1, r, changed;
+    for (idx = 0; idx < s->ntok; idx++) {  /* the output's length */
+        if (s->at[idx] < 0)
+            continue;
+        ed = &edits[s->at[idx]];
+        if (reserved_slot(idx, s->ntok))
+            len += PyTuple_GET_SIZE(ed->phones);
+        else if (ed->kind == DELETE)
+            len--;
+        else
+            len += PyTuple_GET_SIZE(ed->phones) - (ed->kind == REPLACE);
+    }
+    if ((buf = grow(s->buf, &s->buf_cap, len, sizeof(PyObject *))) == NULL)
+        goto done;
+    s->buf = buf;
+    for (i = idx = 0; idx < s->ntok; idx++) {
+        PyObject **phones;
+        Py_ssize_t np;
+        if (s->at[idx] < 0)
+            continue;
+        ed = &edits[s->at[idx]];
+        phones = PySequence_Fast_ITEMS(ed->phones);
+        np = PyTuple_GET_SIZE(ed->phones);
+        if (reserved_slot(idx, s->ntok)) {  /* '@' before word[idx / 2], or '#' */
+            k = idx >> 1 < n ? idx >> 1 : n;
+            put(s, &i, word + done, k - done);
+            done = k;
+            put(s, &i, phones, np);  /* empty for a delete */
+            continue;
+        }
+        k = (idx >> 1) - 1;
+        put(s, &i, word + done, k - done);
+        done = k + 1;
+        if (ed->kind == REPLACE)
+            put(s, &i, phones, np);
+        else if (ed->kind == INSERT_BEFORE) {
+            put(s, &i, phones, np);
+            put(s, &i, word + k, 1);
+        }
+        else if (ed->kind == INSERT_AFTER) {
+            put(s, &i, word + k, 1);
+            put(s, &i, phones, np);
+        }
+        /* a delete adds nothing */
+    }
+    put(s, &i, word + done, n - done);
+    changed = len != n;
+    for (i = 0; !changed && i < n; i++) {
+        if ((r = same(s->buf[i], word[i])) < 0)
+            goto done;
+        changed = !r;
+    }
+    if (changed) {
+        if ((tuple = PyTuple_New(len)) == NULL)
+            goto done;
+        for (i = 0; i < len; i++) {
+            Py_INCREF(s->buf[i]);
+            PyTuple_SET_ITEM(tuple, i, s->buf[i]);
+        }
+        pair = Py_BuildValue("(nN)", index, tuple);
+        if (pair == NULL || PyList_Append(out, pair) < 0) {
+            Py_XDECREF(pair);
+            goto done;
+        }
+        Py_DECREF(pair);
+    }
+    rc = 0;
+done:
+    Py_CLEAR(s->word);
+    return rc;
+}
+
+PyDoc_STRVAR(splice_sites_doc,
+             "(index, output) of every word that a law's edits at the given site starts change.");
+
+static PyObject *
+splice_sites(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *words = NULL, *starts = NULL, *eds = NULL, *out = NULL, *text;
+    Splice s = {NULL, 0, NULL, 0, NULL, 0};
+    Edit *edits = NULL;
+    Py_ssize_t ne = 0, e, i, ns, len, start, prev = -1, index = -1, first = 0, end = -1;
+    const void *data;
+    int kind;
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "splice_sites() takes exactly 4 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    text = args[1];
+    if (!PyUnicode_Check(text)) {
+        PyErr_SetString(PyExc_TypeError, "text must be a str");
+        return NULL;
+    }
+    /* every argument as a tuple, so that no __index__ or __eq__ can change
+     * one under the kernel */
+    if ((words = PySequence_Tuple(args[0])) == NULL || (starts = PySequence_Tuple(args[2])) == NULL
+        || (eds = PySequence_Tuple(args[3])) == NULL)
+        goto done;
+    if ((edits = PyMem_New(Edit, PyTuple_GET_SIZE(eds) + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (e = 0; e < PyTuple_GET_SIZE(eds); e++) {
+        PyObject *edit = PySequence_Tuple(PyTuple_GET_ITEM(eds, e));
+        if (edit == NULL)
+            goto done;
+        if (PyTuple_GET_SIZE(edit) != 3) {
+            PyErr_SetString(PyExc_ValueError, "an edit is (pos, kind code, phones)");
+            Py_DECREF(edit);
+            goto done;
+        }
+        edits[e].phones = NULL;
+        if ((edits[e].pos = index_below(PyTuple_GET_ITEM(edit, 0), PY_SSIZE_T_MAX, "edit position")) >= 0
+            && (edits[e].kind = (int)index_below(PyTuple_GET_ITEM(edit, 1), N_KINDS, "edit kind code")) >= 0)
+            edits[e].phones = PySequence_Tuple(PyTuple_GET_ITEM(edit, 2));
+        Py_DECREF(edit);
+        if (edits[e].phones == NULL)
+            goto done;
+        ne++;
+    }
+    if ((out = PyList_New(0)) == NULL)
+        goto done;
+    data = PyUnicode_DATA(text);
+    kind = PyUnicode_KIND(text);
+    len = PyUnicode_GET_LENGTH(text);
+    ns = PyTuple_GET_SIZE(starts);
+    for (i = 0; i < ns; i++) {
+        if ((start = index_below(PyTuple_GET_ITEM(starts, i), len, "site start")) < 0)
+            goto fail;
+        if (start <= prev) {
+            PyErr_SetString(PyExc_ValueError, "site starts must ascend");
+            goto fail;
+        }
+        prev = start;
+        if (start > end) {  /* the first site of a later word */
+            if (s.word != NULL && splice_close(&s, index, edits, out) < 0)
+                goto fail;
+            while (start > end) {
+                index++;
+                first = end + 1;
+                end = line_end(kind, data, first, len);
+            }
+            if (start == end) {
+                PyErr_SetString(PyExc_ValueError, "a site starts on a newline");
+                goto fail;
+            }
+            if (splice_open(&s, words, index, end - first) < 0)
+                goto fail;
+        }
+        if (splice_site(&s, start - first, edits, ne) < 0)
+            goto fail;
+    }
+    if (s.word != NULL && splice_close(&s, index, edits, out) < 0)
+        goto fail;
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    Py_XDECREF(s.word);
+    PyMem_Free(s.at);
+    PyMem_Free(s.buf);
+    for (e = 0; e < ne; e++)
+        Py_DECREF(edits[e].phones);
+    PyMem_Free(edits);
+    Py_XDECREF(words);
+    Py_XDECREF(starts);
+    Py_XDECREF(eds);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"levenshtein", (PyCFunction)(void (*)(void))levenshtein, METH_FASTCALL, levenshtein_doc},
     {"lcs_pair", (PyCFunction)(void (*)(void))lcs_pair, METH_FASTCALL, lcs_pair_doc},
@@ -437,6 +753,7 @@ static PyMethodDef methods[] = {
     {"lcs_len_bruteforce", (PyCFunction)(void (*)(void))lcs_len_bruteforce, METH_FASTCALL,
      lcs_len_bruteforce_doc},
     {"scan_counts", (PyCFunction)(void (*)(void))scan_counts, METH_FASTCALL, scan_counts_doc},
+    {"splice_sites", (PyCFunction)(void (*)(void))splice_sites, METH_FASTCALL, splice_sites_doc},
     {NULL, NULL, 0, NULL},
 };
 

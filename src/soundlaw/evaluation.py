@@ -51,9 +51,14 @@ def aggregate_dist(xs, ys, char_level: bool = False) -> int:
     return sum(kernels.levenshtein(x, y) for x, y in zip(xs, ys))
 
 
-def reward(source, pred, target, char_level: bool = False) -> Fraction:
-    """1 - dist(pred, target) / dist(source, target); can go negative."""
-    denom = aggregate_dist(source, target, char_level)
+def reward(source, pred, target, char_level: bool = False, *, denom: int | None = None) -> Fraction:
+    """1 - dist(pred, target) / dist(source, target); can go negative.
+
+    `denom`, when given, is dist(source, target) as the caller already
+    computed it for this source and target.
+    """
+    if denom is None:
+        denom = aggregate_dist(source, target, char_level)
     if denom == 0:
         raise DegenerateTask("source and target are identical")
     num = aggregate_dist(pred, target, char_level)
@@ -101,6 +106,7 @@ def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_leve
     target = list(task.outputs)
     scored: dict[tuple[SoundLaw, ...], Fraction] = {}  # reward by candidate
     rewards = []
+    denom = None  # dist(source, target), computed with the first reward
     for cand in candidates:
         laws = () if cand is None else (cand,) if isinstance(cand, SoundLaw) else tuple(cand)
         r = scored.get(laws)
@@ -109,7 +115,9 @@ def evaluate_samples(task: PBETask, candidates, inv: SegmentInventory, char_leve
             if laws:
                 for pred, _ in apply_in_order(laws, source, inv):  # ends on the last law's outputs
                     pass
-            r = scored[laws] = reward(source, pred, target, char_level)
+            if denom is None:
+                denom = aggregate_dist(source, target, char_level)
+            r = scored[laws] = reward(source, pred, target, char_level, denom=denom)
         rewards.append(r)
     return RewardReport(task.id, tuple(rewards))
 

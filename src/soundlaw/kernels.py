@@ -115,3 +115,4 @@ lcs_pair = _impl.lcs_pair
 levenshtein_bruteforce = _impl.levenshtein_bruteforce
 lcs_len_bruteforce = _impl.lcs_len_bruteforce
 scan_counts = _impl.scan_counts
+splice_sites = _impl.splice_sites

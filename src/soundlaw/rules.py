@@ -47,6 +47,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import kernels
 from .phonology import (
     BOUNDARY,
     CLASS_DEFINITIONS,
@@ -203,6 +204,12 @@ class SoundLaw:
             if not self.predicates[pos].can_match_phone():
                 raise RuleError(f"change position {pos} targets a separator/boundary slot")
             prev = pos
+        # (pos, kind code, phones) of each edit, as kernels.splice_sites reads
+        # them; derived, so not a field of the law's equality or hash
+        edits = tuple(
+            (pos, MAP_KINDS.index(m.kind), m.phones) for pos, m in zip(self.change_pos, self.mappings)
+        )
+        object.__setattr__(self, "edits", edits)
 
 
 @dataclass(frozen=True)
@@ -322,68 +329,12 @@ class _LawCompiler:
                     self._add(phone)
         return self.encode(words)
 
-    def rewrites(self, law: SoundLaw, words, codes: list[str], inv: SegmentInventory):
-        """(index, output) of every word holding a site, in order, from one
+    def rewrites(self, law: SoundLaw, words, codes: list[str], inv: SegmentInventory) -> list:
+        """(index, output) of every word the law changes, in order, from one
         scan of the encoded words joined by newlines."""
         text = "\n".join(codes)
-        edits = tuple(zip(law.change_pos, law.mappings))
-        index = first = 0  # the word being read and the offset of its '#'
-        last = -1  # the end of its slice: the next newline or the end of text
-        sites: list[int] = []
-        for m in self.pattern(law.predicates, inv).finditer(text):
-            start = m.start()
-            if start > last:  # the first site of a later word
-                if sites:
-                    yield index, _splice(words[index], sites, edits)
-                    sites = []
-                index += text.count("\n", first, start)
-                first = text.rfind("\n", 0, start) + 1
-                last = text.find("\n", start)
-                if last < 0:
-                    last = len(text)
-            sites.append(start - first)
-        if sites:
-            yield index, _splice(words[index], sites, edits)
-
-
-def _splice(word: PhoneSeq, sites: list[int], edits) -> PhoneSeq:
-    """The word after a law's edits at the given sites of its token sequence.
-
-    The one edit map of both engines: leftmost site wins.  Token 2+2k is
-    word[k]; an edit on a '#' or '@' slot contributes only its phones.
-    `tasks.validate_task` re-executes gold laws through it to catch a stale
-    or tampered tasks file; the tests' `reference_apply` and `scan_sites`
-    are its independent oracles.
-    """
-    at: dict[int, Mapping] = {}
-    for start in sites:
-        for pos, mapping in edits:
-            at.setdefault(start + pos, mapping)
-    n = len(word)
-    out: list[str] = []
-    done = 0  # phones of the word already copied or edited
-    for idx in sorted(at):
-        mapping = at[idx]
-        if idx & 1 or not 0 < idx <= 2 * n:  # '@' before word[idx // 2], or '#'
-            k = min(idx >> 1, n)
-            out += word[done:k]
-            done = k
-            out += mapping.phones  # empty for a delete
-            continue
-        k = (idx >> 1) - 1
-        out += word[done:k]
-        done = k + 1
-        if mapping.kind == "replace":
-            out += mapping.phones
-        elif mapping.kind == "insert-before":
-            out += mapping.phones
-            out.append(word[k])
-        elif mapping.kind == "insert-after":
-            out.append(word[k])
-            out += mapping.phones
-        # a delete adds nothing
-    out += word[done:]
-    return tuple(out)
+        starts = list(map(re.Match.start, self.pattern(law.predicates, inv).finditer(text)))
+        return kernels.splice_sites(words, text, starts, law.edits)
 
 
 def _compiler(inv: SegmentInventory) -> _LawCompiler:
@@ -421,14 +372,17 @@ def apply_law(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> TokenSe
     """Apply one law: match on the original sequence, then edit in one pass.
 
     Edits from distinct sites that land on the same absolute index resolve
-    to the leftmost site; the loser is dropped.  The edits are `_splice`'s,
-    and the output is put back into canonical token form, so inserted phones
-    get their separators and a deleted phone takes its separator with it.
+    to the leftmost site; the loser is dropped.  The edits are
+    `kernels.splice_sites`', and the output is put back into canonical token
+    form, so inserted phones get their separators and a deleted phone takes
+    its separator with it.
     """
     sites = find_matches(law, tokens, inv)
     if not sites:
         return tokens
-    return preprocess(_splice(tokens[2:-2:2], sites, tuple(zip(law.change_pos, law.mappings))))
+    word = tokens[2:-2:2]
+    changed = kernels.splice_sites((word,), _compiler(inv).encode((word,))[0], sites, law.edits)
+    return preprocess(changed[0][1]) if changed else tokens
 
 
 def apply_law_word(law: SoundLaw, word: PhoneSeq, inv: SegmentInventory) -> PhoneSeq:
@@ -458,15 +412,12 @@ def apply_to_lexicon(
     compiler = _compiler(inv)
     outputs = [tuple(w) for w in words]
     changed = [False] * len(words)
-    scanned = compiler.encode(words) if codes is None else codes
-    edited = []
-    for i, out in compiler.rewrites(law, words, scanned, inv):
-        if out != words[i]:
-            outputs[i] = out
-            changed[i] = True
-            edited.append(i)
+    rewritten = compiler.rewrites(law, words, compiler.encode(words) if codes is None else codes, inv)
+    for i, out in rewritten:
+        outputs[i] = out
+        changed[i] = True
     if codes is not None:
-        for i, code in zip(edited, compiler.encode([outputs[i] for i in edited])):
+        for (i, _), code in zip(rewritten, compiler.encode([out for _, out in rewritten])):
             codes[i] = code
     return outputs, changed
 
@@ -486,11 +437,9 @@ def apply_in_order(laws, words, inv: SegmentInventory):
 
 
 def law_is_inert(law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory) -> bool:
-    """True when the law changes none of the words; stops at the first it changes."""
+    """True when the law changes none of the words."""
     compiler = _compiler(inv)
-    return not any(
-        out != words[i] for i, out in compiler.rewrites(law, words, compiler.encode(words), inv)
-    )
+    return not compiler.rewrites(law, words, compiler.encode(words), inv)
 
 
 @dataclass(frozen=True)

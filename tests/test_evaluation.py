@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from soundlaw import dsl, evaluation
+from soundlaw import dsl, evaluation, kernels
 from soundlaw.evaluation import (
     DegenerateTask,
     EmptyDataset,
@@ -19,6 +19,7 @@ from soundlaw.evaluation import (
 )
 from soundlaw.dsl import lower_classical, parse_classical
 from soundlaw.kernels import levenshtein
+from soundlaw.phonology import NonCanonicalTokenSeq
 from soundlaw.rules import apply_law_word
 from soundlaw.tasks import PBETask
 
@@ -154,6 +155,34 @@ def test_each_distinct_candidate_is_scored_once(inv, monkeypatch):
     assert len(calls) == 2
     assert list(report.rewards) == want and want[3] < 1
     assert [r == 1 for r in report.rewards] == [True, True, True, False]
+
+
+def test_the_source_distance_is_computed_once_per_task(inv, monkeypatch):
+    task = make_task(inv)
+    perturbed = lower_classical(parse_classical("t > s / _ #"), inv)
+    perturbed_outputs = [apply_law_word(perturbed, w, inv) for w in task.inputs]
+    want = [reward(task.inputs, pred, task.outputs)
+            for pred in (task.outputs, task.inputs, perturbed_outputs, task.outputs)]
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return levenshtein(a, b)
+
+    monkeypatch.setattr(kernels, "levenshtein", counting)
+    report = evaluate_samples(task, [task.gold_law, None, perturbed, task.gold_law], inv)
+    assert list(report.rewards) == want
+    # one distance per word from the sources, and one per word of each distinct candidate
+    assert len(calls) == task.n_examples * (1 + 3)
+
+
+def test_a_degenerate_task_raises_once_its_first_candidate_ran(inv):
+    words = seg_words(inv, "sunt", "mat")
+    with pytest.raises(DegenerateTask):
+        evaluate_samples(PBETask("d-0", "rp-ri", words, words), [None], inv)
+    reserved = words + (("a", "#"),)
+    with pytest.raises(NonCanonicalTokenSeq):  # the candidate runs before the distances
+        evaluate_samples(PBETask("d-1", "rp-ri", reserved, reserved), [make_task(inv).gold_law], inv)
 
 
 def test_random_candidates_bounded(inv):

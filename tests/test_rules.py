@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from soundlaw import datagen, evaluation
+from soundlaw import _native, datagen, evaluation, kernels
 from soundlaw import rules as R
 from soundlaw.phonology import (
     CLASS_DEFINITIONS,
@@ -349,7 +349,7 @@ def test_compiled_engine_matches_scan_on_random_and_hand_built_laws(inv, monkeyp
         candidate = random_hand_built_law(rng, pool, phones)
         words = [tuple(rng.choice(phones) for _ in range(rng.randrange(0, 7))) for _ in range(10)]
         edited += assert_compiled_equals_scan(candidate, words, tiny)
-    assert edited["#"] and edited["@"]  # _splice's handling of edited '#' and '@' slots
+    assert edited["#"] and edited["@"]  # splice_sites' handling of edited '#' and '@' slots
 
 
 def test_slot_members_and_site_test_equal_the_matches_scan(inv):
@@ -511,6 +511,152 @@ def test_compiled_engine_rejects_reserved_tokens(inv):
 # phones no segment list, word or predicate holds: a mapping that introduces
 # one makes the carried re-encoding register a new code point
 NEW_PHONES = ["y", "zz", "ʔ"]
+
+
+# -- splice_sites: the compiled kernel against its twin and reference_apply ---
+
+SPLICE_BACKENDS = pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
+
+
+def widen(text, base):
+    """The text with every character but the newline moved up by `base`, so
+    that it is stored 2 (base 0x100) or 4 (base 0x10000) bytes a character;
+    its lines keep their lengths, which is all `splice_sites` reads of it."""
+    return "".join(c if c == "\n" else chr(base + ord(c)) for c in text)
+
+
+def splice_case(candidate, words, inv):
+    """(text, starts, want) of one law over a lexicon: the joined encoding,
+    the starts of `scan_sites`' sites in it, and every word whose
+    `reference_apply` output differs from it, with that output."""
+    encode = R._compiler(inv).encode
+    starts, want, offset = [], [], 0
+    for i, word in enumerate(words):
+        tokens = preprocess(word)
+        starts += [offset + site for site in scan_sites(candidate, tokens, inv)]
+        offset += len(tokens) + 1
+        out = reference_apply(candidate, word, inv)
+        if out != tuple(word):
+            want.append((i, out))
+    return "\n".join(encode(words)), starts, want
+
+
+def splice_features(candidate, words, inv):
+    """The cases one law over a lexicon exercises, by name."""
+    seen = set()
+    width = len(candidate.predicates)
+    for i, word in enumerate(words):
+        tokens = preprocess(word)
+        sites = scan_sites(candidate, tokens, inv)
+        if not sites:
+            continue
+        seen.add("first word" if i == 0 else "last word" if i == len(words) - 1 else "middle word")
+        if not word:
+            seen.add("empty word")
+        if reference_apply(candidate, word, inv) == tuple(word):
+            seen.add("unchanged word")
+        if any(b - a < width for a, b in zip(sites, sites[1:])):
+            seen.add("overlapping sites")
+        if any(b - a == width for a, b in zip(sites, sites[1:])):
+            seen.add("adjacent sites")
+        targets = collections.Counter(site + pos for site in sites for pos in candidate.change_pos)
+        if any(n > 1 for n in targets.values()):
+            seen.add("two edits on one index")
+        seen.update(f"edit on {tokens[idx]}" for idx in targets if tokens[idx] in ("#", "@"))
+    return seen
+
+
+@SPLICE_BACKENDS
+def test_splice_sites_equals_reference_apply(backend):
+    """Both backends against reference_apply, on 1-, 2- and 4-byte texts of
+    random hand-built laws over lexicons of tuple and list words."""
+    rng = random.Random(59)
+    tiny = tiny_inventory()
+    phones = ["a", "i", "n", "t", "s", "ts", "q", "x"]
+    pool = hand_built_pool(phones[:4] + phones[-2:]) + [feature_class("is_anything")] * 8
+    seen = collections.Counter()
+    for _ in range(400):
+        candidate = random_hand_built_law(rng, pool, phones)
+        words = [tuple(rng.choice(phones[:3]) for _ in range(rng.randrange(0, 6))) for _ in range(6)]
+        words = [list(w) if rng.random() < 0.3 else w for w in words]
+        text, starts, want = splice_case(candidate, words, tiny)
+        for wide in (text, widen(text, 0x100), widen(text, 0x10000)):
+            assert backend.splice_sites(words, wide, starts, candidate.edits) == want, candidate
+        seen.update(splice_features(candidate, words, tiny))
+    assert max(map(ord, widen("#", 0x10000))) > 0xFFFF
+    assert set(seen) >= {
+        "first word", "middle word", "last word", "empty word", "unchanged word", "overlapping sites",
+        "adjacent sites", "two edits on one index", "edit on #", "edit on @",
+    }, seen
+
+
+def test_splice_sites_backends_agree_on_the_bundled_table(inv):
+    """The compiled kernel against its twin on rp-ri laws and the compiled
+    pattern's sites over one joined lexicon."""
+    rng = random.Random(61)
+    cfg = datagen.GenConfig()
+    compiler = R._compiler(inv)
+    for _ in range(200):
+        candidate = datagen.sample_random_law(cfg, rng, inv)
+        words = [tuple(rng.choice(inv.segments) for _ in range(rng.randrange(0, 9))) for _ in range(30)]
+        text = "\n".join(compiler.encode(words))
+        starts = [m.start() for m in compiler.pattern(candidate.predicates, inv).finditer(text)]
+        got = kernels.splice_sites(words, text, starts, candidate.edits)
+        assert got == _native.splice_sites(words, text, starts, candidate.edits)
+        outputs = [apply_law_word(candidate, w, inv) for w in words]
+        assert got == [(i, out) for i, (out, w) in enumerate(zip(outputs, words)) if out != w]
+
+
+SPLICE_WORDS = [("a",), ("t", "a")]
+SPLICE_TEXT = "#@\x80@#\n#@\x81@\x80@#"  # an encoding of SPLICE_WORDS: lines of 5 and 7 tokens
+SPLICE_EDIT = (0, 1, ("e",))
+
+
+@SPLICE_BACKENDS
+@pytest.mark.parametrize("words, text, starts, edits", [
+    (SPLICE_WORDS, SPLICE_TEXT, [8, 2], [SPLICE_EDIT]),  # descending
+    (SPLICE_WORDS, SPLICE_TEXT, [2, 2], [SPLICE_EDIT]),  # repeated
+    (SPLICE_WORDS, SPLICE_TEXT, [-1], [SPLICE_EDIT]),
+    (SPLICE_WORDS, SPLICE_TEXT, [len(SPLICE_TEXT)], [SPLICE_EDIT]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2 ** 70], [SPLICE_EDIT]),
+    (SPLICE_WORDS, SPLICE_TEXT, [5], [SPLICE_EDIT]),  # on the newline
+    (SPLICE_WORDS, SPLICE_TEXT, [2.0], [SPLICE_EDIT]),
+    (SPLICE_WORDS, SPLICE_TEXT, ["2"], [SPLICE_EDIT]),
+    (SPLICE_WORDS, SPLICE_TEXT, 2, [SPLICE_EDIT]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [(0, 1)]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [(0, 1, ("e",), 0)]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [5]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], 5),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [(-1, 1, ("e",))]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [(2 ** 70, 1, ("e",))]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [(0.0, 1, ("e",))]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [(0, 4, ("e",))]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [(0, -1, ("e",))]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [(0, "replace", ("e",))]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [(0, 1, 5)]),
+    (SPLICE_WORDS, SPLICE_TEXT, [2], [(3, 1, ("e",))]),  # past the word's last '#'
+    (SPLICE_WORDS[:1], SPLICE_TEXT, [8], [SPLICE_EDIT]),  # a line with no word
+    ([("a", "a"), ("t", "a")], SPLICE_TEXT, [2], [SPLICE_EDIT]),  # a line of another length
+    ([5, ("t", "a")], SPLICE_TEXT, [2], [SPLICE_EDIT]),
+    (5, SPLICE_TEXT, [2], [SPLICE_EDIT]),
+    (SPLICE_WORDS, SPLICE_TEXT.encode("latin-1"), [2], [SPLICE_EDIT]),
+])
+def test_splice_sites_rejects_malformed_input(backend, words, text, starts, edits):
+    assert backend.splice_sites(SPLICE_WORDS, SPLICE_TEXT, [2, 8], [SPLICE_EDIT]) == [(0, ("e",)), (1, ("e", "a"))]
+    with pytest.raises((TypeError, ValueError)):
+        backend.splice_sites(words, text, starts, edits)
+
+
+@SPLICE_BACKENDS
+def test_a_list_word_the_law_leaves_as_it_was_is_unchanged(backend, inv, monkeypatch):
+    monkeypatch.setattr(kernels, "splice_sites", backend.splice_sites)
+    a_a = law([is_token("a")], [0], [replace_with(("a",))])
+    for words in ([["a", "e"]], [("a", "e")], [["a", "e"], ("e", "a")]):
+        assert apply_to_lexicon(a_a, words, inv) == ([tuple(w) for w in words], [False] * len(words))
+        assert law_is_inert(a_a, words, inv)
+    a_e = law([is_token("a")], [0], [replace_with(("e",))])
+    assert apply_to_lexicon(a_e, [["a", "e"], ["t"]], inv) == ([("e", "e"), ("t",)], [True, False])
+    assert not law_is_inert(a_e, [["t"], ["a", "e"]], inv)
 
 
 def random_cascade_laws(rng, pool, phones, count):
