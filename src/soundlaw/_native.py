@@ -1,10 +1,14 @@
-"""Pure-Python string-metric kernels.
+"""Pure-Python kernels: the string metrics, scan counting and the law
+engine's splice.
 
 Same contract as the compiled module (soundlaw._speedups); soundlaw.kernels
 runs this one only when the compiled module cannot be built on first
-import or loaded from its cache.  The *_bruteforce functions are exhaustive
-reference algorithms kept around as independent oracles for the dynamic
-programming paths — do not "optimize" them into the DP recurrences.
+import or loaded from its cache.  `splice_sites` is the law engine's
+per-site loop and leftmost-wins edit map; the tests' `reference_apply` is
+the independent oracle of both backends' splice.  The *_bruteforce
+functions are exhaustive reference algorithms kept around as independent
+oracles for the dynamic programming paths — do not "optimize" them into the
+DP recurrences.
 `count_scan_occurrences` is the one-word scan that `scan_counts` sums; it
 lives only here, as the oracle the tests check both backends against.
 """
@@ -146,10 +150,11 @@ def splice_sites(words, text, starts, edits) -> list:
     """(index, output) of every word that a law's edits at the given site starts change.
 
     `text` is the words' encodings joined by newlines, word i's line holding
-    2 * len(words[i]) + 3 characters; `starts` the ascending offsets of the
-    law's sites in it; `edits` its (pos, kind code, phones) edits.  A word
-    counts as changed when its output differs from `tuple(word)`.  The sites
-    of each word give `_splice`'s leftmost-wins edit map.
+    2 * len(words[i]) + 3 characters, and is read only for where its lines
+    end; `starts` are the ascending offsets of the law's sites in it and
+    `edits` its (pos, kind code, phones) edits.  A word counts as changed
+    when its output differs from `tuple(word)`.  The sites of each word
+    give `_splice`'s leftmost-wins edit map.
     """
     if not isinstance(text, str):
         raise TypeError("text must be a str")

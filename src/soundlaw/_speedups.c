@@ -1,4 +1,5 @@
-/* Compiled string-metric kernels.
+/* Compiled kernels: the string metrics, scan counting and the law engine's
+ * splice.
  *
  * Mirrors soundlaw._native exactly (same functions, same tie-breaks, same
  * ValueError guard); the test suite asserts that the two backends agree and
@@ -11,7 +12,11 @@
  * Besides the pairwise edit-distance and LCS kernels, scan_counts weights a
  * whole batch of idp-pi context candidates against one word list in a
  * single call; it interns symbols to small integers through one dict per
- * call.  soundlaw.kernels compiles this file on first import when no built
+ * call.  splice_sites applies a law's edits at every site of a lexicon's
+ * joined encoding in one call: it walks the text's newlines to group the
+ * sites by word, builds each word's leftmost-wins edit map in an array
+ * indexed by token and returns only the words whose output differs.
+ * soundlaw.kernels compiles this file on first import when no built
  * extension is installed.
  */
 
@@ -760,7 +765,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     "soundlaw._speedups",
-    "Compiled string-metric kernels; same contract as soundlaw._native.",
+    "Compiled kernels; same contract as soundlaw._native.",
     0,
     methods,
     NULL,

@@ -1,15 +1,27 @@
-"""Backend selection for the string-metric kernels.
+"""Backend selection for the native kernels.
 
-The kernels are Levenshtein distance, the pairwise LCS, their brute-force
-oracles, and `scan_counts`, which weights idp-pi context candidates by their
-scan counts over a word list in one call.  The pairwise kernels compare
+The kernels are the string metrics (Levenshtein distance, the pairwise LCS,
+their brute-force oracles), `scan_counts`, which weights idp-pi context
+candidates by their scan counts over a word list in one call, and
+`splice_sites`, the law engine's splice.  The pairwise kernels compare
 symbols with `==` on both backends, so symbols need not be hashable; the
-compiled `scan_counts` alone hashes them.  The compiled kernels are the
-hand-written CPython module `_speedups.c`.  It is compiled on first import
-with the interpreter's configured C compiler (``CC`` overrides it) into a
-user cache, ``$XDG_CACHE_HOME/soundlaw`` or ``~/.cache/soundlaw``, keyed by
-the source's sha256 and the interpreter's extension suffix, so later imports
-only load it, and a build of an older source is never loaded.
+compiled `scan_counts` alone hashes them.
+
+`splice_sites(words, text, starts, edits)` takes the words, their encodings
+joined by newlines (`rules._LawCompiler.encode`; the text is read only for
+where its lines end), the ascending starts of a law's sites in that text
+and the law's `SoundLaw.edits`: (pos, kind code, phones), the kind code
+being the index of the mapping kind in `rules.MAP_KINDS`.  It returns
+(index, output) of every word whose output differs from it, the leftmost
+site winning an index two sites edit, and raises TypeError or ValueError on
+malformed arguments.
+
+The compiled kernels are the hand-written CPython module `_speedups.c`.  It
+is compiled on first import with the interpreter's configured C compiler
+(``CC`` overrides it) into a user cache, ``$XDG_CACHE_HOME/soundlaw`` or
+``~/.cache/soundlaw``, keyed by the source's sha256 and the interpreter's
+extension suffix, so later imports only load it, and a build of an older
+source is never loaded.
 Without a compiler, the Python headers or a writable cache, the pure-Python
 twin `_native` runs instead: it is correct but far slower, and misses the
 acceptance suite's A07 budget.

@@ -25,19 +25,22 @@ one word.
 Rewriting works on that encoding too (the compile-the-rewrite approach of
 Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
 `apply_to_lexicon` joins the encoded words with newlines, which no slot
-matches, and scans the whole lexicon in one pass.  The sites of each word
-give `_splice`'s leftmost-wins edit map, which is applied straight to the
-word's phones; every other word comes back unchanged.  `apply_in_order`
-runs laws one after another on that encoding: it encodes the words once and
-re-encodes only the words a law changed.  Each candidate program of an
+matches, and scans the whole lexicon in one pass.  One call of the
+`kernels.splice_sites` kernel takes the joined text and every site start,
+groups the sites by word, applies each word's leftmost-wins edit map
+straight to its phones and returns only the words whose output differs;
+every other word comes back unchanged.  `apply_in_order` runs laws one
+after another on that encoding: it encodes the words once and re-encodes
+only the words a law changed.  Each candidate program of an
 evaluation runs through it, and so does a cascade: `apply_cascade` returns
 one `Stage` per law, which `derive` prints and `bench` unrolls into one
 single-law task each.  So the encoding never leaves this module.
 
 The token-level engine (`preprocess`, `find_matches`, `apply_law`,
-`render`, behind `apply_law_word`) runs the same patterns and `_splice` one
-word at a time.  It is the public per-word API; `tasks.validate_task`
-re-executes gold laws through it to catch a stale or tampered tasks file.
+`render`, behind `apply_law_word`) runs the same patterns and the same
+kernel one word at a time.  It is the public per-word API;
+`tasks.validate_task` re-executes gold laws through it to catch a stale or
+tampered tasks file.
 The independent oracles are the tests' `scan_sites` and `reference_apply`,
 which read each slot through `Predicate.matches`.
 """
@@ -380,8 +383,9 @@ def apply_law(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> TokenSe
     sites = find_matches(law, tokens, inv)
     if not sites:
         return tokens
-    word = tokens[2:-2:2]
-    changed = kernels.splice_sites((word,), _compiler(inv).encode((word,))[0], sites, law.edits)
+    # splice_sites reads its text only for where lines end, so one line as
+    # long as the tokens stands for the encoding find_matches scanned
+    changed = kernels.splice_sites((tokens[2:-2:2],), "#" * len(tokens), sites, law.edits)
     return preprocess(changed[0][1]) if changed else tokens
 
 
@@ -390,9 +394,10 @@ def apply_law_word(law: SoundLaw, word: PhoneSeq, inv: SegmentInventory) -> Phon
 
     This per-word path (`preprocess`, `find_matches`, `apply_law`, `render`)
     gives what `apply_to_lexicon` gives, through the same matcher and
-    `_splice`.  `tasks.validate_task` runs it to re-execute a gold law and
-    so catch a stale or tampered tasks file; the tests' `reference_apply`
-    and `scan_sites` are the independent oracles of both paths.
+    `kernels.splice_sites`.  `tasks.validate_task` runs it to re-execute a
+    gold law and so catch a stale or tampered tasks file; the tests'
+    `reference_apply` and `scan_sites` are the independent oracles of both
+    paths.
     """
     return render(apply_law(law, preprocess(word), inv))
 
@@ -402,12 +407,13 @@ def apply_to_lexicon(
 ) -> tuple[list[PhoneSeq], list[bool]]:
     """Apply a law to every word; the mask flags words that changed.
 
-    One compiled scan finds the sites, and each word holding one is rewritten
-    by splicing the edits into its phones.  `codes`, if given, is the words'
-    encoding; it is updated in place to encode the outputs, so the next law
-    of a cascade scans it without encoding the unchanged words again.  The
-    changed words are re-encoded by one `encode` call after the scan.
-    Outside this module, `apply_in_order` carries it.
+    One compiled scan finds the sites, and one `kernels.splice_sites` call
+    splices the edits into the phones of every word holding one.  `codes`,
+    if given, is the words' encoding; it is updated in place to encode the
+    outputs, so the next law of a cascade scans it without encoding the
+    unchanged words again.  The changed words are re-encoded by one
+    `encode` call after the scan.  Outside this module, `apply_in_order`
+    carries it.
     """
     compiler = _compiler(inv)
     outputs = [tuple(w) for w in words]

@@ -133,7 +133,9 @@ def validate_task(task: PBETask, inv: SegmentInventory) -> list[str]:
     Every stored input goes through the token-level engine (`apply_law_word`),
     which catches a stale or tampered tasks file; inputs without a site are
     re-executed too, so a tampered output of an unchanged word is caught as
-    well.  That engine shares the compiled matcher and `rules._splice` with
+    well.  It calls `rules.apply_law_word`, so each word still passes through
+    `preprocess`, `find_matches`, `apply_law` and `render`.  That engine
+    shares the compiled matcher and the `kernels.splice_sites` edit map with
     the lexicon path that wrote the outputs, so this is no independent check
     of either: the tests' `reference_apply` and `scan_sites` are.
     """
