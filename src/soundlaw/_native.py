@@ -1,11 +1,16 @@
-"""Pure-Python kernels: the string metrics, scan counting and the law
-engine's splice.
+"""Pure-Python kernels: the string metrics, scan counting, the law engine's
+matcher and splice, and rp-ri's phone draw.
 
 Same contract as the compiled module (soundlaw._speedups); soundlaw.kernels
 runs this one only when the compiled module cannot be built on first
-import or loaded from its cache.  `splice_sites` is the law engine's
-per-site loop and leftmost-wins edit map; the tests' `reference_apply` is
-the independent oracle of both backends' splice.  The *_bruteforce
+import or loaded from its cache.  `find_sites` compiles each window to a
+regex, its first slot's class followed by a lookahead on the rest, and
+caches it, so this fallback keeps the speed of `re`'s search; the tests'
+`scan_sites` is the independent oracle of both backends' matcher.
+`splice_sites` is the law engine's per-site loop and leftmost-wins edit
+map; the tests' `reference_apply` is the independent oracle of both
+backends' splice.  `draw` is CPython's `_randbelow_with_getrandbits` on
+each of its pools.  The *_bruteforce
 functions are exhaustive reference algorithms kept around as independent
 oracles for the dynamic programming paths — do not "optimize" them into the
 DP recurrences.
@@ -16,6 +21,7 @@ lives only here, as the oracle the tests check both backends against.
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from itertools import combinations
 
@@ -238,3 +244,66 @@ def _splice(word: tuple, sites: list[int], edits) -> tuple:
         # a delete adds nothing
     out += word[done:]
     return tuple(out)
+
+
+# finditer of each window seen, by its slots; starts over past this many
+_WINDOWS: dict = {}
+_MAX_WINDOWS = 4096
+
+
+def find_sites(text, slots) -> list[int]:
+    """The ascending start of every site of a window in `text`.
+
+    Slot j of the window is a (negated, chars) pair: it matches the
+    characters of `chars` or (negated) every character but them and the
+    newline, and a site starts where slot j matches the character j further
+    on, for every slot.  The window compiles once to its first slot's class
+    followed by a lookahead on the rest: each match consumes one character,
+    so overlapping sites are all found, while `re` searches for the first
+    slot's characters.
+    """
+    if not isinstance(text, str):
+        raise TypeError("text must be a str")
+    try:
+        finditer = _WINDOWS[slots]
+    except (KeyError, TypeError):  # a new window, or slots no dict can key
+        finditer = _compile_window(slots)
+    return list(map(re.Match.start, finditer(text)))
+
+
+def _compile_window(slots):
+    classes = []
+    for negated, chars in slots:
+        if not isinstance(negated, bool) or not isinstance(chars, str):
+            raise TypeError("a slot is a (bool, str) pair")
+        chars = re.escape(chars)
+        classes.append(f"[^\n{chars}]" if negated else f"[{chars}]" if chars else "(?!)")
+    if not classes:
+        raise ValueError("a window needs at least one slot")
+    first, *rest = classes
+    finditer = re.compile(f"{first}(?={''.join(rest)})").finditer
+    if len(_WINDOWS) >= _MAX_WINDOWS:
+        _WINDOWS.clear()
+    try:
+        _WINDOWS[slots] = finditer
+    except TypeError:
+        pass
+    return finditer
+
+
+def draw(getrandbits, pools) -> list:
+    """`pool[below(len(pool))]` of each pool in turn, where below(n) takes
+    `getrandbits(n.bit_length())` until it is below n, as CPython's
+    `Random._randbelow_with_getrandbits` does.  An empty pool raises
+    IndexError once the pools before it are drawn."""
+    out = []
+    for pool in tuple(pools):
+        n = len(pool)
+        if not n:
+            raise IndexError("cannot draw from an empty pool")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(pool[r])
+    return out

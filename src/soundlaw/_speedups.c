@@ -750,6 +750,264 @@ done:
     return out;
 }
 
+/* One window slot as find_sites reads it: `map` holds a bit for every code
+ * point below U+0100 the slot matches, negation folded in, and `high` the
+ * sorted code points at or above U+0100 it names, which it matches when
+ * `negated` is not set. */
+typedef struct {
+    unsigned char map[32];
+    Py_UCS4 *high;
+    Py_ssize_t nhigh;
+    int negated;
+} Slot;
+
+/* Slots and high code points a call keeps on the stack; a longer window or a
+ * class naming more code points takes them from the heap. */
+#define WINDOW_STACK 16
+#define HIGH_STACK 64
+
+typedef struct {
+    Slot *slots;
+    Py_ssize_t w;
+    void *heap;
+    Slot stack[WINDOW_STACK];
+    Py_UCS4 high[HIGH_STACK];
+} Window;
+
+static int
+cmp_ucs4(const void *x, const void *y)
+{
+    Py_UCS4 a = *(const Py_UCS4 *)x, b = *(const Py_UCS4 *)y;
+    return (a > b) - (a < b);
+}
+
+/* Read the (negated, chars) slots of a window, `negated` a bool and `chars`
+ * a str, so that no Python code runs between counting the code points and
+ * storing them; on failure nothing is held and an exception is set. */
+static int
+window_open(Window *win, PyObject *arg)
+{
+    PyObject *fast = PySequence_Fast(arg, "slots must be a sequence"), *pair, *chars;
+    Py_ssize_t w, j, c, len, total = 0;
+    Py_UCS4 *high;
+    int negated;
+    win->heap = NULL;
+    if (fast == NULL)
+        return -1;
+    w = PySequence_Fast_GET_SIZE(fast);
+    if (w == 0) {
+        PyErr_SetString(PyExc_ValueError, "a window needs at least one slot");
+        goto fail;
+    }
+    /* first pass: check every slot and count the code points */
+    for (j = 0; j < w; j++) {
+        pair = PySequence_Fast_GET_ITEM(fast, j);
+        if (!PyTuple_Check(pair) && !PyList_Check(pair)) {
+            PyErr_SetString(PyExc_TypeError, "a slot is a (negated, chars) pair");
+            goto fail;
+        }
+        if (PySequence_Fast_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_ValueError, "a slot is a (negated, chars) pair");
+            goto fail;
+        }
+        if (!PyBool_Check(PySequence_Fast_GET_ITEM(pair, 0))
+            || !PyUnicode_Check(PySequence_Fast_GET_ITEM(pair, 1))) {
+            PyErr_SetString(PyExc_TypeError, "a slot is a (bool, str) pair");
+            goto fail;
+        }
+        total += PyUnicode_GET_LENGTH(PySequence_Fast_GET_ITEM(pair, 1));
+    }
+    if (w <= WINDOW_STACK && total <= HIGH_STACK) {
+        win->slots = win->stack;
+        high = win->high;
+    }
+    else {
+        if ((size_t)w > (PY_SSIZE_T_MAX - (size_t)total * sizeof(Py_UCS4)) / sizeof(Slot)
+            || (win->heap = PyMem_Malloc(w * sizeof(Slot) + total * sizeof(Py_UCS4))) == NULL) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        win->slots = win->heap;
+        high = (Py_UCS4 *)(win->slots + w);
+    }
+    for (j = 0; j < w; j++) {
+        Slot *slot = &win->slots[j];
+        const void *data;
+        int kind;
+        pair = PySequence_Fast_GET_ITEM(fast, j);
+        negated = PySequence_Fast_GET_ITEM(pair, 0) == Py_True;
+        chars = PySequence_Fast_GET_ITEM(pair, 1);
+        data = PyUnicode_DATA(chars);
+        kind = PyUnicode_KIND(chars);
+        len = PyUnicode_GET_LENGTH(chars);
+        memset(slot->map, 0, sizeof(slot->map));
+        slot->high = high;
+        slot->nhigh = 0;
+        for (c = 0; c < len; c++) {
+            Py_UCS4 ch = PyUnicode_READ(kind, data, c);
+            if (ch < 256)
+                slot->map[ch >> 3] |= (unsigned char)(1u << (ch & 7));
+            else
+                high[slot->nhigh++] = ch;
+        }
+        qsort(high, (size_t)slot->nhigh, sizeof(Py_UCS4), cmp_ucs4);
+        high += slot->nhigh;
+        if ((slot->negated = negated)) {
+            /* every character but the named ones and the newline */
+            for (c = 0; c < 32; c++)
+                slot->map[c] = (unsigned char)~slot->map[c];
+            slot->map['\n' >> 3] &= (unsigned char)~(1u << ('\n' & 7));
+        }
+    }
+    win->w = w;
+    Py_DECREF(fast);
+    return 0;
+fail:
+    PyMem_Free(win->heap);
+    win->heap = NULL;
+    Py_DECREF(fast);
+    return -1;
+}
+
+/* Whether `slot` matches the character `ch`. */
+static inline int
+slot_has(const Slot *slot, Py_UCS4 ch)
+{
+    Py_ssize_t lo = 0, hi = slot->nhigh, mid;
+    if (ch < 256)
+        return slot->map[ch >> 3] >> (ch & 7) & 1;
+    while (lo < hi) {
+        mid = (lo + hi) / 2;
+        if (slot->high[mid] < ch)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return (lo < slot->nhigh && slot->high[lo] == ch) != slot->negated;
+}
+
+static int
+append_index(PyObject *out, Py_ssize_t i)
+{
+    PyObject *v = PyLong_FromSsize_t(i);
+    int rc = v == NULL ? -1 : PyList_Append(out, v);
+    Py_XDECREF(v);
+    return rc;
+}
+
+PyDoc_STRVAR(find_sites_doc,
+             "The ascending start of every site of a window of (negated, chars) slots in `text`.");
+
+static PyObject *
+find_sites(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *text, *out;
+    Window win;
+    Py_ssize_t i, j, w, len;
+    const void *data;
+    int kind;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "find_sites() takes exactly 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    text = args[0];
+    if (!PyUnicode_Check(text)) {
+        PyErr_SetString(PyExc_TypeError, "text must be a str");
+        return NULL;
+    }
+    if (window_open(&win, args[1]) < 0)
+        return NULL;
+    if ((out = PyList_New(0)) == NULL)
+        goto done;
+    w = win.w;
+    len = PyUnicode_GET_LENGTH(text);
+    data = PyUnicode_DATA(text);
+    kind = PyUnicode_KIND(text);
+    if (kind == PyUnicode_1BYTE_KIND) {
+        /* every character is below U+0100: each slot is one bit test */
+        const Py_UCS1 *s = data;
+        const unsigned char *first = win.slots[0].map;
+        for (i = 0; i + w <= len; i++) {
+            if (!(first[s[i] >> 3] >> (s[i] & 7) & 1))
+                continue;
+            for (j = 1; j < w && win.slots[j].map[s[i + j] >> 3] >> (s[i + j] & 7) & 1; j++)
+                ;
+            if (j == w && append_index(out, i) < 0)
+                goto fail;
+        }
+        goto done;
+    }
+    for (i = 0; i + w <= len; i++) {
+        for (j = 0; j < w && slot_has(&win.slots[j], PyUnicode_READ(kind, data, i + j)); j++)
+            ;
+        if (j == w && append_index(out, i) < 0)
+            goto fail;
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    PyMem_Free(win.heap);
+    return out;
+}
+
+PyDoc_STRVAR(draw_doc,
+             "[pool[below(len(pool))] for pool in pools], below(n) drawing as CPython's "
+             "Random._randbelow_with_getrandbits does through `getrandbits`.");
+
+static PyObject *
+draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *getrandbits, *pools, *out = NULL, *pool, *kobj, *bits, *item;
+    Py_ssize_t i, np, n, r;
+    int k;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "draw() takes exactly 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    getrandbits = args[0];
+    /* a tuple, so that no getrandbits can change the pools under the kernel */
+    if ((pools = PySequence_Tuple(args[1])) == NULL)
+        return NULL;
+    np = PyTuple_GET_SIZE(pools);
+    if ((out = PyList_New(np)) == NULL)
+        goto done;
+    /* in pool order, so a pool that cannot be drawn from stops the draw
+     * after every pool before it took its bits */
+    for (i = 0; i < np; i++) {
+        pool = PyTuple_GET_ITEM(pools, i);
+        if ((n = PyObject_Length(pool)) < 0)
+            goto fail;
+        if (n == 0) {
+            PyErr_SetString(PyExc_IndexError, "cannot draw from an empty pool");
+            goto fail;
+        }
+        for (k = 0; n >> k; k++)  /* n.bit_length() */
+            ;
+        if ((kobj = PyLong_FromLong(k)) == NULL)
+            goto fail;
+        do {
+            bits = PyObject_CallOneArg(getrandbits, kobj);
+            r = bits == NULL ? -1 : PyLong_AsSsize_t(bits);
+            Py_XDECREF(bits);
+            if (r == -1 && PyErr_Occurred()) {
+                Py_DECREF(kobj);
+                goto fail;
+            }
+        } while (r >= n);
+        Py_DECREF(kobj);
+        if ((item = PySequence_GetItem(pool, r)) == NULL)
+            goto fail;
+        PyList_SET_ITEM(out, i, item);
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    Py_DECREF(pools);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"levenshtein", (PyCFunction)(void (*)(void))levenshtein, METH_FASTCALL, levenshtein_doc},
     {"lcs_pair", (PyCFunction)(void (*)(void))lcs_pair, METH_FASTCALL, lcs_pair_doc},
@@ -759,6 +1017,8 @@ static PyMethodDef methods[] = {
      lcs_len_bruteforce_doc},
     {"scan_counts", (PyCFunction)(void (*)(void))scan_counts, METH_FASTCALL, scan_counts_doc},
     {"splice_sites", (PyCFunction)(void (*)(void))splice_sites, METH_FASTCALL, splice_sites_doc},
+    {"find_sites", (PyCFunction)(void (*)(void))find_sites, METH_FASTCALL, find_sites_doc},
+    {"draw", (PyCFunction)(void (*)(void))draw, METH_FASTCALL, draw_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -189,9 +189,10 @@ def context_predicates(law: SoundLaw) -> tuple[Predicate, ...]:
 def draw_below(rng: random.Random):
     """below(n), a uniform draw from range(n) for n >= 1, taken from rng's
     stream exactly as CPython's `Random._randbelow_with_getrandbits` takes
-    it: `rng.choice(seq)` is `seq[below(len(seq))]` and `rng.randint(a, b)`
-    is `a + below(b - a + 1)`, with the same values and the same state after,
-    at a fraction of the cost of the two methods."""
+    it: `rng.randint(a, b)` is `a + below(b - a + 1)`, with the same value
+    and the same state after, at a fraction of the method's cost.
+    `kernels.draw(rng.getrandbits, pools)` makes the same draws for
+    `rng.choice` of each pool in one call."""
     getrandbits = rng.getrandbits
 
     def below(n: int) -> int:
@@ -202,16 +203,6 @@ def draw_below(rng: random.Random):
         return r
 
     return below
-
-
-def _concrete_context(slots, below) -> list[str]:
-    """One phone per (predicate, member phones) slot, drawn in slot order."""
-    phones = []
-    for p, members in slots:
-        if not members:
-            raise InfeasibleQuota(f"no inventory phone satisfies {p}")
-        phones.append(members[below(len(members))])
-    return phones
 
 
 def sample_inputs_for_law(
@@ -230,17 +221,17 @@ def sample_inputs_for_law(
     if 2 * w + 3 > hi:
         raise InfeasibleQuota(f"context of width {w} cannot occur twice inside a word of <= {hi} phones")
 
-    slots = [(p, slot_members(p, inv)) for p in preds]
+    # one pool of member phones per context slot, and the first slot with none
+    ctx = [slot_members(p, inv) for p in preds]
+    empty = next((p for p, members in zip(preds, ctx) if not members), None)
     # '@' on both sides pins every slot to a phone
     has_context = site_test((SEP_PRED, *interleave(preds), SEP_PRED), inv)
     tenth = n // 10
     bearing = -(-2 * n // 3)  # ceil(2n/3)
-    below = draw_below(rng)  # every draw but the final shuffle
-    segments = inv.segments
-    n_segments = len(segments)
-
-    def rand_phones(k: int) -> list[str]:
-        return [segments[below(n_segments)] for _ in range(k)]
+    below = draw_below(rng)  # every length and offset
+    # a word's phones, drawn in one call: rng.choice of each pool in turn
+    draw = partial(kernels.draw, rng.getrandbits)
+    segs = [inv.segments]
 
     def rand_len() -> int:
         return lo + below(hi - lo + 1)
@@ -248,42 +239,41 @@ def sample_inputs_for_law(
     def length_at_least(minimum: int) -> int:
         return max(minimum, rand_len())
 
+    # a word's draw takes its context and its other phones in the order the
+    # output bytes depend on: the context first, unless the word ends with it
     words: list[PhoneSeq] = []
-    for _ in range(tenth):  # begins with context
-        total = length_at_least(w)
-        words.append(tuple(_concrete_context(slots, below) + rand_phones(total - w)))
-    for _ in range(tenth):  # ends with context
-        total = length_at_least(w)
-        words.append(tuple(rand_phones(total - w) + _concrete_context(slots, below)))
-    for _ in range(tenth):  # one interior occurrence
-        total = length_at_least(w + 2)
-        head = 1 + below(total - w - 1)
-        ctx = _concrete_context(slots, below)
-        words.append(tuple(rand_phones(head) + ctx + rand_phones(total - w - head)))
-    for _ in range(tenth):  # two interior occurrences
-        total = length_at_least(2 * w + 3)
-        slack = total - 2 * w - 3
-        a = below(slack + 1)
-        b = below(slack - a + 1)
-        c1 = _concrete_context(slots, below)
-        c2 = _concrete_context(slots, below)
-        words.append(
-            tuple(
-                rand_phones(1 + a) + c1 + rand_phones(1 + b) + c2 + rand_phones(1 + slack - a - b)
-            )
-        )
-    while len(words) < bearing:  # any occurrence anywhere
-        total = length_at_least(w)
-        at = below(total - w + 1)
-        ctx = _concrete_context(slots, below)
-        words.append(tuple(rand_phones(at) + ctx + rand_phones(total - w - at)))
+    try:
+        for _ in range(tenth):  # begins with context
+            words.append(tuple(draw(ctx + segs * (length_at_least(w) - w))))
+        for _ in range(tenth):  # ends with context
+            words.append(tuple(draw(segs * (length_at_least(w) - w) + ctx)))
+        for _ in range(tenth):  # one interior occurrence
+            total = length_at_least(w + 2)
+            head = 1 + below(total - w - 1)
+            p = draw(ctx + segs * (total - w))  # the context, then the rest
+            words.append(tuple(p[w:w + head] + p[:w] + p[w + head:]))
+        for _ in range(tenth):  # two interior occurrences
+            total = length_at_least(2 * w + 3)
+            slack = total - 2 * w - 3
+            a = below(slack + 1)
+            b = below(slack - a + 1)
+            p = draw(ctx * 2 + segs * (total - 2 * w))  # both contexts, then the rest
+            i, j = 2 * w + 1 + a, 2 * w + 2 + a + b
+            words.append(tuple(p[2 * w:i] + p[:w] + p[i:j] + p[w:2 * w] + p[j:]))
+        while len(words) < bearing:  # any occurrence anywhere
+            total = length_at_least(w)
+            at = below(total - w + 1)
+            p = draw(ctx + segs * (total - w))
+            words.append(tuple(p[w:w + at] + p[:w] + p[w + at:]))
+    except IndexError:  # an empty slot stops a draw after the pools before it
+        raise InfeasibleQuota(f"no inventory phone satisfies {empty}") from None
     while len(words) < n:  # context-free remainder (best effort when the
         # context is a wildcard that every word necessarily contains)
-        word = tuple(rand_phones(rand_len()))
+        word = tuple(draw(segs * rand_len()))
         for _ in range(40):
             if not has_context(word):
                 break
-            word = tuple(rand_phones(rand_len()))
+            word = tuple(draw(segs * rand_len()))
         words.append(word)
     rng.shuffle(words)
     return words
@@ -320,6 +310,11 @@ def gen_rp_ri(cfg: GenConfig, count: int, inv: SegmentInventory, jobs: int = 1) 
     Each task owns an RNG stream derived from (seed, index), so splitting
     the index range over workers changes nothing about the output bytes.
     """
+    if len(inv) < 2:
+        raise GenerationError(
+            "rp-ri needs two segments to draw a replacement unlike a literal slot's phone;"
+            f" the feature table has {len(inv)}"
+        )
     return map_in_order(partial(_rp_ri_task, cfg, inv), range(count), jobs)
 
 

@@ -2,10 +2,29 @@
 
 The kernels are the string metrics (Levenshtein distance, the pairwise LCS,
 their brute-force oracles), `scan_counts`, which weights idp-pi context
-candidates by their scan counts over a word list in one call, and
-`splice_sites`, the law engine's splice.  The pairwise kernels compare
-symbols with `==` on both backends, so symbols need not be hashable; the
-compiled `scan_counts` alone hashes them.
+candidates by their scan counts over a word list in one call, the law
+engine's matcher `find_sites` and splice `splice_sites`, and `draw`, rp-ri's
+phone draw.  The pairwise kernels compare symbols with `==` on both
+backends, so symbols need not be hashable; the compiled `scan_counts` alone
+hashes them.
+
+`find_sites(text, slots)` returns the ascending start of every site of a
+window in `text`, overlapping ones included.  The window is a sequence of
+(negated, chars) slots, a bool and a str (`rules._LawCompiler.window`): slot
+j matches the characters of `chars` or (negated) every character but them
+and the newline, and a site starts where slot j matches the character j
+further on, for every slot.  The compiled kernel tests a character below
+U+0100 with one bit of a 256-bit map and looks one above up in a sorted
+array; its twin compiles the window once to a regex, its first slot's class
+followed by a lookahead on the rest.
+
+`draw(getrandbits, pools)` returns `pool[below(len(pool))]` of each pool in
+turn, below(n) taking `getrandbits(n.bit_length())` until it is below n,
+exactly as CPython's `Random._randbelow_with_getrandbits` does; with
+`rng.getrandbits`, it draws what `rng.choice(pool)` of each pool would
+draw, and leaves rng in the same state.  An empty pool raises IndexError
+once the pools before it are drawn, and an error of `getrandbits`
+propagates.
 
 `splice_sites(words, text, starts, edits)` takes the words, their encodings
 joined by newlines (`rules._LawCompiler.encode`; the text is read only for
@@ -128,3 +147,5 @@ levenshtein_bruteforce = _impl.levenshtein_bruteforce
 lcs_len_bruteforce = _impl.lcs_len_bruteforce
 scan_counts = _impl.scan_counts
 splice_sites = _impl.splice_sites
+find_sites = _impl.find_sites
+draw = _impl.draw

@@ -7,38 +7,36 @@ fires on material it introduced itself (no self-feeding), and overlapping
 matches that fight over one slot resolve deterministically to the leftmost
 site.
 
-Matching is compiled.  Per inventory, every token is encoded as one
-character: '#' and '@' stand for themselves, the first 128 phones get
-U+0080-U+00FF and any later ones a private-use code point, so a lexicon
-over a table of up to 128 phones encodes to a one-byte string and its
-classes compile to byte maps.  Each window slot becomes a character class
+Matching is compiled, with no regular expression.  Per inventory, every
+token is encoded as one character: '#' and '@' stand for themselves, the
+first 128 phones get U+0080-U+00FF and any later ones a private-use code
+point, so a lexicon over a table of up to 128 phones encodes to a one-byte
+string.  Each window slot becomes a (negated, chars) class over those codes
 (a feature class's members are read once per inventory), and a predicate
-window the first slot's class followed by a lookahead on the rest, compiled
-once per (window, inventory) and cached on the inventory.  A match consumes
-exactly the one character of its first slot, so `finditer` reports every
-site, overlapping ones included, as an all-lookahead pattern would, while
-`re` searches for that first character instead of entering the lookahead at
-every position.  Datagen reads the same slots: `slot_members` the token set
-a slot's class is built from, `site_test` the compiled window as a test of
-one word.
+window the tuple of its slots' classes, built once per (window, inventory)
+and cached on the inventory.  One call of the `kernels.find_sites` kernel
+returns every site start of a window in a text, overlapping ones included;
+it tests a code below U+0100 with one bit of a 256-bit map.  Datagen reads
+the same slots: `slot_members` the token set a slot's class is built from,
+`site_test` the window as a test of one word.
 
 Rewriting works on that encoding too (the compile-the-rewrite approach of
 Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
 `apply_to_lexicon` joins the encoded words with newlines, which no slot
-matches, and scans the whole lexicon in one pass.  One call of the
-`kernels.splice_sites` kernel takes the joined text and every site start,
-groups the sites by word, applies each word's leftmost-wins edit map
-straight to its phones and returns only the words whose output differs;
-every other word comes back unchanged.  `apply_in_order` runs laws one
-after another on that encoding: it encodes the words once and re-encodes
-only the words a law changed.  Each candidate program of an
+matches, and finds every site of the law in one `find_sites` call.  One
+call of the `kernels.splice_sites` kernel takes the joined text and every
+site start, groups the sites by word, applies each word's leftmost-wins
+edit map straight to its phones and returns only the words whose output
+differs; every other word comes back unchanged.  `apply_in_order` runs
+laws one after another on that encoding: it encodes the words once and
+re-encodes only the words a law changed.  Each candidate program of an
 evaluation runs through it, and so does a cascade: `apply_cascade` returns
 one `Stage` per law, which `derive` prints and `bench` unrolls into one
 single-law task each.  So the encoding never leaves this module.
 
 The token-level engine (`preprocess`, `find_matches`, `apply_law`,
-`render`, behind `apply_law_word`) runs the same patterns and the same
-kernel one word at a time.  It is the public per-word API;
+`render`, behind `apply_law_word`) runs the same windows and the same
+kernels one word at a time.  It is the public per-word API;
 `tasks.validate_task` re-executes gold laws through it to catch a stale or
 tampered tasks file.
 The independent oracles are the tests' `scan_sites` and `reference_apply`,
@@ -47,7 +45,6 @@ which read each slot through `Predicate.matches`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from . import kernels
@@ -266,25 +263,26 @@ class _LawCompiler:
     """One inventory's token codebook and the laws compiled against it."""
 
     # datagen samples a fresh random law per attempt, so the cache starts
-    # over past this many laws instead of growing for the life of the process
-    MAX_PATTERNS = 4096
+    # over past this many windows instead of growing for the life of the process
+    MAX_WINDOWS = 4096
 
     def __init__(self, inv: SegmentInventory):
         # token -> its character; '!' never occurs in an encoded word
         self.code = {BOUNDARY: BOUNDARY, SEPARATOR: SEPARATOR, DELETION_MARK: DELETION_MARK}
         # phone -> its character followed by the separator
         self.phone_sep: dict[str, str] = {}
-        self.patterns: dict[tuple[Predicate, ...], re.Pattern] = {}
+        self.windows: dict[tuple[Predicate, ...], tuple[tuple[bool, str], ...]] = {}
         for seg in inv.segments:
             self._add(seg)
 
     def _add(self, phone: str) -> str:
         """Give a phone the next code and return it: U+0080-U+00FF for the
         first 128 phones, then the private-use code points (the BMP block,
-        then planes 15 and 16).  `re` compiles a class of code points below
-        U+0100 to a 256-bit map but first builds a 64K-entry map for a class
-        holding any BMP code point above, so the inventory's own segments,
-        which come first, keep every compile cheap."""
+        then planes 15 and 16).  `kernels.find_sites` tests a code below
+        U+0100 with one bit of a 256-bit map and looks a code above up in a
+        sorted array, so the inventory's own segments, which come first,
+        keep every slot test a bit test, and a lexicon over them a one-byte
+        string."""
         n = len(self.phone_sep)
         if n < 128:
             char = chr(0x80 + n)
@@ -298,24 +296,21 @@ class _LawCompiler:
     def _char(self, token: str) -> str:
         return self.code.get(token) or self._add(token)
 
-    def _slot(self, pred: Predicate, inv: SegmentInventory) -> str:
-        """The character class of one slot; no class matches a newline."""
+    def _slot(self, pred: Predicate, inv: SegmentInventory) -> tuple[bool, str]:
+        """The (negated, chars) class of one slot, over the tokens' codes;
+        `find_sites` matches no newline with a negated class, and no code
+        is a newline."""
         negated, tokens = _slot_tokens(pred, inv)
-        # codes are '#', '@', '!', U+0080-U+00FF or private-use: none is
-        # special in a class
-        chars = "".join(self._char(t) for t in tokens)
-        if negated:
-            return f"[^\n{chars}]"
-        return f"[{chars}]" if chars else "(?!)"
+        return negated, "".join(self._char(t) for t in tokens)
 
-    def pattern(self, preds: tuple[Predicate, ...], inv: SegmentInventory) -> re.Pattern:
-        pattern = self.patterns.get(preds)
-        if pattern is None:
-            if len(self.patterns) >= self.MAX_PATTERNS:
-                self.patterns.clear()
-            first, *rest = (self._slot(p, inv) for p in preds)
-            pattern = self.patterns[preds] = re.compile(f"{first}(?={''.join(rest)})")
-        return pattern
+    def window(self, preds: tuple[Predicate, ...], inv: SegmentInventory) -> tuple[tuple[bool, str], ...]:
+        """The classes of a predicate window's slots, as `find_sites` reads them."""
+        window = self.windows.get(preds)
+        if window is None:
+            if len(self.windows) >= self.MAX_WINDOWS:
+                self.windows.clear()
+            window = self.windows[preds] = tuple(self._slot(p, inv) for p in preds)
+        return window
 
     def encode(self, words) -> list[str]:
         """Every word as preprocess() would give it, one character per token."""
@@ -336,7 +331,7 @@ class _LawCompiler:
         """(index, output) of every word the law changes, in order, from one
         scan of the encoded words joined by newlines."""
         text = "\n".join(codes)
-        starts = list(map(re.Match.start, self.pattern(law.predicates, inv).finditer(text)))
+        starts = kernels.find_sites(text, self.window(law.predicates, inv))
         return kernels.splice_sites(words, text, starts, law.edits)
 
 
@@ -350,22 +345,22 @@ def find_matches(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> list
         raise NonCanonicalTokenSeq(tokens)
     compiler = _compiler(inv)
     text = compiler.encode((tokens[2:-2:2],))[0]
-    return [m.start() for m in compiler.pattern(law.predicates, inv).finditer(text)]
+    return kernels.find_sites(text, compiler.window(law.predicates, inv))
 
 
 def site_test(preds: tuple[Predicate, ...], inv: SegmentInventory):
     """A test of one word: True when the predicate window matches somewhere
-    in preprocess(word).  The window is compiled, and its search and the
-    codebook bound, once for every word tested."""
+    in preprocess(word).  The window's classes and the codebook are bound
+    once for every word tested."""
     compiler = _compiler(inv)
-    search = compiler.pattern(preds, inv).search
-    encode = compiler.encode
-    return lambda word: search(encode((word,))[0]) is not None
+    window = compiler.window(preds, inv)
+    encode, find_sites = compiler.encode, kernels.find_sites
+    return lambda word: bool(find_sites(encode((word,))[0], window))
 
 
 def slot_members(pred: Predicate, inv: SegmentInventory) -> list[str]:
-    """The segments one slot matches, in inventory order: the set its
-    compiled class is built from, read without compiling it."""
+    """The segments one slot matches, in inventory order: the token set its
+    class is built from, read without encoding it."""
     negated, tokens = _slot_tokens(pred, inv)
     members = set(tokens)
     return [s for s in inv.segments if (s in members) != negated]
@@ -407,7 +402,7 @@ def apply_to_lexicon(
 ) -> tuple[list[PhoneSeq], list[bool]]:
     """Apply a law to every word; the mask flags words that changed.
 
-    One compiled scan finds the sites, and one `kernels.splice_sites` call
+    One `kernels.find_sites` call finds the sites, and one `kernels.splice_sites` call
     splices the edits into the phones of every word holding one.  `codes`,
     if given, is the words' encoding; it is updated in place to encode the
     outputs, so the next law of a cascade scans it without encoding the

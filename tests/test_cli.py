@@ -53,6 +53,18 @@ def test_tokenize_table_with_a_spaced_symbol_exit_3(tmp_path, capsys):
     assert "MalformedRow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, count", [("", 0), ("a\t+\n", 1)], ids=["header only", "one segment"])
+def test_rp_ri_on_a_table_of_fewer_than_two_segments_exit_5(tmp_path, capsys, rows, count):
+    table = tmp_path / "table.tsv"
+    table.write_text("segment\tsyl\n" + rows, encoding="utf-8")
+    assert run("datagen", "--condition", "rp-ri", "--count", "3", "--table", table, "--out", tmp_path / "t.jsonl") == 5
+    assert capsys.readouterr().err == (
+        "error: GenerationError: rp-ri needs two segments to draw a replacement unlike a literal slot's"
+        f" phone; the feature table has {count}\n"
+    )
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv, first_line", [
     (("tokenize", "--lexicon", "in.txt"), "sunt"),
     (("derive", "sunt", "--cascade", "in.txt"), "t > d / _ #"),

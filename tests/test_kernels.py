@@ -288,6 +288,67 @@ def test_backends_expose_the_same_functions():
     assert all(getattr(kernels, name) is getattr(kernels._impl, name) for name in compiled)
 
 
+@pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
+def test_draw_takes_the_choice_stream(backend):
+    """draw(getrandbits, pools) draws what rng.choice of each pool in turn
+    draws, and leaves rng in the same state, for pool sizes on both sides
+    of powers of two and for tuples, lists, strings and ranges alike."""
+    sizes = [1, 2, 3, 7, 8, 9, 46, 63, 64, 65, 1000, 2 ** 40 + 3]
+    for seed in range(4):
+        pools = [range(n) for n in sizes] + [("a",), ["x", "y", "z"], "abcde", tuple(range(46))]
+        random.Random(seed).shuffle(pools)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert backend.draw(ours.getrandbits, pools) == [p[theirs._randbelow(len(p))] for p in pools]
+        assert ours.getstate() == theirs.getstate()
+        assert backend.draw(ours.getrandbits, ()) == []
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
+def test_draw_stops_at_an_empty_pool_after_the_pools_before_it(backend):
+    for empty_at in range(4):
+        pools = [("a", "b", "c"), range(10), ("z",), range(100)]
+        pools.insert(empty_at, ())
+        ours, theirs = random.Random(3), random.Random(3)
+        with pytest.raises(IndexError):
+            backend.draw(ours.getrandbits, pools)
+        for pool in pools[:empty_at]:
+            theirs._randbelow(len(pool))
+        assert ours.getstate() == theirs.getstate(), empty_at
+
+
+class Exhausted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
+def test_draw_propagates_an_error_of_getrandbits(backend):
+    calls = []
+
+    def getrandbits(k):
+        calls.append(k)
+        if len(calls) == 3:
+            raise Exhausted
+        return 7  # past the bound of range(5), so each pool draws again
+
+    with pytest.raises(Exhausted):
+        backend.draw(getrandbits, [range(5)] * 4)
+    assert calls == [3, 3, 3]
+
+
+@pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
+@pytest.mark.parametrize("getrandbits, pools", [
+    (random.Random(1).getrandbits, 5),  # pools that are no sequence
+    (random.Random(1).getrandbits, [5]),  # a pool with no length
+    (lambda k: "0", [range(3)]),  # bits that are no integer
+    (None, [range(3)]),  # a getrandbits that cannot be called
+])
+def test_draw_rejects_malformed_input(backend, getrandbits, pools):
+    with pytest.raises(TypeError):
+        backend.draw(getrandbits, pools)
+
+
 def test_bruteforce_lcs_guard():
     with pytest.raises(ValueError):
         kernels.lcs_len_bruteforce(tuple("a" * 21), ("a",))
