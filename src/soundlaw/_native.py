@@ -264,6 +264,10 @@ def find_sites(text, slots) -> list[int]:
     """
     if not isinstance(text, str):
         raise TypeError("text must be a str")
+    slots = tuple(slots)
+    # checked before the cache, whose keys compare 1 and 1.0 equal to True
+    if not all(type(negated) is bool and isinstance(chars, str) for negated, chars in slots):
+        raise TypeError("a slot is a (bool, str) pair")
     try:
         finditer = _WINDOWS[slots]
     except (KeyError, TypeError):  # a new window, or slots no dict can key
@@ -274,8 +278,6 @@ def find_sites(text, slots) -> list[int]:
 def _compile_window(slots):
     classes = []
     for negated, chars in slots:
-        if not isinstance(negated, bool) or not isinstance(chars, str):
-            raise TypeError("a slot is a (bool, str) pair")
         chars = re.escape(chars)
         classes.append(f"[^\n{chars}]" if negated else f"[{chars}]" if chars else "(?!)")
     if not classes:

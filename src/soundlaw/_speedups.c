@@ -1,5 +1,5 @@
-/* Compiled kernels: the string metrics, scan counting and the law engine's
- * splice.
+/* Compiled kernels: the string metrics, scan counting, the law engine's
+ * matcher and splice, and rp-ri's phone draw.
  *
  * Mirrors soundlaw._native exactly (same functions, same tie-breaks, same
  * ValueError guard); the test suite asserts that the two backends agree and
@@ -16,6 +16,13 @@
  * joined encoding in one call: it walks the text's newlines to group the
  * sites by word, builds each word's leftmost-wins edit map in an array
  * indexed by token and returns only the words whose output differs.
+ * find_sites returns every site start of a window of (negated, chars) slot
+ * classes in a text: each slot becomes a 256-bit map of the code points
+ * below U+0100 it matches, negation folded in, and a sorted array of the
+ * ones above, so a one-byte text is matched by bit tests alone; _native
+ * runs the same window as a regex.  draw takes one uniform draw from each
+ * of its pools through the caller's getrandbits, bit for bit as CPython's
+ * Random._randbelow_with_getrandbits does, so it keeps a seeded stream.
  * soundlaw.kernels compiles this file on first import when no built
  * extension is installed.
  */

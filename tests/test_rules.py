@@ -539,11 +539,13 @@ def test_find_sites_hand_built(backend, text, slots, want):
     ("ab", ((False,),)),
     ("ab", ((False, "a", "b"),)),
     ("ab", ((1, "a"),)),
+    ("ab", ((1.0, "a"),)),  # equal to (True, "a"), which may be cached
     ("ab", ((None, "a"),)),
     ("ab", ((False, b"a"),)),
     ("ab", ((False, ["a"]),)),
 ])
 def test_find_sites_rejects_malformed_input(backend, text, slots):
+    assert backend.find_sites("ab", ((True, "a"),)) == [1]
     with pytest.raises((TypeError, ValueError)):
         backend.find_sites(text, slots)
 
