@@ -1,21 +1,17 @@
 """Pure-Python kernels: the string metrics, scan counting, the law engine's
 matcher and splice, and rp-ri's phone draw.
 
-Same contract as the compiled module (soundlaw._speedups); soundlaw.kernels
-runs this one only when the compiled module cannot be built on first
-import or loaded from its cache.  `find_sites` compiles each window to a
-regex, its first slot's class followed by a lookahead on the rest, and
-caches it, so this fallback keeps the speed of `re`'s search; the tests'
-`scan_sites` is the independent oracle of both backends' matcher.
-`splice_sites` is the law engine's per-site loop and leftmost-wins edit
-map; the tests' `reference_apply` is the independent oracle of both
-backends' splice.  `draw` is CPython's `_randbelow_with_getrandbits` on
-each of its pools.  The *_bruteforce
+Their contracts are stated once, in soundlaw.kernels, and the compiled
+module (soundlaw._speedups) keeps the same ones; soundlaw.kernels runs this
+one only when the compiled module cannot be built on first import or
+loaded from its cache.  `find_sites` compiles each window to a regex, its
+first slot's class followed by a lookahead on the rest, and caches it, so
+this fallback keeps the speed of `re`'s search.  The tests' `scan_sites`,
+`reference_apply` and `count_scan_occurrences` are the independent oracles
+of both backends' matcher, splice and scan counts.  The *_bruteforce
 functions are exhaustive reference algorithms kept around as independent
 oracles for the dynamic programming paths — do not "optimize" them into the
 DP recurrences.
-`count_scan_occurrences` is the one-word scan that `scan_counts` sums; it
-lives only here, as the oracle the tests check both backends against.
 """
 
 from __future__ import annotations
@@ -120,25 +116,22 @@ def lcs_len_bruteforce(a, b) -> int:
     return best
 
 
-def count_scan_occurrences(candidate, word) -> int:
-    """Disjoint subsequence occurrences found in one left-to-right scan."""
-    if not candidate:
-        return 0
-    count = 0
-    k = 0
-    for phone in word:
-        if phone == candidate[k]:
-            k += 1
-            if k == len(candidate):
-                count += 1
-                k = 0
-    return count
-
-
 def scan_counts(candidates, words) -> list[int]:
     """For each candidate, its disjoint left-to-right scan count summed over `words`."""
     words = [tuple(word) for word in words]
-    return [sum(count_scan_occurrences(cand, word) for word in words) for cand in map(tuple, candidates)]
+    counts = []
+    for cand in map(tuple, candidates):
+        count = 0
+        for word in words if cand else ():  # an empty candidate counts 0
+            k = 0  # phones of the candidate matched so far
+            for phone in word:
+                if phone == cand[k]:
+                    k += 1
+                    if k == len(cand):
+                        count += 1
+                        k = 0
+        counts.append(count)
+    return counts
 
 
 # the kind codes of a law's edits: the order of rules.MAP_KINDS
@@ -152,50 +145,45 @@ def _index_below(value, limit: int, what: str) -> int:
     return value
 
 
-def splice_sites(words, text, starts, edits) -> list:
+def splice_sites(words, starts, edits) -> list:
     """(index, output) of every word that a law's edits at the given site starts change.
 
-    `text` is the words' encodings joined by newlines, word i's line holding
-    2 * len(words[i]) + 3 characters, and is read only for where its lines
-    end; `starts` are the ascending offsets of the law's sites in it and
-    `edits` its (pos, kind code, phones) edits.  A word counts as changed
-    when its output differs from `tuple(word)`.  The sites of each word
-    give `_splice`'s leftmost-wins edit map.
+    `starts` are the ascending offsets of the law's sites in the words'
+    encodings joined by newlines, word i's line holding
+    2 * len(words[i]) + 3 characters, and `edits` its (pos, kind code,
+    phones) edits.  A word counts as changed when its output differs from
+    `tuple(word)`.  The sites of each word give `_splice`'s leftmost-wins
+    edit map.
     """
-    if not isinstance(text, str):
-        raise TypeError("text must be a str")
     words = words if isinstance(words, (list, tuple)) else list(words)
     edits = [
         (_index_below(pos, sys.maxsize, "edit position"), _index_below(kind, 4, "edit kind code"), tuple(phones))
         for pos, kind, phones in edits
     ]
     out = []
-    index = -1  # the word being read: its line is text[first:last]
-    first = prev = last = -1
+    index = -1  # the word being read: its line is [first, end), a newline at end
+    first = prev = end = -1
     word: tuple = ()
     sites: list[int] = []
     for start in starts:
-        start = _index_below(start, len(text), "site start")
+        start = _index_below(start, sys.maxsize, "site start")
         if start <= prev:
             raise ValueError("site starts must ascend")
         prev = start
-        if start > last:  # the first site of a later word
+        if start > end:  # the first site of a later word
             if sites:
                 _emit(out, index, word, sites, edits)
                 sites = []
-            index += text.count("\n", last + 1, start) + 1
-            first = text.rfind("\n", 0, start) + 1
-            last = text.find("\n", start)
-            if last < 0:
-                last = len(text)
-            if start == last:
+            while start > end:
+                index += 1
+                if index >= len(words):
+                    raise ValueError("a site lies past the last word")
+                first = end + 1
+                end = first + 2 * len(words[index]) + 3
+            if start == end:
                 raise ValueError("a site starts on a newline")
-            if index >= len(words):
-                raise ValueError("a site lies past the last word")
             word = tuple(words[index])
-            if last - first != 2 * len(word) + 3:
-                raise ValueError(f"line {index} of the text does not encode word {index}")
-        if any(pos >= last - start for pos, _, _ in edits):
+        if any(pos >= end - start for pos, _, _ in edits):
             raise ValueError("an edit falls outside its word")
         sites.append(start - first)
     if sites:

@@ -1,30 +1,20 @@
 /* Compiled kernels: the string metrics, scan counting, the law engine's
  * matcher and splice, and rp-ri's phone draw.
  *
- * Mirrors soundlaw._native exactly (same functions, same tie-breaks, same
- * ValueError guard); the test suite asserts that the two backends agree and
- * expose the same functions, bar the Python-only oracle
- * count_scan_occurrences.  The pairwise kernels compare symbols with `==`,
- * as _native does, so any symbols work (tuple, list or str operands alike).
- * levenshtein compares each pair of symbols once, inside its two-row DP;
- * lcs_pair and the brute-force oracles read each pair more than once, so
- * they first fill an m x n equality table, and their loops read it.
- * Besides the pairwise edit-distance and LCS kernels, scan_counts weights a
- * whole batch of idp-pi context candidates against one word list in a
- * single call; it interns symbols to small integers through one dict per
- * call.  splice_sites applies a law's edits at every site of a lexicon's
- * joined encoding in one call: it walks the text's newlines to group the
- * sites by word, builds each word's leftmost-wins edit map in an array
- * indexed by token and returns only the words whose output differs.
- * find_sites returns every site start of a window of (negated, chars) slot
- * classes in a text: each slot becomes a 256-bit map of the code points
- * below U+0100 it matches, negation folded in, and a sorted array of the
- * ones above, so a one-byte text is matched by bit tests alone; _native
- * runs the same window as a regex.  draw takes one uniform draw from each
- * of its pools through the caller's getrandbits, bit for bit as CPython's
- * Random._randbelow_with_getrandbits does, so it keeps a seeded stream.
- * soundlaw.kernels compiles this file on first import when no built
- * extension is installed.
+ * The contract of each kernel is stated once, in soundlaw/kernels.py's
+ * docstring; soundlaw._native keeps the same one, and the test suite
+ * asserts that the two backends agree and expose the same functions.  How
+ * this module meets it: levenshtein compares each pair of symbols once,
+ * inside its two-row DP; lcs_pair and the brute-force oracles read each
+ * pair more than once, so they first fill an m x n equality table, and
+ * their loops read it.  scan_counts interns symbols to small integers
+ * through one dict per call.  splice_sites walks the words' lengths to
+ * group the sites by word, builds each word's leftmost-wins edit map in an
+ * array indexed by token and returns only the words whose output differs.
+ * find_sites turns each slot into one bitmap, negation folded in, so a
+ * one-byte text is matched by bit tests alone.  draw takes its bits through
+ * the caller's getrandbits, so it keeps a seeded stream.  soundlaw.kernels
+ * compiles this file on first import.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -474,19 +464,6 @@ index_below(PyObject *obj, Py_ssize_t limit, const char *what)
     return -1;
 }
 
-/* The offset of the first newline of `data` at or after `from`, or `len`. */
-static Py_ssize_t
-line_end(int kind, const void *data, Py_ssize_t from, Py_ssize_t len)
-{
-    if (kind == PyUnicode_1BYTE_KIND) {
-        const char *nl = memchr((const char *)data + from, '\n', (size_t)(len - from));
-        return nl == NULL ? len : nl - (const char *)data;
-    }
-    while (from < len && PyUnicode_READ(kind, data, from) != '\n')
-        from++;
-    return from;
-}
-
 /* The state of the word being spliced: its phones, its token count and, per
  * token index, the edit that owns it (-1 for none); `buf` collects its
  * output. */
@@ -516,24 +493,16 @@ grow(void *p, Py_ssize_t *cap, Py_ssize_t want, size_t size)
     return grown;
 }
 
-/* Take words[index], whose line of the text holds `ntok` characters, as the
- * word being spliced, no edit owning any of its tokens yet. */
+/* Take `word` as the word being spliced, no edit owning any of its tokens
+ * yet; its token count is read off the tuple held, whatever its __len__
+ * said. */
 static int
-splice_open(Splice *s, PyObject *words, Py_ssize_t index, Py_ssize_t ntok)
+splice_open(Splice *s, PyObject *word)
 {
-    Py_ssize_t i, *at;
-    if (index >= PyTuple_GET_SIZE(words)) {
-        PyErr_SetString(PyExc_ValueError, "a site lies past the last word");
+    Py_ssize_t i, *at, ntok;
+    if ((s->word = PySequence_Tuple(word)) == NULL)
         return -1;
-    }
-    s->word = PySequence_Tuple(PyTuple_GET_ITEM(words, index));
-    if (s->word == NULL)
-        return -1;
-    if (ntok != 2 * PyTuple_GET_SIZE(s->word) + 3) {
-        PyErr_Format(PyExc_ValueError, "line %zd of the text does not encode word %zd", index, index);
-        Py_CLEAR(s->word);
-        return -1;
-    }
+    ntok = 2 * PyTuple_GET_SIZE(s->word) + 3;
     if ((at = grow(s->at, &s->at_cap, ntok, sizeof(Py_ssize_t))) == NULL) {
         Py_CLEAR(s->word);
         return -1;
@@ -665,25 +634,18 @@ PyDoc_STRVAR(splice_sites_doc,
 static PyObject *
 splice_sites(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *words = NULL, *starts = NULL, *eds = NULL, *out = NULL, *text;
+    PyObject *words = NULL, *starts = NULL, *eds = NULL, *out = NULL;
     Splice s = {NULL, 0, NULL, 0, NULL, 0};
     Edit *edits = NULL;
-    Py_ssize_t ne = 0, e, i, ns, len, start, prev = -1, index = -1, first = 0, end = -1;
-    const void *data;
-    int kind;
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "splice_sites() takes exactly 4 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    text = args[1];
-    if (!PyUnicode_Check(text)) {
-        PyErr_SetString(PyExc_TypeError, "text must be a str");
+    Py_ssize_t ne = 0, e, i, ns, n, start, prev = -1, index = -1, first = 0, end = -1;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "splice_sites() takes exactly 3 arguments (%zd given)", nargs);
         return NULL;
     }
     /* every argument as a tuple, so that no __index__ or __eq__ can change
      * one under the kernel */
-    if ((words = PySequence_Tuple(args[0])) == NULL || (starts = PySequence_Tuple(args[2])) == NULL
-        || (eds = PySequence_Tuple(args[3])) == NULL)
+    if ((words = PySequence_Tuple(args[0])) == NULL || (starts = PySequence_Tuple(args[1])) == NULL
+        || (eds = PySequence_Tuple(args[2])) == NULL)
         goto done;
     if ((edits = PyMem_New(Edit, PyTuple_GET_SIZE(eds) + 1)) == NULL) {
         PyErr_NoMemory();
@@ -709,12 +671,9 @@ splice_sites(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     if ((out = PyList_New(0)) == NULL)
         goto done;
-    data = PyUnicode_DATA(text);
-    kind = PyUnicode_KIND(text);
-    len = PyUnicode_GET_LENGTH(text);
     ns = PyTuple_GET_SIZE(starts);
     for (i = 0; i < ns; i++) {
-        if ((start = index_below(PyTuple_GET_ITEM(starts, i), len, "site start")) < 0)
+        if ((start = index_below(PyTuple_GET_ITEM(starts, i), PY_SSIZE_T_MAX, "site start")) < 0)
             goto fail;
         if (start <= prev) {
             PyErr_SetString(PyExc_ValueError, "site starts must ascend");
@@ -724,16 +683,26 @@ splice_sites(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (start > end) {  /* the first site of a later word */
             if (s.word != NULL && splice_close(&s, index, edits, out) < 0)
                 goto fail;
+            /* word i's line is its 2 * len(words[i]) + 3 tokens, then a newline */
             while (start > end) {
-                index++;
+                if (++index >= PyTuple_GET_SIZE(words)) {
+                    PyErr_SetString(PyExc_ValueError, "a site lies past the last word");
+                    goto fail;
+                }
+                if ((n = PyObject_Length(PyTuple_GET_ITEM(words, index))) < 0)
+                    goto fail;
+                if (n > (PY_SSIZE_T_MAX - 4 - end) / 2) {  /* no room for its line */
+                    PyErr_SetString(PyExc_ValueError, "a word is too long");
+                    goto fail;
+                }
                 first = end + 1;
-                end = line_end(kind, data, first, len);
+                end = first + 2 * n + 3;
             }
             if (start == end) {
                 PyErr_SetString(PyExc_ValueError, "a site starts on a newline");
                 goto fail;
             }
-            if (splice_open(&s, words, index, end - first) < 0)
+            if (splice_open(&s, PyTuple_GET_ITEM(words, index)) < 0)
                 goto fail;
         }
         if (splice_site(&s, start - first, edits, ne) < 0)
@@ -757,47 +726,34 @@ done:
     return out;
 }
 
-/* One window slot as find_sites reads it: `map` holds a bit for every code
- * point below U+0100 the slot matches, negation folded in, and `high` the
- * sorted code points at or above U+0100 it names, which it matches when
- * `negated` is not set. */
-typedef struct {
-    unsigned char map[32];
-    Py_UCS4 *high;
-    Py_ssize_t nhigh;
-    int negated;
-} Slot;
-
-/* Slots and high code points a call keeps on the stack; a longer window or a
- * class naming more code points takes them from the heap. */
+/* Slots a call keeps on the stack, each one bitmap of the 256 code points
+ * below U+0100 and one byte past them; a longer window, or one naming a code
+ * point above U+00FF, takes its bitmaps from the heap. */
 #define WINDOW_STACK 16
-#define HIGH_STACK 64
+#define STACK_STRIDE (256 / 8 + 1)
 
+/* A window as find_sites reads it.  Slot j's bitmap, `stride` bytes at
+ * maps + j * stride, holds a bit for every code point below `limit` the slot
+ * matches, negation folded in, and at bit `limit` whether the slot is
+ * negated: a character at or past the limit is named by no slot, so it
+ * matches exactly the negated ones. */
 typedef struct {
-    Slot *slots;
-    Py_ssize_t w;
+    unsigned char *maps;
+    Py_ssize_t w, stride;
+    Py_UCS4 limit;
     void *heap;
-    Slot stack[WINDOW_STACK];
-    Py_UCS4 high[HIGH_STACK];
+    unsigned char stack[WINDOW_STACK * STACK_STRIDE];
 } Window;
 
-static int
-cmp_ucs4(const void *x, const void *y)
-{
-    Py_UCS4 a = *(const Py_UCS4 *)x, b = *(const Py_UCS4 *)y;
-    return (a > b) - (a < b);
-}
-
 /* Read the (negated, chars) slots of a window, `negated` a bool and `chars`
- * a str, so that no Python code runs between counting the code points and
- * storing them; on failure nothing is held and an exception is set. */
+ * a str, so that no Python code runs between sizing the bitmaps and filling
+ * them; on failure nothing is held and an exception is set. */
 static int
 window_open(Window *win, PyObject *arg)
 {
     PyObject *fast = PySequence_Fast(arg, "slots must be a sequence"), *pair, *chars;
-    Py_ssize_t w, j, c, len, total = 0;
-    Py_UCS4 *high;
-    int negated;
+    Py_ssize_t w, j, c, len;
+    Py_UCS4 limit = 256;
     win->heap = NULL;
     if (fast == NULL)
         return -1;
@@ -806,7 +762,8 @@ window_open(Window *win, PyObject *arg)
         PyErr_SetString(PyExc_ValueError, "a window needs at least one slot");
         goto fail;
     }
-    /* first pass: check every slot and count the code points */
+    /* first pass: check every slot and find the limit, 256 or the highest
+     * code point a slot names rounded up to a whole byte */
     for (j = 0; j < w; j++) {
         pair = PySequence_Fast_GET_ITEM(fast, j);
         if (!PyTuple_Check(pair) && !PyList_Check(pair)) {
@@ -817,56 +774,51 @@ window_open(Window *win, PyObject *arg)
             PyErr_SetString(PyExc_ValueError, "a slot is a (negated, chars) pair");
             goto fail;
         }
-        if (!PyBool_Check(PySequence_Fast_GET_ITEM(pair, 0))
-            || !PyUnicode_Check(PySequence_Fast_GET_ITEM(pair, 1))) {
+        chars = PySequence_Fast_GET_ITEM(pair, 1);
+        if (!PyBool_Check(PySequence_Fast_GET_ITEM(pair, 0)) || !PyUnicode_Check(chars)) {
             PyErr_SetString(PyExc_TypeError, "a slot is a (bool, str) pair");
             goto fail;
         }
-        total += PyUnicode_GET_LENGTH(PySequence_Fast_GET_ITEM(pair, 1));
-    }
-    if (w <= WINDOW_STACK && total <= HIGH_STACK) {
-        win->slots = win->stack;
-        high = win->high;
-    }
-    else {
-        if ((size_t)w > (PY_SSIZE_T_MAX - (size_t)total * sizeof(Py_UCS4)) / sizeof(Slot)
-            || (win->heap = PyMem_Malloc(w * sizeof(Slot) + total * sizeof(Py_UCS4))) == NULL) {
-            PyErr_NoMemory();
-            goto fail;
+        if (PyUnicode_KIND(chars) == PyUnicode_1BYTE_KIND)
+            continue;
+        for (c = 0; c < PyUnicode_GET_LENGTH(chars); c++) {
+            Py_UCS4 ch = PyUnicode_READ_CHAR(chars, c);
+            if (ch >= limit)
+                limit = (ch | 7) + 1;
         }
-        win->slots = win->heap;
-        high = (Py_UCS4 *)(win->slots + w);
+    }
+    win->stride = limit / 8 + 1;
+    if (w <= WINDOW_STACK && win->stride == STACK_STRIDE)
+        win->maps = win->stack;
+    else if (w > PY_SSIZE_T_MAX / win->stride
+             || (win->maps = win->heap = PyMem_Malloc(w * win->stride)) == NULL) {
+        PyErr_NoMemory();
+        goto fail;
     }
     for (j = 0; j < w; j++) {
-        Slot *slot = &win->slots[j];
+        unsigned char *map = win->maps + j * win->stride;
         const void *data;
         int kind;
         pair = PySequence_Fast_GET_ITEM(fast, j);
-        negated = PySequence_Fast_GET_ITEM(pair, 0) == Py_True;
         chars = PySequence_Fast_GET_ITEM(pair, 1);
         data = PyUnicode_DATA(chars);
         kind = PyUnicode_KIND(chars);
         len = PyUnicode_GET_LENGTH(chars);
-        memset(slot->map, 0, sizeof(slot->map));
-        slot->high = high;
-        slot->nhigh = 0;
+        memset(map, 0, (size_t)win->stride);
         for (c = 0; c < len; c++) {
             Py_UCS4 ch = PyUnicode_READ(kind, data, c);
-            if (ch < 256)
-                slot->map[ch >> 3] |= (unsigned char)(1u << (ch & 7));
-            else
-                high[slot->nhigh++] = ch;
+            map[ch >> 3] |= (unsigned char)(1u << (ch & 7));
         }
-        qsort(high, (size_t)slot->nhigh, sizeof(Py_UCS4), cmp_ucs4);
-        high += slot->nhigh;
-        if ((slot->negated = negated)) {
-            /* every character but the named ones and the newline */
-            for (c = 0; c < 32; c++)
-                slot->map[c] = (unsigned char)~slot->map[c];
-            slot->map['\n' >> 3] &= (unsigned char)~(1u << ('\n' & 7));
+        if (PySequence_Fast_GET_ITEM(pair, 0) == Py_True) {
+            /* every character but the named ones and the newline, the
+             * limit's bit included */
+            for (c = 0; c < win->stride; c++)
+                map[c] = (unsigned char)~map[c];
+            map['\n' >> 3] &= (unsigned char)~(1u << ('\n' & 7));
         }
     }
     win->w = w;
+    win->limit = limit;
     Py_DECREF(fast);
     return 0;
 fail:
@@ -876,21 +828,14 @@ fail:
     return -1;
 }
 
-/* Whether `slot` matches the character `ch`. */
+/* Whether slot j of `win` matches the character `ch`. */
 static inline int
-slot_has(const Slot *slot, Py_UCS4 ch)
+slot_has(const Window *win, Py_ssize_t j, Py_UCS4 ch)
 {
-    Py_ssize_t lo = 0, hi = slot->nhigh, mid;
-    if (ch < 256)
-        return slot->map[ch >> 3] >> (ch & 7) & 1;
-    while (lo < hi) {
-        mid = (lo + hi) / 2;
-        if (slot->high[mid] < ch)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return (lo < slot->nhigh && slot->high[lo] == ch) != slot->negated;
+    const unsigned char *map = win->maps + j * win->stride;
+    if (ch > win->limit)
+        ch = win->limit;
+    return map[ch >> 3] >> (ch & 7) & 1;
 }
 
 static int
@@ -933,11 +878,11 @@ find_sites(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (kind == PyUnicode_1BYTE_KIND) {
         /* every character is below U+0100: each slot is one bit test */
         const Py_UCS1 *s = data;
-        const unsigned char *first = win.slots[0].map;
+        const unsigned char *first = win.maps;
         for (i = 0; i + w <= len; i++) {
             if (!(first[s[i] >> 3] >> (s[i] & 7) & 1))
                 continue;
-            for (j = 1; j < w && win.slots[j].map[s[i + j] >> 3] >> (s[i + j] & 7) & 1; j++)
+            for (j = 1; j < w && first[j * win.stride + (s[i + j] >> 3)] >> (s[i + j] & 7) & 1; j++)
                 ;
             if (j == w && append_index(out, i) < 0)
                 goto fail;
@@ -945,7 +890,7 @@ find_sites(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
     for (i = 0; i + w <= len; i++) {
-        for (j = 0; j < w && slot_has(&win.slots[j], PyUnicode_READ(kind, data, i + j)); j++)
+        for (j = 0; j < w && slot_has(&win, j, PyUnicode_READ(kind, data, i + j)); j++)
             ;
         if (j == w && append_index(out, i) < 0)
             goto fail;
@@ -1032,7 +977,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     "soundlaw._speedups",
-    "Compiled kernels; same contract as soundlaw._native.",
+    "Compiled kernels; their contracts are stated in soundlaw.kernels.",
     0,
     methods,
     NULL,

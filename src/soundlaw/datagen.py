@@ -422,8 +422,8 @@ def gen_llm_tasks(
     """
     if kind not in ("rp-li", "rp-pi"):
         raise GenerationError(f"unknown llm condition {kind!r}")
-    if not seed_pool:
-        raise GenerationError("empty seed pool")
+    if len(seed_pool) < 5:  # each round samples the five seed words of its prompt
+        raise GenerationError(f"{kind} prompts take 5 seed words; the seed pool holds {len(seed_pool)}")
     rng = derive_rng(cfg.seed, kind)
     candidates: list[tuple[SoundLaw, list[PhoneSeq], int]] = []
     barren = 0
@@ -431,7 +431,7 @@ def gen_llm_tasks(
     while len(candidates) < count:
         if barren > cfg.retry_budget:
             raise ZeroYield(f"{barren} consecutive rounds yielded no usable program")
-        seeds = rng.sample(seed_pool, min(5, len(seed_pool)))
+        seeds = rng.sample(seed_pool, 5)
         transcripts = gateway.complete_prompt(build_datagen_prompt(kind, seeds), n=1)
         yielded = 0
         for transcript in transcripts:

@@ -1,22 +1,40 @@
-"""Backend selection for the native kernels.
+"""Backend selection for the native kernels, and the one statement of their
+contracts, which both backends keep.
 
-The kernels are the string metrics (Levenshtein distance, the pairwise LCS,
-their brute-force oracles), `scan_counts`, which weights idp-pi context
-candidates by their scan counts over a word list in one call, the law
-engine's matcher `find_sites` and splice `splice_sites`, and `draw`, rp-ri's
-phone draw.  The pairwise kernels compare symbols with `==` on both
-backends, so symbols need not be hashable; the compiled `scan_counts` alone
-hashes them.
+The pairwise kernels `levenshtein(a, b)` (unit-cost edit distance) and
+`lcs_pair(a, b)` (a longest common subsequence, the one whose match
+positions in `a` are leftmost), and their exhaustive oracles
+`levenshtein_bruteforce` and `lcs_len_bruteforce` (which raises ValueError
+past 20 symbols of `a`), compare symbols with `==`, so symbols need not be
+hashable; the compiled ones compare a snapshot of their operands, so no
+`__eq__` can change them mid-call.
+
+`scan_counts(candidates, words)` weights idp-pi context candidates in one
+call: for each candidate, the disjoint occurrences one left-to-right scan
+of each word finds, summed over `words`.  The compiled kernel hashes
+symbols.
 
 `find_sites(text, slots)` returns the ascending start of every site of a
 window in `text`, overlapping ones included.  The window is a sequence of
 (negated, chars) slots, a bool and a str (`rules._LawCompiler.window`): slot
 j matches the characters of `chars` or (negated) every character but them
 and the newline, and a site starts where slot j matches the character j
-further on, for every slot.  The compiled kernel tests a character below
-U+0100 with one bit of a 256-bit map and looks one above up in a sorted
-array; its twin compiles the window once to a regex, its first slot's class
-followed by a lookahead on the rest.
+further on, for every slot.  The compiled kernel gives each slot one bitmap
+of the code points below the window's limit, 256 or the highest code point
+a slot names rounded up to a whole byte; a character at or past the limit
+matches exactly the negated slots.  Its twin compiles the window once to a
+regex, its first slot's class followed by a lookahead on the rest.
+
+`splice_sites(words, starts, edits)` takes the words, the ascending starts
+of a law's sites in their encodings joined by newlines
+(`rules._LawCompiler.encode`: word i's line is 2 * len(words[i]) + 3
+characters, so the words say where each line ends) and the law's
+`SoundLaw.edits`: (pos, kind code, phones), the kind code being the index
+of the mapping kind in `rules.MAP_KINDS`.  It returns (index, output) of
+every word whose output differs from it, the leftmost site winning an
+index two sites edit, and raises TypeError or ValueError on malformed
+arguments: starts that do not ascend, a start on a newline or past the
+last word, an edit outside its word.
 
 `draw(getrandbits, pools)` returns `pool[below(len(pool))]` of each pool in
 turn, below(n) taking `getrandbits(n.bit_length())` until it is below n,
@@ -25,15 +43,6 @@ exactly as CPython's `Random._randbelow_with_getrandbits` does; with
 draw, and leaves rng in the same state.  An empty pool raises IndexError
 once the pools before it are drawn, and an error of `getrandbits`
 propagates.
-
-`splice_sites(words, text, starts, edits)` takes the words, their encodings
-joined by newlines (`rules._LawCompiler.encode`; the text is read only for
-where its lines end), the ascending starts of a law's sites in that text
-and the law's `SoundLaw.edits`: (pos, kind code, phones), the kind code
-being the index of the mapping kind in `rules.MAP_KINDS`.  It returns
-(index, output) of every word whose output differs from it, the leftmost
-site winning an index two sites edit, and raises TypeError or ValueError on
-malformed arguments.
 
 The compiled kernels are the hand-written CPython module `_speedups.c`.  It
 is compiled on first import with the interpreter's configured C compiler
@@ -46,8 +55,7 @@ twin `_native` runs instead: it is correct but far slower, and misses the
 acceptance suite's A07 budget.
 
 `BACKEND` is ``"c"`` or ``"python"``; `BACKEND_REASON` says why.  Both
-backends expose the identical function set (a test checks it), apart from
-`_native.count_scan_occurrences`, the one-word oracle of `scan_counts`.
+backends expose the identical function set (a test checks it).
 """
 
 from __future__ import annotations

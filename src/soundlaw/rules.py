@@ -8,31 +8,34 @@ matches that fight over one slot resolve deterministically to the leftmost
 site.
 
 Matching is compiled, with no regular expression.  Per inventory, every
-token is encoded as one character: '#' and '@' stand for themselves, the
-first 128 phones get U+0080-U+00FF and any later ones a private-use code
-point, so a lexicon over a table of up to 128 phones encodes to a one-byte
-string.  Each window slot becomes a (negated, chars) class over those codes
-(a feature class's members are read once per inventory), and a predicate
-window the tuple of its slots' classes, built once per (window, inventory)
-and cached on the inventory.  One call of the `kernels.find_sites` kernel
-returns every site start of a window in a text, overlapping ones included;
-it tests a code below U+0100 with one bit of a 256-bit map.  Datagen reads
-the same slots: `slot_members` the token set a slot's class is built from,
-`site_test` the window as a test of one word.
+token is encoded as one character: '#' and '@' stand for themselves and
+phone n gets chr(0x80 + n), one dense range starting with the table's own
+segments, so a lexicon over a table of up to 128 phones encodes to a
+one-byte string.  `_LawCompiler` alone decides that layout.  Each window
+slot becomes a (negated, chars) class over those codes (a feature class's
+members are read once per inventory), and a predicate window the tuple of
+its slots' classes, built once per (window, inventory) and cached on the
+inventory.  One call of the `kernels.find_sites` kernel returns every site
+start of a window in a text, overlapping ones included; it tests each slot
+with one bit of a bitmap sized to the highest code the window names.
+Datagen reads the same slots: `slot_members` the token set a slot's class
+is built from, `site_test` the window as a test of one word.
 
 Rewriting works on that encoding too (the compile-the-rewrite approach of
 Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
 `apply_to_lexicon` joins the encoded words with newlines, which no slot
 matches, and finds every site of the law in one `find_sites` call.  One
-call of the `kernels.splice_sites` kernel takes the joined text and every
-site start, groups the sites by word, applies each word's leftmost-wins
-edit map straight to its phones and returns only the words whose output
-differs; every other word comes back unchanged.  `apply_in_order` runs
-laws one after another on that encoding: it encodes the words once and
-re-encodes only the words a law changed.  Each candidate program of an
-evaluation runs through it, and so does a cascade: `apply_cascade` returns
-one `Stage` per law, which `derive` prints and `bench` unrolls into one
-single-law task each.  So the encoding never leaves this module.
+call of the `kernels.splice_sites` kernel takes the words and every site
+start, groups the sites by word (word i's line is 2 * len(word) + 3
+characters, so the words alone say where each line ends), applies each
+word's leftmost-wins edit map straight to its phones and returns only the
+words whose output differs; every other word comes back unchanged.
+`apply_in_order` runs laws one after another on that encoding: it encodes
+the words once and re-encodes only the words a law changed.  Each
+candidate program of an evaluation runs through it, and so does a
+cascade: `apply_cascade` returns one `Stage` per law, which `derive`
+prints and `bench` unrolls into one single-law task each.  So the encoding
+never leaves this module.
 
 The token-level engine (`preprocess`, `find_matches`, `apply_law`,
 `render`, behind `apply_law_word`) runs the same windows and the same
@@ -276,19 +279,12 @@ class _LawCompiler:
             self._add(seg)
 
     def _add(self, phone: str) -> str:
-        """Give a phone the next code and return it: U+0080-U+00FF for the
-        first 128 phones, then the private-use code points (the BMP block,
-        then planes 15 and 16).  `kernels.find_sites` tests a code below
-        U+0100 with one bit of a 256-bit map and looks a code above up in a
-        sorted array, so the inventory's own segments, which come first,
-        keep every slot test a bit test, and a lexicon over them a one-byte
-        string."""
-        n = len(self.phone_sep)
-        if n < 128:
-            char = chr(0x80 + n)
-        else:
-            n -= 128
-            char = chr(0xE000 + n) if n < 6400 else chr(0xF0000 + n - 6400)
+        """Give a phone the next code, chr(0x80 + n) for the n-th phone, and
+        return it.  This is the encoding's one layout: the inventory's own
+        segments come first, so a lexicon over a table of up to 128 phones
+        is a one-byte string, and `kernels.find_sites` sizes each slot's
+        bitmap to the highest code a window names."""
+        char = chr(0x80 + len(self.phone_sep))
         self.code[phone] = char
         self.phone_sep[phone] = char + SEPARATOR
         return char
@@ -330,9 +326,8 @@ class _LawCompiler:
     def rewrites(self, law: SoundLaw, words, codes: list[str], inv: SegmentInventory) -> list:
         """(index, output) of every word the law changes, in order, from one
         scan of the encoded words joined by newlines."""
-        text = "\n".join(codes)
-        starts = kernels.find_sites(text, self.window(law.predicates, inv))
-        return kernels.splice_sites(words, text, starts, law.edits)
+        starts = kernels.find_sites("\n".join(codes), self.window(law.predicates, inv))
+        return kernels.splice_sites(words, starts, law.edits)
 
 
 def _compiler(inv: SegmentInventory) -> _LawCompiler:
@@ -371,16 +366,15 @@ def apply_law(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> TokenSe
 
     Edits from distinct sites that land on the same absolute index resolve
     to the leftmost site; the loser is dropped.  The edits are
-    `kernels.splice_sites`', and the output is put back into canonical token
-    form, so inserted phones get their separators and a deleted phone takes
-    its separator with it.
+    `kernels.splice_sites`', which reads the sites of `tokens` as those of
+    its one word, and the output is put back into canonical token form, so
+    inserted phones get their separators and a deleted phone takes its
+    separator with it.
     """
     sites = find_matches(law, tokens, inv)
     if not sites:
         return tokens
-    # splice_sites reads its text only for where lines end, so one line as
-    # long as the tokens stands for the encoding find_matches scanned
-    changed = kernels.splice_sites((tokens[2:-2:2],), "#" * len(tokens), sites, law.edits)
+    changed = kernels.splice_sites((tokens[2:-2:2],), sites, law.edits)
     return preprocess(changed[0][1]) if changed else tokens
 
 

@@ -151,13 +151,17 @@ def validate_task(task: PBETask, inv: SegmentInventory) -> list[str]:
 
 
 def map_in_order(fn, items, jobs: int = 1) -> list:
-    """`[fn(x) for x in items]` of a sequence, across `jobs` worker processes
-    when there are at least four items.  Each worker gets one contiguous chunk, so `fn`
-    (a `partial` holding the inventory) is pickled once per worker and the
-    scans it compiles serve the whole chunk; results keep the input order."""
+    """`[fn(x) for x in items]` of a sequence, across up to `jobs` worker
+    processes when there are at least four items.  Each worker gets one
+    contiguous chunk, so `fn` (a `partial` holding the inventory) is pickled
+    once per worker and the scans it compiles serve the whole chunk; results
+    keep the input order.  The pool asks for no more workers than chunks,
+    since a forking pool starts every worker it may use at the first
+    submit."""
     if jobs <= 1 or len(items) < 4:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=-(-len(items) // jobs)))
+    chunksize = -(-len(items) // jobs)
+    with ProcessPoolExecutor(max_workers=-(-len(items) // chunksize)) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))

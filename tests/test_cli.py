@@ -65,6 +65,19 @@ def test_rp_ri_on_a_table_of_fewer_than_two_segments_exit_5(tmp_path, capsys, ro
     assert not (tmp_path / "t.jsonl").exists()
 
 
+@pytest.mark.parametrize("condition", ["rp-li", "rp-pi"])
+def test_llm_datagen_on_a_seed_lexicon_of_fewer_than_five_words_exit_5(tmp_path, capsys, condition):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("sunt\ntapere\nam\n", encoding="utf-8")
+    argv = ("datagen", "--condition", condition, "--cache-only", "--fixtures", FIXTURES, "--count", "2",
+            "--seed-lexicon", seeds, "--out", tmp_path / "t.jsonl")
+    assert run(*argv) == 5
+    assert capsys.readouterr().err == (
+        f"error: GenerationError: {condition} prompts take 5 seed words; the seed pool holds 3\n"
+    )
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv, first_line", [
     (("tokenize", "--lexicon", "in.txt"), "sunt"),
     (("derive", "sunt", "--cascade", "in.txt"), "t > d / _ #"),

@@ -3,10 +3,10 @@ import random
 from collections import Counter
 
 import pytest
+from oracles import count_scan_occurrences
 
 from soundlaw import _native, datagen, gateway, kernels
 from soundlaw.cli import main
-from soundlaw._native import count_scan_occurrences
 from soundlaw.datagen import (
     GenConfig,
     GenerationError,

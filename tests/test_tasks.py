@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from soundlaw.dsl import SchemaError, lower_classical, parse_classical
 from soundlaw.tasks import (
     PBETask,
+    map_in_order,
     read_tasks,
     task_from_doc,
     task_to_json,
@@ -83,3 +85,29 @@ def test_validation_flags_inert_gold(inv):
     )
     warnings = validate_task(task, inv)
     assert any("inert" in w for w in warnings)
+
+
+@pytest.mark.parametrize("count, jobs, workers", [(10, 16, 10), (5, 4, 3), (4, 3, 2), (100, 2, 2), (9, 4, 3)])
+def test_map_in_order_starts_one_worker_per_chunk(monkeypatch, count, jobs, workers):
+    """The pool gets no more workers than chunks; a fake executor records
+    the request and maps in this process, so no process starts."""
+    requests = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requests.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
+            assert len(chunks) == max(requests)
+            return [fn(x) for chunk in chunks for x in chunk]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert map_in_order(str, range(count), jobs) == [str(x) for x in range(count)]
+    assert requests == [workers]
