@@ -6,9 +6,9 @@ module (soundlaw._speedups) keeps the same ones; soundlaw.kernels runs this
 one only when the compiled module cannot be built on first import or
 loaded from its cache.  `find_sites` compiles each window to a regex, its
 first slot's class followed by a lookahead on the rest, and caches it, so
-this fallback keeps the speed of `re`'s search.  The tests' `scan_sites`,
-`reference_apply` and `count_scan_occurrences` are the independent oracles
-of both backends' matcher, splice and scan counts.  The *_bruteforce
+this fallback keeps the speed of `re`'s search.  `window_sites`,
+`reference_apply` and `count_scan_occurrences` in `tests/oracles.py` are the
+independent oracles of both backends' matcher, splice and scan counts.  The *_bruteforce
 functions are exhaustive reference algorithms kept around as independent
 oracles for the dynamic programming paths — do not "optimize" them into the
 DP recurrences.

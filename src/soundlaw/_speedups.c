@@ -328,31 +328,43 @@ encode(PyObject *fast, Py_ssize_t *out, PyObject *code)
     return 0;
 }
 
+/* `p`, an array of `size`-byte items with room for `*cap`, grown to hold at
+ * least `want`; NULL with MemoryError set (and `p` left as it was) when it
+ * cannot be. */
+static void *
+grow(void *p, Py_ssize_t *cap, Py_ssize_t want, size_t size)
+{
+    void *grown;
+    if (p != NULL && want <= *cap)
+        return p;
+    if ((size_t)want > PY_SSIZE_T_MAX / size || (grown = PyMem_Realloc(p, want * size)) == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    *cap = want;
+    return grown;
+}
+
 /* Intern the symbols of `seq` onto the end of the growable array `*buf`,
  * whose first `*len` slots are in use and `*cap` allocated. */
 static int
 append_codes(PyObject *seq, PyObject *code, Py_ssize_t **buf, Py_ssize_t *len, Py_ssize_t *cap)
 {
     PyObject *fast = PySequence_Fast(seq, "expected a sequence");
-    Py_ssize_t n;
+    Py_ssize_t n, want, *grown;
     int rc;
     if (fast == NULL)
         return -1;
     n = PySequence_Fast_GET_SIZE(fast);
     if (n > *cap - *len) {
-        Py_ssize_t want = 2 * (*len + n) + 16;
-        Py_ssize_t *grown;
-        if (*len + n > PY_SSIZE_T_MAX / 2 / (Py_ssize_t)sizeof(Py_ssize_t) - 16)
-            grown = NULL;
-        else
-            grown = PyMem_Realloc(*buf, want * sizeof(Py_ssize_t));
-        if (grown == NULL) {
+        /* amortised: room for twice what is needed; a sum that would
+         * overflow asks for more than grow() gives */
+        want = *len + n > (PY_SSIZE_T_MAX - 16) / 2 ? PY_SSIZE_T_MAX : 2 * (*len + n) + 16;
+        if ((grown = grow(*buf, cap, want, sizeof(Py_ssize_t))) == NULL) {
             Py_DECREF(fast);
-            PyErr_NoMemory();
             return -1;
         }
         *buf = grown;
-        *cap = want;
     }
     rc = encode(fast, *buf + *len, code);
     Py_DECREF(fast);
@@ -475,23 +487,6 @@ typedef struct {
     PyObject **buf;
     Py_ssize_t buf_cap;
 } Splice;
-
-/* `p`, an array of `size`-byte items with room for `*cap`, grown to hold at
- * least `want`; NULL with MemoryError set (and `p` left as it was) when it
- * cannot be. */
-static void *
-grow(void *p, Py_ssize_t *cap, Py_ssize_t want, size_t size)
-{
-    void *grown;
-    if (p != NULL && want <= *cap)
-        return p;
-    if ((size_t)want > PY_SSIZE_T_MAX / size || (grown = PyMem_Realloc(p, want * size)) == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    *cap = want;
-    return grown;
-}
 
 /* Take `word` as the word being spliced, no edit owning any of its tokens
  * yet; its token count is read off the tuple held, whatever its __len__

@@ -42,8 +42,9 @@ The token-level engine (`preprocess`, `find_matches`, `apply_law`,
 kernels one word at a time.  It is the public per-word API;
 `tasks.validate_task` re-executes gold laws through it to catch a stale or
 tampered tasks file.
-The independent oracles are the tests' `scan_sites` and `reference_apply`,
-which read each slot through `Predicate.matches`.
+The independent oracles are in `tests/oracles.py`: `window_sites` and
+`reference_apply` read each slot token by token through
+`SegmentInventory.in_class`, not through `_slot_tokens`.
 """
 
 from __future__ import annotations
@@ -94,31 +95,15 @@ class Predicate:
         if self.kind in ("class", "not-class") and self.args[0] not in FEATURE_CLASS_NAMES:
             raise RuleError(f"unknown feature class {self.args[0]!r}")
 
-    def matches(self, token: str, inv: SegmentInventory) -> bool:
-        """The per-token reading of the slot; only tests and the A05 audit call it."""
-        if self.kind == "is":
-            return token == self.args[0]
-        if self.kind == "is-not":
-            return token != self.args[0]
-        if self.kind == "in":
-            return token in self.args
-        if self.kind == "not-in":
-            return token not in self.args
-        if self.kind == "class":
-            return inv.in_class(self.args[0], token)
-        return not inv.in_class(self.args[0], token)
-
     def can_match_phone(self) -> bool:
-        """False for slots that only ever match '@' or '#'."""
-        if self.kind == "is":
-            return self.args[0] not in RESERVED
-        if self.kind == "in":
-            return any(a not in RESERVED for a in self.args)
-        if self.kind == "class":
-            return self.args[0] != "is_nothing"
-        if self.kind == "not-class":
-            return self.args[0] != "is_anything"
-        return True
+        """False for slots that only ever match '@' or '#', read off the
+        slot's (negated, tokens) with no inventory: a feature class can
+        always match a phone; any other slot can when it is negated or names
+        a token that is not reserved."""
+        if self.kind in ("class", "not-class") and self.args[0] not in _TOKEN_CLASSES:
+            return True
+        negated, tokens = _slot_tokens(self, None)
+        return negated or any(t not in RESERVED for t in tokens)
 
 
 def is_token(symbol: str) -> Predicate:
@@ -235,24 +220,27 @@ class Cascade:
         return len(self.laws)
 
 
-def _slot_tokens(pred: Predicate, inv: SegmentInventory) -> tuple[bool, tuple[str, ...]]:
+# the token classes, each as the (negated, tokens) reading of its slot
+_TOKEN_CLASSES = {
+    "is_nothing": (False, (SEPARATOR,)),
+    "is_anything": (True, ()),
+    "is_not_boundary": (True, (BOUNDARY,)),
+}
+
+
+def _slot_tokens(pred: Predicate, inv: SegmentInventory | None) -> tuple[bool, tuple[str, ...]]:
     """(negated, tokens): a slot matches exactly the tokens, or (negated)
-    every token but them."""
+    every token but them.  This is the one reading of a slot in the
+    package: the compiler, `slot_members` and `can_match_phone` read it.
+    `inv` is read only for a feature class's members."""
     kind, args = pred.kind, pred.args
     if kind not in ("class", "not-class"):
         return kind in ("is-not", "not-in"), args
-    name = args[0]
-    if name == "is_anything":
-        negated, tokens = True, ()
-    elif name == "is_not_boundary":
-        negated, tokens = True, (BOUNDARY,)
-    elif name == "is_nothing":
-        negated, tokens = False, (SEPARATOR,)
+    if args[0] in _TOKEN_CLASSES:
+        negated, tokens = _TOKEN_CLASSES[args[0]]
     else:  # only phones with a feature row can belong
-        negated, tokens = False, inv.memo("rules.class_members", _class_members)[name]
-    if kind == "not-class":
-        negated = not negated
-    return negated, tokens
+        negated, tokens = False, inv.memo("rules.class_members", _class_members)[args[0]]
+    return negated != (kind == "not-class"), tokens
 
 
 def _class_members(inv: SegmentInventory) -> dict[str, tuple[str, ...]]:
@@ -384,9 +372,9 @@ def apply_law_word(law: SoundLaw, word: PhoneSeq, inv: SegmentInventory) -> Phon
     This per-word path (`preprocess`, `find_matches`, `apply_law`, `render`)
     gives what `apply_to_lexicon` gives, through the same matcher and
     `kernels.splice_sites`.  `tasks.validate_task` runs it to re-execute a
-    gold law and so catch a stale or tampered tasks file; the tests'
-    `reference_apply` and `scan_sites` are the independent oracles of both
-    paths.
+    gold law and so catch a stale or tampered tasks file; `window_sites` and
+    `reference_apply` in `tests/oracles.py` are the independent oracles of
+    both paths.
     """
     return render(apply_law(law, preprocess(word), inv))
 

@@ -137,7 +137,7 @@ def validate_task(task: PBETask, inv: SegmentInventory) -> list[str]:
     `preprocess`, `find_matches`, `apply_law` and `render`.  That engine
     shares the compiled matcher and the `kernels.splice_sites` edit map with
     the lexicon path that wrote the outputs, so this is no independent check
-    of either: the tests' `reference_apply` and `scan_sites` are.
+    of either: `window_sites` and `reference_apply` in `tests/oracles.py` are.
     """
     warnings = []
     if task.gold_law is None:

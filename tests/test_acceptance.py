@@ -19,6 +19,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from oracles import window_sites
 from scipy import stats as scipy_stats
 
 from soundlaw import benchmark, datagen, dsl, evaluation, kernels
@@ -117,12 +118,7 @@ def test_a05_input_quota_audit():
             width = len(preds)
             bearing = begin = end = one_inside = two_inside = 0
             for word in task.inputs:
-                # independent scan: all window matches over the phones
-                occ = [
-                    i
-                    for i in range(len(word) - width + 1)
-                    if all(p.matches(word[i + k], INV) for k, p in enumerate(preds))
-                ]
+                occ = window_sites(preds, word, INV)  # independent scan over the phones
                 inside = [i for i in occ if 0 < i and i + width < len(word)]
                 bearing += bool(occ)
                 begin += 0 in occ

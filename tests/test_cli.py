@@ -224,6 +224,11 @@ T_D_JSON = (
     '{"predicates": [{"kind": "is", "args": ["t"]}, {"kind": "is", "args": ["@"]}, '
     '{"kind": "is", "args": ["#"]}], "change_pos": [0], "mappings": [{"kind": "replace", "phones": ["d"]}]}'
 )
+# a slot that matches only '#', at the change position
+EDIT_ON_BOUNDARY_JSON = (
+    '{"predicates": [{"kind": "not-class", "args": ["is_not_boundary"]}], "change_pos": [0], '
+    '"mappings": [{"kind": "replace", "phones": ["a"]}]}'
+)
 T_D_CONSTRUCTOR = (
     "BasicAction(predicates=[lambda x: x == 't', lambda x: x == '@', lambda x: x == '#'], "
     "change_pos=[0], mapping_fn=[lambda x: 'd'])\n"
@@ -236,11 +241,12 @@ T_D_CONSTRUCTOR = (
         ("apply", f"[{T_D_JSON}]", 0, ""),
         ("apply", "a > e / _ j\nt > d / _ #\n", 2, "apply takes one law, the text holds 2"),
         ("apply", f"{T_D_JSON}\n{T_D_JSON}\n", 2, "apply takes one law, the text holds 2"),
+        ("apply", EDIT_ON_BOUNDARY_JSON, 6, "change position 0 targets a separator/boundary slot"),
         ("derive", T_D_CONSTRUCTOR, 0, ""),
         ("derive", '[{"predicates": ', 6, "SchemaError"),
         ("derive", T_D_CONSTRUCTOR + "BasicAction(predicates=[lambda x: foo(x)])", 2, "bad-constructor"),
     ],
-    ids=["apply-json-array", "apply-two-rules", "apply-two-json-lines", "derive-constructors",
+    ids=["apply-json-array", "apply-two-rules", "apply-two-json-lines", "apply-edit-on-boundary", "derive-constructors",
          "derive-malformed-json", "derive-bad-constructor"],
 )
 def test_law_file_in_any_surface(command, text, code, err, tmp_path, capsys):
@@ -676,6 +682,59 @@ def test_json_file_of_the_wrong_shape_exit_6(argv, text, tmp_path, monkeypatch, 
     assert run(*argv, "in.json") == 6
     assert capsys.readouterr().err.startswith("error: SchemaError: in.json: ")
     assert not Path("x.jsonl").exists()
+
+
+VALID_FIXTURE = {"prompt_hash": "h", "sample_index": 0, "content": "c"}
+VALID_CONFIG = {"endpoint": "http://localhost:1", "model": "m", "temperature": 0.5, "max_tokens": 9,
+                "retry_budget": 0, "cache_dir": "cache", "cache_only": True}
+
+
+def json_document_cases(doc, accepted, required):
+    """(case name, file bytes, fails) of a JSON object: the object, another
+    JSON kind in its place, each field set to each JSON kind besides its own
+    and each field dropped, and the object with a byte that is no UTF-8.
+    `accepted` maps a field to the other kinds it takes; `required` names
+    the fields whose absence fails."""
+    def encoded(value):
+        return json.dumps(value).encode()
+
+    yield "valid", encoded(doc), False
+    for kind, value in JSON_KINDS.items():
+        if type(value) is not dict:
+            yield f"document={kind}", encoded(value), True
+    for key, own in doc.items():
+        for kind, value in JSON_KINDS.items():
+            if type(value) is not type(own):
+                yield f"{key}={kind}", encoded({**doc, key: value}), kind not in accepted.get(key, ())
+        yield f"{key} dropped", encoded({k: v for k, v in doc.items() if k != key}), key in required
+    yield "not UTF-8", encoded(doc).replace(b'": "', b'": "\xff', 1), True
+
+
+@pytest.mark.parametrize("option", ["--fixtures", "--config"])
+def test_every_json_kind_of_every_fixtures_and_config_field_exits_0_or_6_naming_its_line_or_file(
+        option, tmp_path, monkeypatch, capsys):
+    """A fixtures line (after the recorded ones) or a --config file takes each
+    case of `json_document_cases` in turn: the rp-li replay exits 0 where the
+    reader accepts it, else 6 naming the line or the file, and never 3."""
+    monkeypatch.chdir(tmp_path)
+    recorded = FIXTURES.read_bytes()
+    if option == "--fixtures":  # every field of a fixture is required, and takes one kind
+        cases = json_document_cases(VALID_FIXTURE, {}, VALID_FIXTURE)
+        before, where = recorded, f"in.json line {len(recorded.splitlines()) + 1}"
+        argv = ("--fixtures", "in.json")
+    else:  # every key of a config is optional
+        cases = json_document_cases(VALID_CONFIG, {"temperature": ("int",)}, ())
+        before, where = b"", "in.json"
+        argv = ("--fixtures", FIXTURES, "--config", "in.json")
+    wrong = []
+    for name, text, fails in cases:
+        Path("in.json").write_bytes(before + text + b"\n")
+        code = run("datagen", "--condition", "rp-li", "--cache-only", *argv, "--count", "1", "--seed", "11",
+                   "--out", "x.jsonl")
+        err = capsys.readouterr().err
+        if code != (6 if fails else 0) or fails and not err.startswith(f"error: SchemaError: {where}: "):
+            wrong.append((name, code, err))
+    assert wrong == []
 
 
 def test_gateway_settings_are_the_config_overlaid_by_the_given_flags(tmp_path, monkeypatch):

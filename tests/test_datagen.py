@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from oracles import count_scan_occurrences
+from oracles import count_scan_occurrences, window_sites
 
 from soundlaw import _native, datagen, gateway, kernels
 from soundlaw.cli import main
@@ -72,17 +72,13 @@ def test_deletion_shape_possible(inv):
 
 
 def quota_audit(law, words, inv):
-    """Independent occurrence counter over the law's phone context: a
-    Predicate.matches scan, not the compiled slots that placed the words."""
+    """Independent occurrence counter over the law's phone context: the
+    oracles' window scan, not the compiled slots that placed the words."""
     preds = context_predicates(law)
     width = len(preds)
     bearing = begin = end = int1 = int2 = 0
     for word in words:
-        occ = [
-            i
-            for i in range(len(word) - width + 1)
-            if all(p.matches(word[i + k], inv) for k, p in enumerate(preds))
-        ]
+        occ = window_sites(preds, word, inv)
         interior = [i for i in occ if 0 < i and i + width < len(word)]
         bearing += bool(occ)
         begin += 0 in occ

@@ -19,8 +19,20 @@ from soundlaw import _native, kernels
 
 SRC = Path(soundlaw.__file__).resolve().parent.parent
 CC_ARGS = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
-CC = CC_ARGS[0]
 PYTHON_H = Path(sysconfig.get_paths()["include"], "Python.h")
+
+
+@pytest.fixture(scope="session")
+def c_compiler(tmp_path_factory):
+    """Skips the test unless $CC builds a trivial extension the way `kernels`
+    builds `_speedups.c`: a $CC that exists but cannot compile, such as
+    /bin/false, is no compiler either."""
+    source = tmp_path_factory.mktemp("cc") / "trivial.c"
+    source.write_text("#include <Python.h>\nint trivial(void) { return 0; }\n", encoding="utf-8")
+    try:
+        kernels._compile(str(source), str(source.with_suffix(importlib.machinery.EXTENSION_SUFFIXES[0])))
+    except RuntimeError as exc:
+        pytest.skip(str(exc))
 
 
 def words_up_to(alphabet, max_len):
@@ -241,8 +253,7 @@ def test_compiled_kernels_keep_their_operands_while_comparing():
         assert getattr(kernels, name)(victim, ("a", "b", "c")) == getattr(_native, name)(snapshot, ("a", "b", "c"))
 
 
-@pytest.mark.skipif(shutil.which(CC) is None, reason=f"no C compiler {CC!r}")
-@pytest.mark.skipif(not PYTHON_H.exists(), reason=f"no Python headers at {PYTHON_H}")
+@pytest.mark.usefixtures("c_compiler")
 def test_compiled_kernels_build_without_warnings(tmp_path):
     cmd = [*CC_ARGS, *shlex.split(sysconfig.get_config_var("CCSHARED") or ""), "-O2", "-Wall", "-Werror",
            f"-I{PYTHON_H.parent}", "-c", str(SRC / "soundlaw" / "_speedups.c"), "-o", str(tmp_path / "_speedups.o")]
@@ -377,8 +388,7 @@ def test_missing_compiler_falls_back_to_python(tmp_path):
     assert missing in reason
 
 
-@pytest.mark.skipif(shutil.which(CC) is None, reason=f"no C compiler {CC!r}")
-@pytest.mark.skipif(not PYTHON_H.exists(), reason=f"no Python headers at {PYTHON_H}")
+@pytest.mark.usefixtures("c_compiler")
 def test_concurrent_first_imports_share_one_build(tmp_path):
     procs = [import_kernels(tmp_path) for _ in range(2)]
     results = [backend_of(proc) for proc in procs]

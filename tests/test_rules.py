@@ -7,9 +7,9 @@ import multiprocessing
 import pickle
 import random
 import re
-from types import SimpleNamespace
 
 import pytest
+from oracles import reference_apply, slot_matches, window_sites
 
 from soundlaw import _native, datagen, evaluation, kernels
 from soundlaw import rules as R
@@ -80,13 +80,7 @@ def test_find_matches_equals_bruteforce_scan(inv):
             candidate = law(preds, [next(i for i, p in enumerate(preds) if p.can_match_phone())], [delete()])
         except StopIteration:
             continue
-        got = find_matches(candidate, tokens, inv)
-        want = [
-            i
-            for i in range(len(tokens) - width + 1)
-            if all(preds[k].matches(tokens[i + k], inv) for k in range(width))
-        ]
-        assert got == want
+        assert find_matches(candidate, tokens, inv) == window_sites(preds, tokens, inv)
 
 
 def test_apply_law_table_rows(inv):
@@ -118,40 +112,6 @@ def test_multi_position_edits(inv):
     )
     # sites at both 'aa' windows; middle token claimed by the leftmost site
     assert apply_law_word(both, ("a", "a", "a"), inv) == ("x", "y", "y")
-
-
-def reference_apply(candidate, word, inv):
-    """Independent two-stage semantics: per-index owner = leftmost site."""
-    tokens = preprocess(word)
-    width = len(candidate.predicates)
-    sites = [
-        i
-        for i in range(len(tokens) - width + 1)
-        if all(candidate.predicates[k].matches(tokens[i + k], inv) for k in range(width))
-    ]
-    owner = {}
-    for start in sites:
-        for pos, mapping in zip(candidate.change_pos, candidate.mappings):
-            idx = start + pos
-            if idx not in owner or start < owner[idx][0]:
-                owner.setdefault(idx, (start, mapping))
-    pieces = []
-    for idx, tok in enumerate(tokens):
-        if idx in owner:
-            mapping = owner[idx][1]
-            if mapping.kind == "delete":
-                continue
-            if mapping.kind == "replace":
-                pieces.extend(mapping.phones)
-            elif mapping.kind == "insert-before":
-                pieces.extend(mapping.phones)
-                pieces.append(tok)
-            else:
-                pieces.append(tok)
-                pieces.extend(mapping.phones)
-        else:
-            pieces.append(tok)
-    return tuple(p for p in pieces if p not in ("#", "@"))
 
 
 def test_conflict_resolution_bruteforce(inv):
@@ -235,8 +195,11 @@ def test_invariant_rejections():
         law([is_token("a")], [1], [delete()])
     with pytest.raises(RuleError):
         law([is_token("a"), SEP_PRED], [1], [delete()])  # separator slot
-    with pytest.raises(RuleError):
-        law([feature_class("is_nothing")], [0], [delete()])
+    # slots that only ever match '#' or '@', at a change position
+    for slot in (feature_class("is_nothing"), Predicate("not-class", ("is_not_boundary",)), is_token("#"),
+                 R.in_set(["#", "@"]), Predicate("not-class", ("is_anything",))):
+        with pytest.raises(RuleError):
+            law([slot], [0], [delete()])
     with pytest.raises(RuleError):
         law([is_token("a")], [0], [delete(), delete()])
     with pytest.raises(RuleError):
@@ -256,16 +219,7 @@ def test_determinism(inv):
     assert len(outs) == 1
 
 
-# -- differential fuzz: compiled matching against the Predicate.matches scan ---
-
-
-def scan_sites(candidate, tokens, inv):
-    width = len(candidate.predicates)
-    return [
-        i
-        for i in range(len(tokens) - width + 1)
-        if all(candidate.predicates[k].matches(tokens[i + k], inv) for k in range(width))
-    ]
+# -- differential fuzz: compiled matching against the oracles' window scan ----
 
 
 def tiny_inventory():
@@ -297,6 +251,20 @@ def hand_built_pool(phones):
     return pool
 
 
+def test_can_match_phone_is_the_oracles_reading():
+    """A slot can match a phone exactly when the oracle's per-token reading
+    matches one: a phone some slot names, or one none does; feature classes,
+    whose members depend on the inventory, always can."""
+    tiny = tiny_inventory()
+    phones = ["a", "i", "n", "t", "zz"]  # no slot names 'zz'
+    pool = hand_built_pool(phones[:4]) + [R.in_set(["#", "@"]), Predicate("not-in", ("#", "@"))]
+    for pred in pool:
+        if pred.kind in ("class", "not-class") and pred.args[0] in CLASS_DEFINITIONS:
+            assert pred.can_match_phone(), pred
+        else:
+            assert pred.can_match_phone() == any(slot_matches(pred, p, tiny) for p in phones), pred
+
+
 def random_hand_built_law(rng, pool, phones):
     mappings = [delete(), replace_with([rng.choice(phones)]), insert_after([rng.choice(phones)]),
                 insert_before([rng.choice(phones)])]
@@ -315,7 +283,7 @@ def assert_compiled_equals_scan(candidate, words, inv):
     edited = collections.Counter()
     for word in words:
         tokens = preprocess(word)
-        want = scan_sites(candidate, tokens, inv)
+        want = window_sites(candidate.predicates, tokens, inv)
         assert find_matches(candidate, tokens, inv) == want, (candidate, word)
         edited.update(tokens[start + pos] for start in want for pos in candidate.change_pos)
         want_tokens = preprocess(reference_apply(candidate, word, inv))
@@ -354,7 +322,7 @@ def test_compiled_engine_matches_scan_on_random_and_hand_built_laws(inv, monkeyp
 
 
 def test_slot_members_and_site_test_equal_the_matches_scan(inv):
-    """Datagen's two readings of the compiled slots against Predicate.matches:
+    """Datagen's two readings of the compiled slots against `oracles.slot_matches`:
     a slot's member phones, and whether a window pinned by '@' on both sides
     matches consecutive phones of a word."""
     rng = random.Random(131)
@@ -368,22 +336,14 @@ def test_slot_members_and_site_test_equal_the_matches_scan(inv):
     assert {p.kind for p in pool} == set(R.PRED_KINDS)
     for table, alphabet in ((tiny, phones), (inv, list(inv.segments) + ["q", "x"])):
         for pred in pool:
-            want = [s for s in table.segments if pred.matches(s, table)]
+            want = [s for s in table.segments if slot_matches(pred, s, table)]
             assert R.slot_members(pred, table) == want, pred
         for _ in range(1500):
             preds = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
             has_site = R.site_test((SEP_PRED, *R.interleave(preds), SEP_PRED), table)
             for _ in range(2):  # one test serves every word
                 word = tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
-                assert has_site(word) == window_scan(preds, word, table), (preds, word)
-
-
-def window_scan(preds, word, inv):
-    """True when the slots match consecutive phones of the word somewhere."""
-    return any(
-        all(p.matches(word[i + k], inv) for k, p in enumerate(preds))
-        for i in range(len(word) - len(preds) + 1)
-    )
+                assert has_site(word) == bool(window_sites(preds, word, table)), (preds, word)
 
 
 def wide_inventory():
@@ -434,7 +394,7 @@ def test_codebook_boundary(inv):
         assert apply_to_lexicon(candidate, words, big)[0] == [apply_law_word(candidate, w, big) for w in words]
         has_site = R.site_test((SEP_PRED, *R.interleave(preds), SEP_PRED), big)
         for word in words[:40]:
-            assert has_site(word) == window_scan(preds, word, big), (preds, word)
+            assert has_site(word) == bool(window_sites(preds, word, big)), (preds, word)
 
 
 BACKENDS = pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
@@ -458,7 +418,7 @@ def regex_class(slot):
 def test_find_sites_finds_the_sites_of_the_lookahead_form_and_the_scan(backend, inv, monkeypatch):
     """`find_sites` over a window's classes reports every site start,
     overlapping and adjacent ones included: the starts an all-lookahead
-    regex reports and the ones `scan_sites` finds, on 1-, 2- and 4-byte
+    regex reports and the ones `window_sites` finds, on 1-, 2- and 4-byte
     texts; site_test and find_matches read it."""
     monkeypatch.setattr(kernels, "find_sites", backend.find_sites)
     rng = random.Random(211)
@@ -488,8 +448,7 @@ def test_find_sites_finds_the_sites_of_the_lookahead_form_and_the_scan(backend, 
             for base in (0, 0x100, 0xF0000):
                 wide = tuple((negated, widen(chars, base)) for negated, chars in slots)
                 assert backend.find_sites(widen(text, base), wide) == want, (window, base)
-            candidate = SimpleNamespace(predicates=window)
-            sites = [scan_sites(candidate, preprocess(w), table) for w in words]
+            sites = [window_sites(window, preprocess(w), table) for w in words]
             assert want == [off + s for off, found in zip(offsets, sites) for s in found], window
             has_site = R.site_test(window, table)
             assert [has_site(w) for w in words] == [bool(found) for found in sites], window
@@ -499,7 +458,7 @@ def test_find_sites_finds_the_sites_of_the_lookahead_form_and_the_scan(backend, 
             slots = rng.sample(pool, rng.randrange(1, 4))
             has_site = R.site_test((SEP_PRED, *R.interleave(slots), SEP_PRED), table)
             for word in words:
-                assert has_site(word) == window_scan(slots, word, table), (slots, word)
+                assert has_site(word) == bool(window_sites(slots, word, table)), (slots, word)
 
 
 PLANE_15 = "\U000F0000\U000F0001\U000FFFFD"
@@ -604,13 +563,13 @@ NEW_PHONES = ["y", "zz", "ʔ"]
 
 def splice_case(candidate, words, inv):
     """(text, starts, want) of one law over a lexicon: the joined encoding,
-    the starts of `scan_sites`' sites in it, and every word whose
+    the starts of `window_sites`' sites in it, and every word whose
     `reference_apply` output differs from it, with that output."""
     encode = R._compiler(inv).encode
     starts, want, offset = [], [], 0
     for i, word in enumerate(words):
         tokens = preprocess(word)
-        starts += [offset + site for site in scan_sites(candidate, tokens, inv)]
+        starts += [offset + site for site in window_sites(candidate.predicates, tokens, inv)]
         offset += len(tokens) + 1
         out = reference_apply(candidate, word, inv)
         if out != tuple(word):
@@ -624,7 +583,7 @@ def splice_features(candidate, words, inv):
     width = len(candidate.predicates)
     for i, word in enumerate(words):
         tokens = preprocess(word)
-        sites = scan_sites(candidate, tokens, inv)
+        sites = window_sites(candidate.predicates, tokens, inv)
         if not sites:
             continue
         seen.add("first word" if i == 0 else "last word" if i == len(words) - 1 else "middle word")
@@ -667,7 +626,7 @@ def test_splice_sites_equals_reference_apply(backend):
 
 def test_splice_sites_backends_agree_on_the_bundled_table(inv):
     """Both kernels against their twins on rp-ri laws over one joined
-    lexicon: find_sites against the sites `scan_sites` finds, then
+    lexicon: find_sites against the sites `window_sites` finds, then
     splice_sites on them."""
     rng = random.Random(61)
     cfg = datagen.GenConfig()
