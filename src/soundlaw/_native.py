@@ -1,5 +1,5 @@
 """Pure-Python kernels: the string metrics, scan counting, the law engine's
-matcher and splice, and rp-ri's phone draw.
+matcher and splice, and rp-ri's draws.
 
 Their contracts are stated once, in soundlaw.kernels, and the compiled
 module (soundlaw._speedups) keeps the same ones; soundlaw.kernels runs this
@@ -252,15 +252,19 @@ def find_sites(text, slots) -> list[int]:
     """
     if not isinstance(text, str):
         raise TypeError("text must be a str")
+    return list(map(re.Match.start, _finditer(slots)(text)))
+
+
+def _finditer(slots):
+    """The window's compiled finditer, from the cache when it was seen."""
     slots = tuple(slots)
     # checked before the cache, whose keys compare 1 and 1.0 equal to True
     if not all(type(negated) is bool and isinstance(chars, str) for negated, chars in slots):
         raise TypeError("a slot is a (bool, str) pair")
     try:
-        finditer = _WINDOWS[slots]
+        return _WINDOWS[slots]
     except (KeyError, TypeError):  # a new window, or slots no dict can key
-        finditer = _compile_window(slots)
-    return list(map(re.Match.start, finditer(text)))
+        return _compile_window(slots)
 
 
 def _compile_window(slots):
@@ -281,19 +285,53 @@ def _compile_window(slots):
     return finditer
 
 
+def _below(getrandbits, n: int) -> int:
+    """below(n): `getrandbits(n.bit_length())` until it is in range(n), as
+    CPython's `Random._randbelow_with_getrandbits` draws."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while not 0 <= r < n:
+        r = getrandbits(k)
+    return r
+
+
 def draw(getrandbits, pools) -> list:
-    """`pool[below(len(pool))]` of each pool in turn, where below(n) takes
-    `getrandbits(n.bit_length())` until it is below n, as CPython's
-    `Random._randbelow_with_getrandbits` does.  An empty pool raises
+    """`pool[below(len(pool))]` of each pool in turn.  An empty pool raises
     IndexError once the pools before it are drawn."""
     out = []
     for pool in tuple(pools):
-        n = len(pool)
-        if not n:
+        if not len(pool):
             raise IndexError("cannot draw from an empty pool")
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        out.append(pool[r])
+        out.append(pool[_below(getrandbits, len(pool))])
+    return out
+
+
+def draw_clear(getrandbits, pool, codes, slots, lo, hi, count, redraws) -> list:
+    """`count` words over `pool`, each of `lo + below(hi - lo + 1)` phones
+    `pool[below(len(pool))]`; a word whose encoding the window of (negated,
+    chars) slots matches, `codes[i]` standing for `pool[i]`, is drawn again,
+    and after `redraws` redraws the last draw is kept untested."""
+    if not isinstance(codes, str):
+        raise TypeError("codes must be a str")
+    lo, hi, count, redraws = (
+        _index_below(value, sys.maxsize, what)
+        for value, what in ((lo, "lo"), (hi, "hi"), (count, "count"), (redraws, "redraws"))
+    )
+    if lo > hi:
+        raise ValueError("lo must not exceed hi")
+    pool = tuple(pool)
+    if len(pool) != len(codes):
+        raise ValueError("codes must hold one code per pool item")
+    if not pool:
+        raise IndexError("cannot draw from an empty pool")
+    finditer = _finditer(slots)
+    out = []
+    for _ in range(count):
+        for tries in range(redraws + 1):
+            picks = [_below(getrandbits, len(pool)) for _ in range(lo + _below(getrandbits, hi - lo + 1))]
+            if tries == redraws:
+                break
+            if next(finditer("#@" + "".join(codes[r] + "@" for r in picks) + "#"), None) is None:
+                break
+        out.append(tuple(pool[r] for r in picks))
     return out

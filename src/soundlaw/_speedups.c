@@ -1,5 +1,5 @@
 /* Compiled kernels: the string metrics, scan counting, the law engine's
- * matcher and splice, and rp-ri's phone draw.
+ * matcher and splice, and rp-ri's draws.
  *
  * The contract of each kernel is stated once, in soundlaw/kernels.py's
  * docstring; soundlaw._native keeps the same one, and the test suite
@@ -12,8 +12,10 @@
  * group the sites by word, builds each word's leftmost-wins edit map in an
  * array indexed by token and returns only the words whose output differs.
  * find_sites turns each slot into one bitmap, negation folded in, so a
- * one-byte text is matched by bit tests alone.  draw takes its bits through
- * the caller's getrandbits, so it keeps a seeded stream.  soundlaw.kernels
+ * one-byte text is matched by bit tests alone.  draw and draw_clear take
+ * their bits through the caller's getrandbits, so they keep a seeded stream;
+ * both draw through one below(), and draw_clear tests each word's encoding
+ * against find_sites' bitmaps without building it.  soundlaw.kernels
  * compiles this file on first import.
  */
 
@@ -898,6 +900,30 @@ done:
     return out;
 }
 
+/* below(n) for n >= 1: getrandbits(n.bit_length()) until it is below n,
+ * as CPython's Random._randbelow_with_getrandbits draws; -1 with an
+ * exception set when getrandbits fails or gives no integer. */
+static Py_ssize_t
+below(PyObject *getrandbits, Py_ssize_t n)
+{
+    PyObject *kobj, *bits;
+    Py_ssize_t r;
+    int k;
+    for (k = 0; n >> k; k++)  /* n.bit_length() */
+        ;
+    if ((kobj = PyLong_FromLong(k)) == NULL)
+        return -1;
+    do {
+        bits = PyObject_CallOneArg(getrandbits, kobj);
+        r = bits == NULL ? -1 : PyLong_AsSsize_t(bits);
+        Py_XDECREF(bits);
+        if (r == -1 && PyErr_Occurred())
+            break;
+    } while ((size_t)r >= (size_t)n);  /* a negative r is no draw either */
+    Py_DECREF(kobj);
+    return r;
+}
+
 PyDoc_STRVAR(draw_doc,
              "[pool[below(len(pool))] for pool in pools], below(n) drawing as CPython's "
              "Random._randbelow_with_getrandbits does through `getrandbits`.");
@@ -905,9 +931,8 @@ PyDoc_STRVAR(draw_doc,
 static PyObject *
 draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *getrandbits, *pools, *out = NULL, *pool, *kobj, *bits, *item;
+    PyObject *getrandbits, *pools, *out = NULL, *pool, *item;
     Py_ssize_t i, np, n, r;
-    int k;
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "draw() takes exactly 2 arguments (%zd given)", nargs);
         return NULL;
@@ -929,21 +954,7 @@ draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             PyErr_SetString(PyExc_IndexError, "cannot draw from an empty pool");
             goto fail;
         }
-        for (k = 0; n >> k; k++)  /* n.bit_length() */
-            ;
-        if ((kobj = PyLong_FromLong(k)) == NULL)
-            goto fail;
-        do {
-            bits = PyObject_CallOneArg(getrandbits, kobj);
-            r = bits == NULL ? -1 : PyLong_AsSsize_t(bits);
-            Py_XDECREF(bits);
-            if (r == -1 && PyErr_Occurred()) {
-                Py_DECREF(kobj);
-                goto fail;
-            }
-        } while (r >= n);
-        Py_DECREF(kobj);
-        if ((item = PySequence_GetItem(pool, r)) == NULL)
+        if ((r = below(getrandbits, n)) < 0 || (item = PySequence_GetItem(pool, r)) == NULL)
             goto fail;
         PyList_SET_ITEM(out, i, item);
     }
@@ -952,6 +963,115 @@ fail:
     Py_CLEAR(out);
 done:
     Py_DECREF(pools);
+    return out;
+}
+
+/* Phones of a word whose picks draw_clear keeps on the stack; a longer word
+ * takes the heap. */
+#define WORD_STACK 64
+
+/* Whether the window matches somewhere in the encoding of the word whose
+ * phones are the pool items picks[0..n): "#@", then each phone's code and
+ * "@", then "#", read token by token with no copy. */
+static int
+word_holds(const Window *win, const Py_ssize_t *picks, Py_ssize_t n, int kind, const void *codes)
+{
+    Py_ssize_t i, j, t, ntok = 2 * n + 3;
+    Py_UCS4 ch;
+    for (i = 0; i + win->w <= ntok; i++) {
+        for (j = 0; j < win->w; j++) {
+            t = i + j;
+            ch = t == 0 || t == ntok - 1 ? '#' : t & 1 ? '@' : PyUnicode_READ(kind, codes, picks[(t >> 1) - 1]);
+            if (!slot_has(win, j, ch))
+                break;
+        }
+        if (j == win->w)
+            return 1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(draw_clear_doc,
+             "`count` words over `pool`, each of lo + below(hi - lo + 1) phones, a word the window "
+             "matches drawn again up to `redraws` times.");
+
+static PyObject *
+draw_clear(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *getrandbits, *pool = NULL, *codes, *out = NULL, *word;
+    Window win;
+    Py_ssize_t lo, hi, count, redraws, np, c, t, k, n, cap = 0;
+    Py_ssize_t stack[WORD_STACK], *heap = NULL, *picks;
+    if (nargs != 8) {
+        PyErr_Format(PyExc_TypeError, "draw_clear() takes exactly 8 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    getrandbits = args[0];
+    codes = args[2];
+    if (!PyUnicode_Check(codes)) {
+        PyErr_SetString(PyExc_TypeError, "codes must be a str");
+        return NULL;
+    }
+    if ((lo = index_below(args[4], PY_SSIZE_T_MAX, "lo")) < 0
+        || (hi = index_below(args[5], PY_SSIZE_T_MAX, "hi")) < 0
+        || (count = index_below(args[6], PY_SSIZE_T_MAX, "count")) < 0
+        || (redraws = index_below(args[7], PY_SSIZE_T_MAX, "redraws")) < 0)
+        return NULL;
+    if (lo > hi) {
+        PyErr_SetString(PyExc_ValueError, "lo must not exceed hi");
+        return NULL;
+    }
+    /* a tuple, so that no getrandbits can change the pool under the kernel */
+    if ((pool = PySequence_Tuple(args[1])) == NULL)
+        return NULL;
+    if ((np = PyTuple_GET_SIZE(pool)) != PyUnicode_GET_LENGTH(codes)) {
+        PyErr_SetString(PyExc_ValueError, "codes must hold one code per pool item");
+        goto release;
+    }
+    if (np == 0) {
+        PyErr_SetString(PyExc_IndexError, "cannot draw from an empty pool");
+        goto release;
+    }
+    if (window_open(&win, args[3]) < 0)
+        goto release;
+    if ((out = PyList_New(count)) == NULL)
+        goto done;
+    for (c = 0; c < count; c++) {
+        /* the length, then each phone; the last permitted redraw is kept untested */
+        for (t = 0;; t++) {
+            if ((n = below(getrandbits, hi - lo + 1)) < 0)
+                goto fail;
+            n += lo;
+            if (n <= WORD_STACK)
+                picks = stack;
+            else if ((picks = grow(heap, &cap, n, sizeof(Py_ssize_t))) != NULL)
+                heap = picks;
+            else
+                goto fail;
+            for (k = 0; k < n; k++) {
+                if ((picks[k] = below(getrandbits, np)) < 0)
+                    goto fail;
+            }
+            if (t == redraws || !word_holds(&win, picks, n, PyUnicode_KIND(codes), PyUnicode_DATA(codes)))
+                break;
+        }
+        if ((word = PyTuple_New(n)) == NULL)
+            goto fail;
+        for (k = 0; k < n; k++) {
+            PyObject *phone = PyTuple_GET_ITEM(pool, picks[k]);
+            Py_INCREF(phone);
+            PyTuple_SET_ITEM(word, k, phone);
+        }
+        PyList_SET_ITEM(out, c, word);
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    PyMem_Free(heap);
+    PyMem_Free(win.heap);
+release:
+    Py_DECREF(pool);
     return out;
 }
 
@@ -966,6 +1086,7 @@ static PyMethodDef methods[] = {
     {"splice_sites", (PyCFunction)(void (*)(void))splice_sites, METH_FASTCALL, splice_sites_doc},
     {"find_sites", (PyCFunction)(void (*)(void))find_sites, METH_FASTCALL, find_sites_doc},
     {"draw", (PyCFunction)(void (*)(void))draw, METH_FASTCALL, draw_doc},
+    {"draw_clear", (PyCFunction)(void (*)(void))draw_clear, METH_FASTCALL, draw_clear_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -26,6 +26,7 @@ from .phonology import (
     UndecodableText,
     UnreadableInput,
     UnsegmentableInput,
+    decode_text,
     default_inventory,
     load_feature_table_file,
     load_lexicon,
@@ -241,7 +242,7 @@ def cmd_parse_law(args) -> int:
     elif args.input:
         text = read_text(args.input)
     else:
-        text = sys.stdin.read()
+        text = decode_text(sys.stdin.buffer.read(), "<stdin>")
     laws = _read_laws(text, inv)
     _print_or_write("\n".join(dsl.print_law(law) for _, law in laws) + "\n", args.out)
     return EXIT_OK
@@ -433,7 +434,9 @@ def cmd_report(args) -> int:
         aggregates = dsl.json_field(doc, "aggregates", dict)
         if args.format == "json":
             return json.dumps(aggregates, ensure_ascii=False, indent=2) + "\n"
-        dsl.json_field(aggregates, "per_language_pair", dict)
+        for pair in dsl.json_field(aggregates, "per_language_pair", dict).values():
+            for metric in evaluation.TABLE_METRICS:  # a number or null; `true` is no number
+                dsl.json_field(pair, metric, (int, float, type(None)))
         return evaluation.report_tables(doc)
 
     _print_or_write(read_json(args.eval, render), args.out)

@@ -29,6 +29,7 @@ from .rules import (
     SoundLaw,
     apply_law_word,
     apply_to_lexicon,
+    context_free_draw,
     delete,
     feature_class,
     in_set,
@@ -39,7 +40,6 @@ from .rules import (
     is_token,
     law_is_inert,
     replace_with,
-    site_test,
     slot_members,
 )
 from .tasks import PBETask, map_in_order
@@ -92,6 +92,9 @@ OP_COUNT = (1, 3)
 PREDICATE_MIX = (0.6, 0.2, 0.2)
 SET_SIZE = (2, 4)
 WORD_LEN = (3, 12)
+# times a context-free word that holds the context is drawn again; the last
+# draw is kept untested
+CONTEXT_REDRAWS = 40
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,6 @@ def sample_inputs_for_law(
     # one pool of member phones per context slot, and the first slot with none
     ctx = [slot_members(p, inv) for p in preds]
     empty = next((p for p, members in zip(preds, ctx) if not members), None)
-    # '@' on both sides pins every slot to a phone
-    has_context = site_test((SEP_PRED, *interleave(preds), SEP_PRED), inv)
     tenth = n // 10
     bearing = -(-2 * n // 3)  # ceil(2n/3)
     below = draw_below(rng)  # every length and offset
@@ -233,11 +234,8 @@ def sample_inputs_for_law(
     draw = partial(kernels.draw, rng.getrandbits)
     segs = [inv.segments]
 
-    def rand_len() -> int:
-        return lo + below(hi - lo + 1)
-
     def length_at_least(minimum: int) -> int:
-        return max(minimum, rand_len())
+        return max(minimum, lo + below(hi - lo + 1))
 
     # a word's draw takes its context and its other phones in the order the
     # output bytes depend on: the context first, unless the word ends with it
@@ -267,14 +265,10 @@ def sample_inputs_for_law(
             words.append(tuple(p[w:w + at] + p[:w] + p[w + at:]))
     except IndexError:  # an empty slot stops a draw after the pools before it
         raise InfeasibleQuota(f"no inventory phone satisfies {empty}") from None
-    while len(words) < n:  # context-free remainder (best effort when the
-        # context is a wildcard that every word necessarily contains)
-        word = tuple(draw(segs * rand_len()))
-        for _ in range(40):
-            if not has_context(word):
-                break
-            word = tuple(draw(segs * rand_len()))
-        words.append(word)
+    # the context-free remainder, in one call: each word is drawn again while
+    # it holds the context (best effort when the context is a wildcard that
+    # every word necessarily contains)
+    words += context_free_draw(preds, inv, rng.getrandbits)(lo, hi, n - len(words), CONTEXT_REDRAWS)
     rng.shuffle(words)
     return words
 

@@ -209,6 +209,10 @@ def report_markdown(doc: dict, metric: str = "pass_rate") -> str:
     return "\n".join(lines) + "\n"
 
 
+# the metrics of a report's tables, in their order
+TABLE_METRICS = ("pass_rate", "reward_at_1", "reward_at_3")
+
+
 def report_tables(doc: dict) -> str:
     """The pass-rate, reward@1 and reward@3 tables of one report, in that order."""
-    return "".join(report_markdown(doc, metric) + "\n" for metric in ("pass_rate", "reward_at_1", "reward_at_3"))
+    return "".join(report_markdown(doc, metric) + "\n" for metric in TABLE_METRICS)

@@ -44,6 +44,18 @@ draw, and leaves rng in the same state.  An empty pool raises IndexError
 once the pools before it are drawn, and an error of `getrandbits`
 propagates.
 
+`draw_clear(getrandbits, pool, codes, slots, lo, hi, count, redraws)`
+returns `count` words, each a tuple of `lo + below(hi - lo + 1)` phones
+`pool[below(len(pool))]`, drawn in that order through the same below().
+`codes[i]` is `pool[i]`'s code in the encoding `find_sites` reads
+(`"#@" + c0 + "@" + c1 + "@" + ... + "#"`); while the window of `slots` matches
+a word's encoding somewhere, the word is drawn again, and after `redraws`
+redraws the last draw is kept untested.  With `rng.getrandbits`, it draws
+what `rng.randint(lo, hi)` and `rng.choice(pool)` would draw, and leaves
+rng in the same state.  An empty pool raises IndexError before any draw;
+`len(codes) != len(pool)`, `lo > hi` or a negative argument raises
+ValueError, and an error of `getrandbits` propagates.
+
 The compiled kernels are the hand-written CPython module `_speedups.c`.  It
 is compiled on first import with the interpreter's configured C compiler
 (``CC`` overrides it) into a user cache, ``$XDG_CACHE_HOME/soundlaw`` or
@@ -157,3 +169,4 @@ scan_counts = _impl.scan_counts
 splice_sites = _impl.splice_sites
 find_sites = _impl.find_sites
 draw = _impl.draw
+draw_clear = _impl.draw_clear

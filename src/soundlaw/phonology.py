@@ -286,16 +286,20 @@ def open_input(path, mode: str = "rb", **kwargs):
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file, newlines read as in text mode ('\r\n' and
-    '\r' become '\n').  A byte that is no UTF-8 is an UndecodableText
-    naming the file and its line."""
+    """The text of a UTF-8 file (see `decode_text`)."""
     with open_input(path) as fh:
-        data = fh.read()
+        return decode_text(fh.read(), path)
+
+
+def decode_text(data: bytes, name) -> str:
+    """UTF-8 bytes as text, newlines read as in text mode ('\r\n' and '\r'
+    become '\n').  A byte that is no UTF-8 is an UndecodableText naming
+    `name`, the file or stream read, and its line."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise UndecodableText(f"{path} line {lineno}: {exc}") from exc
+        raise UndecodableText(f"{name} line {lineno}: {exc}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -78,3 +78,22 @@ def reference_apply(law, word, inv):
         else:
             pieces.append(tok)
     return tuple(p for p in pieces if p not in ("#", "@"))
+
+
+def draw_clear(rng, pool, window, inv, lo, hi, count, redraws):
+    """`count` words of `rng.randint(lo, hi)` phones `rng.choice(pool)`, each
+    drawn again while `window` has a site in its token sequence, `redraws`
+    times at most, the last draw kept untested: the draw of
+    `kernels.draw_clear`, with the window read token by token."""
+    def word():
+        return tuple(rng.choice(pool) for _ in range(rng.randint(lo, hi)))
+
+    words = []
+    for _ in range(count):
+        drawn = word()
+        for _ in range(redraws):
+            if not window_sites(window, preprocess(drawn), inv):
+                break
+            drawn = word()
+        words.append(drawn)
+    return words

@@ -179,6 +179,26 @@ def test_parse_law_without_rule_line_exit_2(argv, tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("encoding, errors", [("utf-8", "strict"), ("ascii", "surrogateescape")],
+                         ids=["utf-8-locale", "posix-locale"])
+def test_parse_law_stdin_is_read_as_utf_8_whatever_the_locale(encoding, errors, monkeypatch, capsys):
+    """parse-law decodes its stdin bytes as `read_text` decodes a file: a
+    byte that is no UTF-8 exits 2 naming <stdin> and its line, under either
+    locale's decoder, and '\\r\\n' and '\\r' end lines."""
+    def stdin(data):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding=encoding, errors=errors))
+
+    stdin(b"# l\xc3\xa4ut\r\na > e / _ j\r\n\r\n\xc9\x99 > e / _ #\r")
+    assert run("parse-law") == 0
+    laws = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [doc["mappings"][0]["phones"] for doc in laws] == [["e"], ["e"]]
+    assert laws[1]["predicates"][0]["args"] == ["ə"]
+    stdin(b"a > e / _ j\n\na > e / _ \xff\n")
+    assert run("parse-law") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: UndecodableText: <stdin> line 3: ") and captured.out == ""
+
+
 @pytest.mark.parametrize("text", ["# a comment only\n\n", "[]\n"], ids=["comment-only", "empty-array"])
 @pytest.mark.parametrize("command", ["derive", "bench"])
 def test_cascade_holding_no_law_exit_2(command, text, tmp_path, capsys):
@@ -689,14 +709,15 @@ VALID_CONFIG = {"endpoint": "http://localhost:1", "model": "m", "temperature": 0
                 "retry_budget": 0, "cache_dir": "cache", "cache_only": True}
 
 
-def json_document_cases(doc, accepted, required):
+def json_document_cases(doc, accepted, required, wrap=lambda obj: obj):
     """(case name, file bytes, fails) of a JSON object: the object, another
     JSON kind in its place, each field set to each JSON kind besides its own
     and each field dropped, and the object with a byte that is no UTF-8.
     `accepted` maps a field to the other kinds it takes; `required` names
-    the fields whose absence fails."""
+    the fields whose absence fails.  `wrap` puts the object, or what stands
+    in its place, into the document the file holds."""
     def encoded(value):
-        return json.dumps(value).encode()
+        return json.dumps(wrap(value)).encode()
 
     yield "valid", encoded(doc), False
     for kind, value in JSON_KINDS.items():
@@ -735,6 +756,100 @@ def test_every_json_kind_of_every_fixtures_and_config_field_exits_0_or_6_naming_
         if code != (6 if fails else 0) or fails and not err.startswith(f"error: SchemaError: {where}: "):
             wrong.append((name, code, err))
     assert wrong == []
+
+
+ALL_KINDS = tuple(JSON_KINDS)
+EVAL_PAIR = {"n_tasks": 1, "pass_rate": 1.0, "reward_at_1": 1.0, "reward_at_3": None}
+EVAL_ENTRY = {"task_id": "a", "passed": True, "reward_at_1": 1.0, "reward_at_3": None, "rewards": [1.0]}
+EVAL_AGGREGATES = {**EVAL_PAIR, "per_language_pair": {"all": EVAL_PAIR}}
+EVAL_REPORT = {"per_task": [EVAL_ENTRY], "aggregates": EVAL_AGGREGATES}
+
+
+def eval_report_cases(reads):
+    """`json_document_cases` of each object of an eval report, put back into
+    the report: `reads` maps each object's name to (the fields the command
+    reads, mapped to the other kinds they take; the fields it needs), and
+    a field it does not read takes every kind and may be dropped."""
+    objects = {
+        "report": (EVAL_REPORT, lambda obj: obj),
+        "per_task[0]": (EVAL_ENTRY, lambda obj: {**EVAL_REPORT, "per_task": [obj]}),
+        "aggregates": (EVAL_AGGREGATES, lambda obj: {**EVAL_REPORT, "aggregates": obj}),
+        "per_language_pair": (EVAL_AGGREGATES["per_language_pair"],
+                              lambda obj: {**EVAL_REPORT, "aggregates": {**EVAL_AGGREGATES, "per_language_pair": obj}}),
+        "per_language_pair.all": (EVAL_PAIR, lambda obj: {
+            **EVAL_REPORT, "aggregates": {**EVAL_AGGREGATES, "per_language_pair": {"all": obj}}}),
+    }
+    for name, (doc, wrap) in objects.items():
+        if name not in reads:
+            continue
+        read, required = reads[name]
+        accepted = {key: read[key] if key in read else ALL_KINDS for key in doc}
+        for case, text, fails in json_document_cases(doc, accepted, required, wrap):
+            yield f"{name}: {case}", text, fails
+
+
+def rewards_read(prop):
+    """What `stats --property prop` reads of an eval report."""
+    entry = ({"passed": ()}, ("passed",)) if prop == "pass_rate" else ({"rewards": ()}, ("rewards",))
+    return {"report": ({"per_task": ()}, ("per_task",)), "per_task[0]": entry}
+
+
+@pytest.mark.parametrize("prop", ["reward_per_program", "passing_programs", "pass_rate"])
+@pytest.mark.parametrize("side", ["-x", "-y"])
+def test_every_json_kind_of_every_stats_sample_field_exits_0_or_6_naming_its_file(
+        side, prop, tmp_path, monkeypatch, capsys):
+    """An eval report given to stats as either sample takes each case of
+    `json_document_cases` in each of its objects, and each JSON kind as a
+    reward: stats exits 0 where the reader accepts it, else 6 naming the
+    file, and never 3."""
+    monkeypatch.chdir(tmp_path)
+    Path("other.json").write_text("[-7.0]")
+    reads = rewards_read(prop)
+    cases = list(eval_report_cases(reads))
+    for kind, value in JSON_KINDS.items():  # a reward of each kind
+        text = json.dumps({**EVAL_REPORT, "per_task": [{**EVAL_ENTRY, "rewards": [value]}]}).encode()
+        cases.append((f"rewards[0]={kind}", text, prop != "pass_rate" and kind not in ("int", "float")))
+    other = "-y" if side == "-x" else "-x"
+    wrong = []
+    for name, text, fails in cases:
+        Path("in.json").write_bytes(text)
+        code = run("stats", "--property", prop, side, "in.json", other, "other.json")
+        err = capsys.readouterr().err
+        if code != (6 if fails else 0) or fails and not err.startswith("error: SchemaError: in.json: "):
+            wrong.append((name, code, err))
+    assert len(cases) > 60 and wrong == []
+
+
+REPORT_READS = {
+    # the tables read each metric of each language pair, a number or null
+    "md": {
+        "report": ({"aggregates": ()}, ("aggregates",)),
+        "aggregates": ({"per_language_pair": ()}, ("per_language_pair",)),
+        "per_language_pair": ({"all": ()}, ("all",)),
+        "per_language_pair.all": ({"pass_rate": ("int", "null"), "reward_at_1": ("int", "null"),
+                                   "reward_at_3": ("int", "float")},
+                                  ("pass_rate", "reward_at_1", "reward_at_3")),
+    },
+    # the JSON form prints the aggregates object as it is
+    "json": {"report": ({"aggregates": ()}, ("aggregates",)), "aggregates": ({}, ())},
+}
+
+
+@pytest.mark.parametrize("form", ["md", "json"])
+def test_every_json_kind_of_every_report_field_exits_0_or_6_naming_its_file(form, tmp_path, monkeypatch, capsys):
+    """An eval report given to `report --eval` takes each case of
+    `json_document_cases` in each of its objects: report exits 0 where the
+    reader accepts it, else 6 naming the file, and never 3."""
+    monkeypatch.chdir(tmp_path)
+    cases = list(eval_report_cases(REPORT_READS[form]))
+    wrong = []
+    for name, text, fails in cases:
+        Path("in.json").write_bytes(text)
+        code = run("report", "--eval", "in.json", "--format", form, "--out", "r.txt")
+        err = capsys.readouterr().err
+        if code != (6 if fails else 0) or fails and not err.startswith("error: SchemaError: in.json: "):
+            wrong.append((name, code, err))
+    assert len(cases) > 30 and wrong == []
 
 
 def test_gateway_settings_are_the_config_overlaid_by_the_given_flags(tmp_path, monkeypatch):

@@ -360,6 +360,156 @@ def test_draw_rejects_malformed_input(backend, getrandbits, pools):
         backend.draw(getrandbits, pools)
 
 
+CLEAR_ARGS = (["a", "b", "c"], "\x80\x81\x82", [(False, "@"), (False, "\x80"), (False, "@")], 1, 4, 3, 5)
+
+
+@pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
+@pytest.mark.parametrize("pool, codes, slots, lo, hi, count, redraws, error", [
+    ([], "", CLEAR_ARGS[2], 1, 4, 3, 5, IndexError),  # an empty pool
+    (["a", "b", "c"], "\x80\x81", CLEAR_ARGS[2], 1, 4, 3, 5, ValueError),  # a code missing
+    (["a", "b"], "\x80\x81\x82", CLEAR_ARGS[2], 1, 4, 3, 5, ValueError),  # a code too many
+    (*CLEAR_ARGS[:3], 5, 4, 3, 5, ValueError),  # lo > hi
+    (*CLEAR_ARGS[:3], -1, 4, 3, 5, ValueError),  # a negative length
+    (*CLEAR_ARGS[:3], 1, 4, -1, 5, ValueError),  # a negative count
+    (*CLEAR_ARGS[:3], 1, 4, 3, -1, ValueError),  # a negative cap
+    (*CLEAR_ARGS[:2], [], 1, 4, 3, 5, ValueError),  # a window of no slot
+    (CLEAR_ARGS[0], 5, *CLEAR_ARGS[2:], TypeError),  # codes that are no str
+    (CLEAR_ARGS[0], ["\x80", "\x81", "\x82"], *CLEAR_ARGS[2:], TypeError),
+    (5, *CLEAR_ARGS[1:], TypeError),  # a pool that is no sequence
+    (*CLEAR_ARGS[:2], [(1, "a")], *CLEAR_ARGS[3:], TypeError),  # a slot that is no (bool, str)
+    (*CLEAR_ARGS[:3], 1.0, 4, 3, 5, TypeError),  # a length that is no integer
+    (*CLEAR_ARGS[:5], "3", 5, TypeError),
+], ids=["empty-pool", "code-missing", "code-too-many", "lo-above-hi", "negative-lo", "negative-count",
+        "negative-redraws", "no-slot", "codes-an-int", "codes-a-list", "pool-an-int", "slot-not-bool-str",
+        "lo-a-float", "count-a-str"])
+def test_draw_clear_rejects_malformed_input(backend, pool, codes, slots, lo, hi, count, redraws, error):
+    """Malformed input raises before any bits are drawn."""
+    calls = []
+    with pytest.raises(error):
+        backend.draw_clear(calls.append, pool, codes, slots, lo, hi, count, redraws)
+    assert calls == []
+
+
+@pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
+@pytest.mark.parametrize("lo, hi, fail_at, bits", [
+    (3, 6, 3, [3, 2, 2]),  # while drawing the first word's phones
+    (1, 1, 5, [1, 2, 1, 2, 1]),  # at a redraw's length: each word is an 'a', which the window holds
+    (70, 70, 60, [1] + [2] * 59),  # inside a word past the compiled kernel's stack buffer
+], ids=["phones", "redraw-length", "long-word"])
+def test_draw_clear_propagates_an_error_of_getrandbits(backend, lo, hi, fail_at, bits):
+    """An error of `getrandbits` stops the draw where it is raised."""
+    calls = []
+
+    def getrandbits(k):
+        calls.append(k)
+        if len(calls) == fail_at:
+            raise Exhausted
+        return 0
+
+    with pytest.raises(Exhausted):
+        backend.draw_clear(getrandbits, *CLEAR_ARGS[:3], lo, hi, 3, 5)
+    assert calls == bits
+
+
+def failing_after(calls):
+    """A getrandbits that gives 0 bits `calls` times, then raises."""
+    counter = itertools.count()
+
+    def getrandbits(k):
+        if next(counter) >= calls:
+            raise Exhausted
+        return 0
+    return getrandbits
+
+
+def leak_probe_calls():
+    """(kernel name, arguments) calls of every compiled kernel, on good input
+    and on malformed input, its sequences given as lists so that each call
+    copies them into objects of its own."""
+    rng = random.Random(5)
+    window = [[False, "@"], [False, "\x80"], [False, "@"]]
+    pool, codes = ["a", "b", "c"], "\x80\x81\x82"
+    good = {
+        "levenshtein": [(["a", "b", "c"], ["a", "c", "d"])],
+        "lcs_pair": [(["a", "b", "c"], ["a", "c", "d"])],
+        "levenshtein_bruteforce": [(["a", "b"], ["b", "a", "b"])],
+        "lcs_len_bruteforce": [(["a", "b"], ["b", "a", "b"])],
+        "scan_counts": [([["a", "b"], []], [["a", "b", "a", "b"], ["b"]])],
+        "splice_sites": [([["a", "b"], ["a"]], [2, 9], [[0, 1, ["e"]], [2, 3, ["f", "g"]]])],
+        "find_sites": [("#@\x80@\x81@#\n#@\x80@#", window)],
+        "draw": [(rng.getrandbits, [pool, range(7), "xyz"])],
+        # short words, and words past the kernel's stack buffer; none of 20
+        # phones, as CPython 3.11 keeps every freed tuple of 20 items on a
+        # free list that no new tuple is taken from
+        "draw_clear": [(rng.getrandbits, pool, codes, window, 1, 12, 3, 5),
+                       (rng.getrandbits, pool, codes, window, 65, 70, 3, 5)],
+    }
+    raising = [RaisingEq(), "b"]
+    bad = {
+        "levenshtein": [(5, ["a"]), (raising, ["a", "b"]), (["a"],)],
+        "lcs_pair": [(5, ["a"]), (raising, ["a", "b"])],
+        "levenshtein_bruteforce": [(5, ["a"]), (raising, ["a", "b"])],
+        "lcs_len_bruteforce": [(["a"] * 21, ["a"]), (raising, ["a", "b"])],
+        "scan_counts": [([5], [["a"]]), ([["a"]], [["a"], 5]), ([["a"]],)],
+        "splice_sites": [
+            ([["a"]], [2], [[0, 1]]),  # an edit of two fields
+            ([["a"]], [2], [[0, 9, ["e"]]]),  # an unknown kind code
+            ([["a"]], [2], [[0, 1, 5]]),  # phones that are no sequence
+            ([["a", "b"]], [2, 2], [[0, 1, ["e"]]]),  # starts that do not ascend
+            ([["a"], ["b"]], [2, 99], [[0, 1, ["e"]]]),  # a site past the last word
+            ([["a"], ["b"]], [2, 6], [[0, 1, ["e"]]]),  # a site on a newline
+            ([["a"]], [2], [[40, 1, ["e"]]]),  # an edit outside its word
+            ([["a"]], ["2"], [[0, 1, ["e"]]]),  # a start that is no integer
+        ],
+        "find_sites": [("x", []), ("x", [[1, "a"]]), (5, window), ("x", [[False, "a", "b"]])],
+        "draw": [(rng.getrandbits, [pool, []]), (failing_after(1), [pool, pool]), (None, [pool]),
+                 (lambda k: "0", [pool])],
+        "draw_clear": [
+            (rng.getrandbits, [], "", window, 1, 3, 2, 5),  # an empty pool
+            (rng.getrandbits, pool, codes[:2], window, 1, 3, 2, 5),  # a code missing
+            (rng.getrandbits, pool, 5, window, 1, 3, 2, 5),  # codes that are no str
+            (rng.getrandbits, pool, codes, window, 4, 3, 2, 5),  # lo > hi
+            (rng.getrandbits, pool, codes, window, 1, 3, -1, 5),  # a negative count
+            (rng.getrandbits, pool, codes, [], 1, 3, 2, 5),  # a window of no slot
+            (rng.getrandbits, pool, codes, [[1, "a"]], 1, 3, 2, 5),  # a slot that is no (bool, str)
+            (failing_after(100), pool, codes, window, 66, 70, 3, 5),  # stops inside a long word
+            (lambda k: [k], pool, codes, window, 1, 3, 2, 5),  # bits that are no integer
+            (rng.getrandbits, pool, codes, window, 1, 3),  # too few arguments
+        ],
+    }
+    for name in good:
+        for args in good[name] * 4 + bad[name]:
+            yield name, args
+
+
+def test_compiled_kernels_leak_nothing_on_good_or_malformed_input():
+    """Every compiled kernel, called thousands of times on good and on
+    malformed input: the memory tracemalloc traces does not grow with the
+    number of calls, so no call keeps a reference it took."""
+    if kernels.BACKEND != "c":
+        pytest.skip(f"compiled backend not built ({kernels.BACKEND_REASON}); nothing to check")
+    calls = list(leak_probe_calls())
+    assert {name for name, _ in calls} == {name for name in dir(kernels._impl) if not name.startswith("_")}
+
+    def call_all(rounds):
+        for _ in range(rounds):
+            for name, args in calls:
+                try:
+                    getattr(kernels, name)(*args)
+                except (TypeError, ValueError, IndexError, RuntimeError, Exhausted):
+                    pass
+
+    call_all(20)  # freelists and caches filled first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call_all(2000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_384, f"{grown} bytes held after {2000 * len(calls)} calls"
+
+
 def test_bruteforce_lcs_guard():
     with pytest.raises(ValueError):
         kernels.lcs_len_bruteforce(tuple("a" * 21), ("a",))

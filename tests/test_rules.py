@@ -9,6 +9,7 @@ import random
 import re
 
 import pytest
+import oracles
 from oracles import reference_apply, slot_matches, window_sites
 
 from soundlaw import _native, datagen, evaluation, kernels
@@ -321,7 +322,19 @@ def test_compiled_engine_matches_scan_on_random_and_hand_built_laws(inv, monkeyp
     assert edited["#"] and edited["@"]  # splice_sites' handling of edited '#' and '@' slots
 
 
-def test_slot_members_and_site_test_equal_the_matches_scan(inv):
+def phone_window(preds):
+    """Datagen's form of a phone context: its slots pinned by '@' on both sides."""
+    return (SEP_PRED, *R.interleave(preds), SEP_PRED)
+
+
+def has_site(window, word, table):
+    """Whether the window matches somewhere in preprocess(word), read through
+    the compiled slots: the word's encoding scanned by `find_sites`."""
+    compiler = R._compiler(table)
+    return bool(kernels.find_sites(compiler.encode((word,))[0], compiler.window(window, table)))
+
+
+def test_slot_members_and_phone_windows_equal_the_matches_scan(inv):
     """Datagen's two readings of the compiled slots against `oracles.slot_matches`:
     a slot's member phones, and whether a window pinned by '@' on both sides
     matches consecutive phones of a word."""
@@ -340,10 +353,10 @@ def test_slot_members_and_site_test_equal_the_matches_scan(inv):
             assert R.slot_members(pred, table) == want, pred
         for _ in range(1500):
             preds = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
-            has_site = R.site_test((SEP_PRED, *R.interleave(preds), SEP_PRED), table)
-            for _ in range(2):  # one test serves every word
+            window = phone_window(preds)
+            for _ in range(2):
                 word = tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
-                assert has_site(word) == bool(window_sites(preds, word, table)), (preds, word)
+                assert has_site(window, word, table) == bool(window_sites(preds, word, table)), (preds, word)
 
 
 def wide_inventory():
@@ -392,9 +405,8 @@ def test_codebook_boundary(inv):
         candidate = law(R.interleave(preds), [0], [rng.choice(maps)])
         assert_compiled_equals_scan(candidate, words[:40], big)
         assert apply_to_lexicon(candidate, words, big)[0] == [apply_law_word(candidate, w, big) for w in words]
-        has_site = R.site_test((SEP_PRED, *R.interleave(preds), SEP_PRED), big)
         for word in words[:40]:
-            assert has_site(word) == bool(window_sites(preds, word, big)), (preds, word)
+            assert has_site(phone_window(preds), word, big) == bool(window_sites(preds, word, big)), (preds, word)
 
 
 BACKENDS = pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
@@ -419,7 +431,7 @@ def test_find_sites_finds_the_sites_of_the_lookahead_form_and_the_scan(backend, 
     """`find_sites` over a window's classes reports every site start,
     overlapping and adjacent ones included: the starts an all-lookahead
     regex reports and the ones `window_sites` finds, on 1-, 2- and 4-byte
-    texts; site_test and find_matches read it."""
+    texts; find_matches reads it."""
     monkeypatch.setattr(kernels, "find_sites", backend.find_sites)
     rng = random.Random(211)
     tables = (
@@ -450,15 +462,74 @@ def test_find_sites_finds_the_sites_of_the_lookahead_form_and_the_scan(backend, 
                 assert backend.find_sites(widen(text, base), wide) == want, (window, base)
             sites = [window_sites(window, preprocess(w), table) for w in words]
             assert want == [off + s for off, found in zip(offsets, sites) for s in found], window
-            has_site = R.site_test(window, table)
-            assert [has_site(w) for w in words] == [bool(found) for found in sites], window
+            assert [has_site(window, w, table) for w in words] == [bool(found) for found in sites], window
         assert sum(len(R.find_matches(law([a, SEP_PRED, a], [0], [delete()]), preprocess(w), table))
                    for w in words[:6]) == 0 + 0 + 1 + 2 + 3 + 4
         for _ in range(300):  # datagen's form of a window, against the phone-level scan
             slots = rng.sample(pool, rng.randrange(1, 4))
-            has_site = R.site_test((SEP_PRED, *R.interleave(slots), SEP_PRED), table)
+            window = phone_window(slots)
             for word in words:
-                assert has_site(word) == bool(window_sites(slots, word, table)), (slots, word)
+                assert has_site(window, word, table) == bool(window_sites(slots, word, table)), (slots, word)
+
+
+@BACKENDS
+def test_draw_clear_is_the_oracles_draw(backend, inv, monkeypatch):
+    """`draw_clear`, called on token windows and through `context_free_draw`
+    on datagen's form of a phone context, draws the words that
+    `oracles.draw_clear` draws with rng.randint and rng.choice and tests with
+    `window_sites`, and leaves rng in the same state: on the bundled table,
+    one with empty classes and one whose codes pass U+00FF; with '#', '@'
+    and wildcard slots, word-initial and word-final windows, lengths and
+    pools on both sides of powers of two, and a window every word holds."""
+    monkeypatch.setattr(kernels, "draw_clear", backend.draw_clear)
+    rng = random.Random(223)
+    boundary, anything = is_token("#"), feature_class("is_anything")
+    tables = (
+        (inv, ["a", "t", "e", "k"]),
+        (tiny_inventory(), ["a", "i", "n", "t"]),
+        (wide_inventory(), ["p0", "p1", "p129", "p130"]),
+    )
+    for table, phones in tables:
+        compiler = R._compiler(table)
+        codes = "".join(compiler.code[s] for s in table.segments)
+        pool = hand_built_pool(phones)
+        a = is_token(phones[0])
+        # word-initial and word-final windows, which only the first and the
+        # last start can hold; every word holds the wildcard ones
+        windows = [(boundary, SEP_PRED, a), (a, SEP_PRED, boundary), (boundary, SEP_PRED, anything),
+                   (anything, SEP_PRED, boundary), (SEP_PRED, anything, SEP_PRED)]
+        windows += [tuple(rng.sample(pool, rng.randrange(1, 5))) for _ in range(40)]
+        for k, window in enumerate(windows):
+            seed = rng.randrange(1 << 30)
+            for lo, hi in ((0, 3), (3, 10), (3, 12), (1, 1)) if k < 12 else ((3, 12),):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = kernels.draw_clear(ours.getrandbits, table.segments, codes, compiler.window(window, table),
+                                         lo, hi, 6, 40)
+                assert got == oracles.draw_clear(theirs, table.segments, window, table, lo, hi, 6, 40), window
+                assert ours.getstate() == theirs.getstate(), window
+        # datagen's phone contexts, through the entry point, at datagen's cap
+        contexts = [(anything,), (R.is_not_token("#"), anything)]  # every word holds these
+        contexts += [tuple(rng.sample(pool, rng.randrange(1, 4))) for _ in range(40)]
+        for k, preds in enumerate(contexts):
+            seed = rng.randrange(1 << 30)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = R.context_free_draw(preds, table, ours.getrandbits)(*datagen.WORD_LEN, 8, datagen.CONTEXT_REDRAWS)
+            want = oracles.draw_clear(theirs, table.segments, phone_window(preds), table, *datagen.WORD_LEN, 8, 40)
+            assert got == want and ours.getstate() == theirs.getstate(), preds
+            if k < 2:  # 40 redraws, and the 41st draw kept although it holds the context
+                assert all(window_sites(preds, word, table) for word in got)
+                check = random.Random(seed)
+                for _ in range(8 * 41):
+                    [check.choice(table.segments) for _ in range(check.randint(*datagen.WORD_LEN))]
+                assert check.getstate() == ours.getstate()
+    # long words, past the compiled kernel's stack buffer
+    compiler = R._compiler(inv)
+    codes = "".join(compiler.code[s] for s in inv.segments)
+    for window in ((is_token("a"), SEP_PRED, is_token("a")), (is_token("t"), SEP_PRED, boundary)):
+        ours, theirs = random.Random(7), random.Random(7)
+        got = kernels.draw_clear(ours.getrandbits, inv.segments, codes, compiler.window(window, inv), 60, 130, 5, 40)
+        assert got == oracles.draw_clear(theirs, inv.segments, window, inv, 60, 130, 5, 40)
+        assert ours.getstate() == theirs.getstate() and max(map(len, got)) > 64
 
 
 PLANE_15 = "\U000F0000\U000F0001\U000FFFFD"
