@@ -6,12 +6,8 @@ module (soundlaw._speedups) keeps the same ones; soundlaw.kernels runs this
 one only when the compiled module cannot be built on first import or
 loaded from its cache.  `find_sites` compiles each window to a regex, its
 first slot's class followed by a lookahead on the rest, and caches it, so
-this fallback keeps the speed of `re`'s search.  `window_sites`,
-`reference_apply` and `count_scan_occurrences` in `tests/oracles.py` are the
-independent oracles of both backends' matcher, splice and scan counts.  The *_bruteforce
-functions are exhaustive reference algorithms kept around as independent
-oracles for the dynamic programming paths — do not "optimize" them into the
-DP recurrences.
+this fallback keeps the speed of `re`'s search.  `tests/oracles.py` holds
+the independent oracles that both backends are checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from itertools import combinations
 
 
 def levenshtein(a, b) -> int:
@@ -78,42 +73,6 @@ def lcs_pair(a, b) -> tuple:
         else:
             i += 1
     return tuple(out)
-
-
-def levenshtein_bruteforce(a, b) -> int:
-    """Edit distance by exhaustive enumeration of monotone alignments.
-
-    Every unit-cost edit script corresponds to pairing k positions of `a`
-    with k positions of `b` in order: unpaired symbols cost 1 (insert or
-    delete), unequal paired symbols cost 1 (substitute).
-    """
-    m, n = len(a), len(b)
-    best = m + n
-    for k in range(1, min(m, n) + 1):
-        base = (m - k) + (n - k)
-        for ii in combinations(range(m), k):
-            sub_a = [a[i] for i in ii]
-            for jj in combinations(range(n), k):
-                cost = base + sum(x != b[j] for x, j in zip(sub_a, jj))
-                if cost < best:
-                    best = cost
-    return best
-
-
-def lcs_len_bruteforce(a, b) -> int:
-    """LCS length by enumerating every subsequence of the first argument."""
-    m = len(a)
-    if m > 20:
-        raise ValueError("bruteforce LCS limited to sequences of length <= 20")
-    best = 0
-    for mask in range(1 << m):
-        cnt = bin(mask).count("1")
-        if cnt <= best:
-            continue
-        it = iter(b)
-        if all(a[i] in it for i in range(m) if mask >> i & 1):
-            best = cnt
-    return best
 
 
 def scan_counts(candidates, words) -> list[int]:

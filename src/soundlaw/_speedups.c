@@ -5,18 +5,17 @@
  * docstring; soundlaw._native keeps the same one, and the test suite
  * asserts that the two backends agree and expose the same functions.  How
  * this module meets it: levenshtein compares each pair of symbols once,
- * inside its two-row DP; lcs_pair and the brute-force oracles read each
- * pair more than once, so they first fill an m x n equality table, and
- * their loops read it.  scan_counts interns symbols to small integers
- * through one dict per call.  splice_sites walks the words' lengths to
- * group the sites by word, builds each word's leftmost-wins edit map in an
- * array indexed by token and returns only the words whose output differs.
- * find_sites turns each slot into one bitmap, negation folded in, so a
- * one-byte text is matched by bit tests alone.  draw and draw_clear take
- * their bits through the caller's getrandbits, so they keep a seeded stream;
- * both draw through one below(), and draw_clear tests each word's encoding
- * against find_sites' bitmaps without building it.  soundlaw.kernels
- * compiles this file on first import.
+ * inside its two-row DP; lcs_pair reads each pair more than once, so it
+ * first fills an m x n equality table, which its DP and backtrack read.
+ * scan_counts interns symbols to small integers through one dict per call.
+ * splice_sites walks the words' lengths to group the sites by word, builds
+ * each word's leftmost-wins edit map in an array indexed by token and
+ * returns only the words whose output differs.  find_sites turns each slot
+ * into one bitmap, negation folded in, so a one-byte text is matched by bit
+ * tests alone.  draw and draw_clear take their bits through the caller's
+ * getrandbits, so they keep a seeded stream; both draw through one below(),
+ * and draw_clear tests each word's encoding against find_sites' bitmaps
+ * without building it.  soundlaw.kernels compiles this file on first import.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -212,97 +211,6 @@ lcs_pair(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     pair_close(&p);
     return out;
-}
-
-/* Advance `comb` (k increasing indices below n) to the next combination in
- * lexicographic order; 0 once the last one has been passed. */
-static int
-next_comb(Py_ssize_t *comb, Py_ssize_t k, Py_ssize_t n)
-{
-    Py_ssize_t i = k - 1, j;
-    while (i >= 0 && comb[i] == n - k + i)
-        i--;
-    if (i < 0)
-        return 0;
-    comb[i]++;
-    for (j = i + 1; j < k; j++)
-        comb[j] = comb[j - 1] + 1;
-    return 1;
-}
-
-PyDoc_STRVAR(levenshtein_bruteforce_doc,
-             "Edit distance by exhaustive enumeration of monotone alignments.");
-
-static PyObject *
-levenshtein_bruteforce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    Pair p;
-    Py_ssize_t k, t, kmax, cost, best, *ii, *jj;
-    if (pair_open(&p, args, nargs, "levenshtein_bruteforce") < 0)
-        return NULL;
-    best = p.m + p.n;
-    kmax = p.m < p.n ? p.m : p.n;
-    if (pair_reserve(&p, 2, kmax, 1) < 0)
-        return NULL;
-    ii = p.work;
-    jj = ii + kmax;
-    for (k = 1; k <= kmax; k++) {
-        for (t = 0; t < k; t++)
-            ii[t] = t;
-        do {
-            for (t = 0; t < k; t++)
-                jj[t] = t;
-            do {
-                cost = (p.m - k) + (p.n - k);
-                for (t = 0; t < k; t++)
-                    cost += !p.eq[ii[t] * p.n + jj[t]];
-                if (cost < best)
-                    best = cost;
-            } while (next_comb(jj, k, p.n));
-        } while (next_comb(ii, k, p.m));
-    }
-    pair_close(&p);
-    return PyLong_FromSsize_t(best);
-}
-
-PyDoc_STRVAR(lcs_len_bruteforce_doc,
-             "LCS length by enumerating every subsequence of the first argument.");
-
-static PyObject *
-lcs_len_bruteforce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    Pair p;
-    Py_ssize_t i, j, cnt, best = 0, m = nargs == 2 ? PyObject_Length(args[0]) : 0;
-    unsigned long mask;
-    if (m < 0)
-        return NULL;
-    if (m > 20) {
-        PyErr_SetString(PyExc_ValueError,
-                        "bruteforce LCS limited to sequences of length <= 20");
-        return NULL;
-    }
-    if (pair_open(&p, args, nargs, "lcs_len_bruteforce") < 0 || pair_reserve(&p, 0, 0, 1) < 0)
-        return NULL;
-    for (mask = 0; mask < (1UL << p.m); mask++) {
-        for (cnt = i = 0; i < p.m; i++)
-            cnt += (mask >> i) & 1UL;
-        if (cnt <= best)
-            continue;
-        /* greedy leftmost embedding of the chosen symbols into b */
-        for (i = j = 0; i < p.m; i++) {
-            if (!((mask >> i) & 1UL))
-                continue;
-            while (j < p.n && !p.eq[i * p.n + j])
-                j++;
-            if (j == p.n)
-                break;
-            j++;
-        }
-        if (i == p.m)
-            best = cnt;
-    }
-    pair_close(&p);
-    return PyLong_FromSsize_t(best);
 }
 
 /* Intern each symbol of `fast` to a small integer through the dict `code`. */
@@ -1078,10 +986,6 @@ release:
 static PyMethodDef methods[] = {
     {"levenshtein", (PyCFunction)(void (*)(void))levenshtein, METH_FASTCALL, levenshtein_doc},
     {"lcs_pair", (PyCFunction)(void (*)(void))lcs_pair, METH_FASTCALL, lcs_pair_doc},
-    {"levenshtein_bruteforce", (PyCFunction)(void (*)(void))levenshtein_bruteforce,
-     METH_FASTCALL, levenshtein_bruteforce_doc},
-    {"lcs_len_bruteforce", (PyCFunction)(void (*)(void))lcs_len_bruteforce, METH_FASTCALL,
-     lcs_len_bruteforce_doc},
     {"scan_counts", (PyCFunction)(void (*)(void))scan_counts, METH_FASTCALL, scan_counts_doc},
     {"splice_sites", (PyCFunction)(void (*)(void))splice_sites, METH_FASTCALL, splice_sites_doc},
     {"find_sites", (PyCFunction)(void (*)(void))find_sites, METH_FASTCALL, find_sites_doc},

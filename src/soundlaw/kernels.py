@@ -3,11 +3,9 @@ contracts, which both backends keep.
 
 The pairwise kernels `levenshtein(a, b)` (unit-cost edit distance) and
 `lcs_pair(a, b)` (a longest common subsequence, the one whose match
-positions in `a` are leftmost), and their exhaustive oracles
-`levenshtein_bruteforce` and `lcs_len_bruteforce` (which raises ValueError
-past 20 symbols of `a`), compare symbols with `==`, so symbols need not be
-hashable; the compiled ones compare a snapshot of their operands, so no
-`__eq__` can change them mid-call.
+positions in `a` are leftmost) compare symbols with `==`, so symbols need
+not be hashable; the compiled ones compare a snapshot of their operands, so
+no `__eq__` can change them mid-call.
 
 `scan_counts(candidates, words)` weights idp-pi context candidates in one
 call: for each candidate, the disjoint occurrences one left-to-right scan
@@ -63,8 +61,7 @@ is compiled on first import with the interpreter's configured C compiler
 extension suffix, so later imports only load it, and a build of an older
 source is never loaded.
 Without a compiler, the Python headers or a writable cache, the pure-Python
-twin `_native` runs instead: it is correct but far slower, and misses the
-acceptance suite's A07 budget.
+twin `_native` runs instead: it is correct but far slower.
 
 `BACKEND` is ``"c"`` or ``"python"``; `BACKEND_REASON` says why.  Both
 backends expose the identical function set (a test checks it).
@@ -163,8 +160,6 @@ _impl, BACKEND, BACKEND_REASON = _load()
 
 levenshtein = _impl.levenshtein
 lcs_pair = _impl.lcs_pair
-levenshtein_bruteforce = _impl.levenshtein_bruteforce
-lcs_len_bruteforce = _impl.lcs_len_bruteforce
 scan_counts = _impl.scan_counts
 splice_sites = _impl.splice_sites
 find_sites = _impl.find_sites

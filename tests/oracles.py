@@ -1,12 +1,85 @@
 """Independent oracles that tests check the kernels and the law engine against.
 
+The distance oracles share no code and no equality table with either
+kernel backend.
+
 A law's slots are read here token by token, through
 `SegmentInventory.in_class`: none of these functions shares the reading of
 a slot (`rules._slot_tokens`), the encoding, the matcher or the splice with
 the package.
 """
 
+from itertools import combinations, product
+
 from soundlaw.phonology import preprocess
+
+
+def levenshtein_bruteforce(a, b) -> int:
+    """Edit distance by exhaustive enumeration of monotone alignments.
+
+    Every unit-cost edit script corresponds to pairing k positions of `a`
+    with k positions of `b` in order: unpaired symbols cost 1 (insert or
+    delete), unequal paired symbols cost 1 (substitute).
+    """
+    m, n = len(a), len(b)
+    best = m + n
+    for k in range(1, min(m, n) + 1):
+        base = (m - k) + (n - k)
+        for ii in combinations(range(m), k):
+            sub_a = [a[i] for i in ii]
+            for jj in combinations(range(n), k):
+                cost = base + sum(x != b[j] for x, j in zip(sub_a, jj))
+                if cost < best:
+                    best = cost
+    return best
+
+
+def lcs_len_bruteforce(a, b) -> int:
+    """LCS length by enumerating every subsequence of the first argument."""
+    m = len(a)
+    if m > 20:
+        raise ValueError("bruteforce LCS limited to sequences of length <= 20")
+    best = 0
+    for mask in range(1 << m):
+        cnt = bin(mask).count("1")
+        if cnt <= best:
+            continue
+        it = iter(b)
+        if all(a[i] in it for i in range(m) if mask >> i & 1):
+            best = cnt
+    return best
+
+
+def grid_distances(alphabet, max_len):
+    """(words, edit, indel): every word of up to `max_len` symbols of
+    `alphabet`, shortest first, and the all-pairs edit distance and indel
+    distance (insertions and deletions only) between them, as integer
+    matrices indexed like `words`.
+
+    Both are shortest paths over the graph of one-edit neighbours: edit
+    distance over its substitute, insert and delete edges, indel distance
+    over its insert and delete edges alone.  The graph is exact on such a
+    grid: an optimal script can delete, then substitute, then insert, so no
+    word along it is longer than the longer operand or leaves the alphabet.
+    The LCS length of a and b is (len(a) + len(b) - indel) / 2.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    words = [w for length in range(max_len + 1) for w in product(alphabet, repeat=length)]
+    index = {w: i for i, w in enumerate(words)}
+    deletes, substitutes = [], []
+    for i, w in enumerate(words):
+        for k, sym in enumerate(w):
+            deletes.append((i, index[w[:k] + w[k + 1:]]))
+            substitutes.extend((i, index[w[:k] + (other,) + w[k + 1:]]) for other in alphabet if other != sym)
+
+    def distances(edges):
+        rows, cols = zip(*edges)
+        graph = coo_matrix(([1] * len(edges), (rows, cols)), shape=(len(words), len(words))).tocsr()
+        return shortest_path(graph, directed=False, unweighted=True).astype(int)
+
+    return words, distances(deletes + substitutes), distances(deletes)
 
 
 def count_scan_occurrences(candidate, word) -> int:

@@ -12,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from oracles import count_scan_occurrences
+from oracles import count_scan_occurrences, grid_distances, lcs_len_bruteforce, levenshtein_bruteforce
 
 import soundlaw
 from soundlaw import _native, kernels
@@ -66,27 +66,44 @@ def test_levenshtein_metric_axioms():
 
 def test_dp_matches_bruteforce_small_grid():
     words = words_up_to("ab", 4)
-    for a in words:
-        for b in words:
-            assert kernels.levenshtein(a, b) == kernels.levenshtein_bruteforce(a, b)
-            assert len(kernels.lcs_pair(a, b)) == kernels.lcs_len_bruteforce(a, b)
+    for backend in (kernels, _native):
+        for a in words:
+            for b in words:
+                assert backend.levenshtein(a, b) == levenshtein_bruteforce(a, b)
+                assert len(backend.lcs_pair(a, b)) == lcs_len_bruteforce(a, b)
+
+
+def test_grid_distances_equal_the_bruteforce():
+    """A07's shortest-path oracle agrees with the enumerating one on every
+    pair of a smaller grid."""
+    pytest.importorskip("scipy.sparse.csgraph")
+    words, edit, indel = grid_distances("abc", 4)
+    assert words == words_up_to("abc", 4)
+    for i, a in enumerate(words):
+        for j, b in enumerate(words):
+            assert edit[i, j] == levenshtein_bruteforce(a, b), (a, b)
+            assert len(a) + len(b) - indel[i, j] == 2 * lcs_len_bruteforce(a, b), (a, b)
 
 
 def test_lcs_properties():
     rng = random.Random(9)
     alpha = ["a", "b", "c"]
-    for _ in range(400):
-        a = tuple(rng.choice(alpha) for _ in range(rng.randrange(0, 7)))
-        b = tuple(rng.choice(alpha) for _ in range(rng.randrange(0, 7)))
-        got = kernels.lcs_pair(a, b)
-        # it is a common subsequence...
-        for seq in (a, b):
-            it = iter(seq)
-            assert all(sym in it for sym in got)
-        # ...of maximal length
-        assert len(got) == kernels.lcs_len_bruteforce(a, b)
-    assert kernels.lcs_pair(("x", "y"), ("x", "y")) == ("x", "y")
-    assert len(kernels.lcs_pair(("a", "b"), ("b", "a"))) == 1
+
+    def word():
+        return tuple(rng.choice(alpha) for _ in range(rng.randrange(0, 7)))
+
+    pairs = [(word(), word()) for _ in range(400)]
+    for backend in (kernels, _native):
+        for a, b in pairs:
+            got = backend.lcs_pair(a, b)
+            # it is a common subsequence...
+            for seq in (a, b):
+                it = iter(seq)
+                assert all(sym in it for sym in got)
+            # ...of maximal length
+            assert len(got) == lcs_len_bruteforce(a, b)
+        assert backend.lcs_pair(("x", "y"), ("x", "y")) == ("x", "y")
+        assert len(backend.lcs_pair(("a", "b"), ("b", "a"))) == 1
 
 
 def test_backends_agree():
@@ -99,14 +116,10 @@ def test_backends_agree():
         b = tuple(rng.choice(alpha) for _ in range(rng.randrange(0, 8)))
         assert kernels.levenshtein(a, b) == _native.levenshtein(a, b)
         assert kernels.lcs_pair(a, b) == _native.lcs_pair(a, b)
-        assert kernels.levenshtein_bruteforce(a, b) == _native.levenshtein_bruteforce(a, b)
-        assert kernels.lcs_len_bruteforce(a, b) == _native.lcs_len_bruteforce(a, b)
         # character strings, as evaluation passes them under --char-level
         sa, sb = "".join(a), "".join(b)
         assert kernels.levenshtein(sa, sb) == _native.levenshtein(sa, sb)
         assert kernels.lcs_pair(sa, sb) == _native.lcs_pair(sa, sb)
-        assert kernels.levenshtein_bruteforce(sa, sb) == _native.levenshtein_bruteforce(sa, sb)
-        assert kernels.lcs_len_bruteforce(sa, sb) == _native.lcs_len_bruteforce(sa, sb)
     for _ in range(300):
         words = [tuple(rng.choice(alpha) for _ in range(rng.randrange(0, 10))) for _ in range(rng.randrange(0, 8))]
         # "z" is in no word; repeats and the empty candidate come up by chance
@@ -152,16 +165,18 @@ def equality_classes(*seqs):
 
 
 def assert_matches_equality_classes(backend, a, b, bruteforce=True):
-    """`backend`'s kernels on (a, b) equal `_native`'s on their equality classes."""
+    """`backend`'s kernels on (a, b) equal `_native`'s, and the brute-force
+    oracles', on their equality classes."""
     got_lcs = backend.lcs_pair(a, b)
     if isinstance(a, tuple):  # the LCS holds symbols of `a`, whatever `b` holds equal to them
         assert all(any(sym is x for x in a) for sym in got_lcs)
     ca, cb, c_lcs = equality_classes(a, b, got_lcs)
     assert c_lcs == _native.lcs_pair(ca, cb)
-    assert backend.levenshtein(a, b) == _native.levenshtein(ca, cb)
+    d = backend.levenshtein(a, b)
+    assert d == _native.levenshtein(ca, cb)
     if bruteforce:
-        assert backend.levenshtein_bruteforce(a, b) == _native.levenshtein(ca, cb)
-        assert backend.lcs_len_bruteforce(a, b) == len(c_lcs)
+        assert d == levenshtein_bruteforce(ca, cb)
+        assert len(got_lcs) == lcs_len_bruteforce(ca, cb)
 
 
 BACKENDS = pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
@@ -198,7 +213,7 @@ def test_pairwise_kernels_past_the_stack_buffer(backend):
     # the brute-force oracles stay cheap with one short operand
     assert_matches_equality_classes(backend, word(1), word(2100))
     a, b = word(3), word(700)
-    assert backend.lcs_len_bruteforce(a, b) == len(_native.lcs_pair(*equality_classes(a, b)))
+    assert len(backend.lcs_pair(a, b)) == lcs_len_bruteforce(*equality_classes(a, b))
 
 
 def test_compiled_levenshtein_keeps_two_rows():
@@ -226,9 +241,7 @@ class RaisingEq:
 
 @BACKENDS
 @pytest.mark.parametrize("name, m, n", [
-    ("levenshtein", 3, 4), ("lcs_pair", 3, 4), ("levenshtein_bruteforce", 3, 4), ("lcs_len_bruteforce", 3, 4),
-    ("levenshtein", 60, 60), ("lcs_pair", 60, 60), ("levenshtein_bruteforce", 1, 2100),
-    ("lcs_len_bruteforce", 1, 2100),
+    ("levenshtein", 3, 4), ("lcs_pair", 3, 4), ("levenshtein", 60, 60), ("lcs_pair", 60, 60),
 ])
 def test_an_eq_that_raises_propagates(backend, name, m, n):
     a = ("a",) * (m - 1) + (RaisingEq(),)
@@ -247,7 +260,7 @@ def test_compiled_kernels_keep_their_operands_while_comparing():
             victim.clear()
             return False
 
-    for name in ("levenshtein", "lcs_pair", "levenshtein_bruteforce", "lcs_len_bruteforce"):
+    for name in ("levenshtein", "lcs_pair"):
         victim = [Emptying(), "a", "b", "c"]
         snapshot = tuple(victim)
         assert getattr(kernels, name)(victim, ("a", "b", "c")) == getattr(_native, name)(snapshot, ("a", "b", "c"))
@@ -432,8 +445,6 @@ def leak_probe_calls():
     good = {
         "levenshtein": [(["a", "b", "c"], ["a", "c", "d"])],
         "lcs_pair": [(["a", "b", "c"], ["a", "c", "d"])],
-        "levenshtein_bruteforce": [(["a", "b"], ["b", "a", "b"])],
-        "lcs_len_bruteforce": [(["a", "b"], ["b", "a", "b"])],
         "scan_counts": [([["a", "b"], []], [["a", "b", "a", "b"], ["b"]])],
         "splice_sites": [([["a", "b"], ["a"]], [2, 9], [[0, 1, ["e"]], [2, 3, ["f", "g"]]])],
         "find_sites": [("#@\x80@\x81@#\n#@\x80@#", window)],
@@ -448,8 +459,6 @@ def leak_probe_calls():
     bad = {
         "levenshtein": [(5, ["a"]), (raising, ["a", "b"]), (["a"],)],
         "lcs_pair": [(5, ["a"]), (raising, ["a", "b"])],
-        "levenshtein_bruteforce": [(5, ["a"]), (raising, ["a", "b"])],
-        "lcs_len_bruteforce": [(["a"] * 21, ["a"]), (raising, ["a", "b"])],
         "scan_counts": [([5], [["a"]]), ([["a"]], [["a"], 5]), ([["a"]],)],
         "splice_sites": [
             ([["a"]], [2], [[0, 1]]),  # an edit of two fields
@@ -508,11 +517,6 @@ def test_compiled_kernels_leak_nothing_on_good_or_malformed_input():
     finally:
         tracemalloc.stop()
     assert grown < 16_384, f"{grown} bytes held after {2000 * len(calls)} calls"
-
-
-def test_bruteforce_lcs_guard():
-    with pytest.raises(ValueError):
-        kernels.lcs_len_bruteforce(tuple("a" * 21), ("a",))
 
 
 def import_kernels(cache, **env):
