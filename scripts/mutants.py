@@ -49,9 +49,7 @@ CATALOGUE = [
            "d = prev[j - 1] + (ai != b[j - 1])", "d = prev[j - 1] + 2 * (ai != b[j - 1])",
            "python", (A07, "tests/test_kernels.py")),
     Mutant("lcs_pair drops its last match", "src/soundlaw/_speedups.c",
-           "out = PyTuple_New(L[0]);\n    for (i = j = k = 0; out != NULL && i < p.m && j < p.n;) {",
-           "out = PyTuple_New(L[0] > 0 ? L[0] - 1 : 0);\n"
-           "    for (i = j = k = 0; out != NULL && i < p.m && j < p.n && k < PyTuple_GET_SIZE(out);) {",
+           "out != NULL && k < L[0] && i < p.m", "out != NULL && k < L[0] - 1 && i < p.m",
            "c", (A07, "tests/test_kernels.py")),
     Mutant("lcs_pair drops its last match", "src/soundlaw/_native.py",
            "            i += 1\n    return tuple(out)", "            i += 1\n    return tuple(out[:-1])",
@@ -76,8 +74,35 @@ CATALOGUE = [
            "    k = (n - 1).bit_length()\n    r = getrandbits(k)\n    while not 0 <= r < n:",
            "python", ("tests/test_kernels.py", "tests/test_datagen.py")),
     Mutant("draw_clear's window scan skips the last start", "src/soundlaw/_speedups.c",
-           "for (i = 0; i + win->w <= ntok; i++) {", "for (i = 0; i + win->w < ntok; i++) {",
+           "for (i = 0; i + win->w <= n; i++) {", "for (i = 0; i + win->w < n; i++) {",
            "c", ("tests/test_rules.py",)),
+    Mutant("lcs_pair's backtrack takes a pair without comparing it", "src/soundlaw/_speedups.c",
+           "if ((r = same(p.a[i], p.b[j])) < 0)\n            Py_CLEAR(out);",
+           "if ((r = L[i * w + j] > L[i * w + j + 1] && L[i * w + j] > L[(i + 1) * w + j]) < 0)\n"
+           "            Py_CLEAR(out);",
+           "c", ("tests/test_kernels.py",)),
+    Mutant("lcs_pair's backtrack takes a pair without comparing it", "src/soundlaw/_native.py",
+           "        if a[i] == b[j]:\n", "        if L[i][j] > L[i][j + 1] and L[i][j] > L[i + 1][j]:\n",
+           "python", ("tests/test_kernels.py",)),
+    Mutant("lcs_pair keeps empty slots after a backtrack that takes fewer pairs", "src/soundlaw/_speedups.c",
+           "    if (out != NULL && k < L[0])\n        _PyTuple_Resize(&out, k);\n", "",
+           "c", ("tests/test_kernels.py",)),
+    Mutant("a negated slot matches the newline", "src/soundlaw/_speedups.c",
+           "            map['\\n' >> 3] &= (unsigned char)~(1u << ('\\n' & 7));\n", "",
+           "c", ("tests/test_rules.py",)),
+    Mutant("a negated slot matches the newline", "src/soundlaw/_native.py",
+           'f"[^\\n{chars}]"', 'f"[^\\x00{chars}]"',
+           "python", ("tests/test_rules.py",)),
+    Mutant("a window consumes all its slots", "src/soundlaw/_native.py",
+           "re.compile(f\"{first}(?={''.join(rest)})\")", "re.compile(f\"{first}{''.join(rest)}\")",
+           "python", ("tests/test_rules.py",)),
+    Mutant("a splice line of 2 * len + 2", "src/soundlaw/_speedups.c",
+           "end = first + 2 * n + 3;", "end = first + 2 * n + 2;",
+           "c", ("tests/test_rules.py", "tests/test_datagen.py")),
+    Mutant("a feature class missing one member", "src/soundlaw/rules.py",
+           "name: tuple(t for t in inv.features if inv.in_class(name, t)) for name",
+           "name: tuple(t for t in inv.features if inv.in_class(name, t))[1:] for name",
+           "c", ("tests/test_rules.py", "tests/test_audit.py")),
 ]
 
 

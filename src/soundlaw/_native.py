@@ -267,9 +267,9 @@ def draw(getrandbits, pools) -> list:
 
 def draw_clear(getrandbits, pool, codes, slots, lo, hi, count, redraws) -> list:
     """`count` words over `pool`, each of `lo + below(hi - lo + 1)` phones
-    `pool[below(len(pool))]`; a word whose encoding the window of (negated,
-    chars) slots matches, `codes[i]` standing for `pool[i]`, is drawn again,
-    and after `redraws` redraws the last draw is kept untested."""
+    `pool[below(len(pool))]`; a word whose phones' codes the window of
+    (negated, chars) slots matches, `codes[i]` standing for `pool[i]`, is
+    drawn again, and after `redraws` redraws the last draw is kept untested."""
     if not isinstance(codes, str):
         raise TypeError("codes must be a str")
     lo, hi, count, redraws = (
@@ -290,7 +290,7 @@ def draw_clear(getrandbits, pool, codes, slots, lo, hi, count, redraws) -> list:
             picks = [_below(getrandbits, len(pool)) for _ in range(lo + _below(getrandbits, hi - lo + 1))]
             if tries == redraws:
                 break
-            if next(finditer("#@" + "".join(codes[r] + "@" for r in picks) + "#"), None) is None:
+            if next(finditer("".join([codes[r] for r in picks])), None) is None:
                 break
         out.append(tuple(pool[r] for r in picks))
     return out

@@ -5,8 +5,9 @@
  * docstring; soundlaw._native keeps the same one, and the test suite
  * asserts that the two backends agree and expose the same functions.  How
  * this module meets it: levenshtein compares each pair of symbols once,
- * inside its two-row DP; lcs_pair reads each pair more than once, so it
- * first fills an m x n equality table, which its DP and backtrack read.
+ * inside its two-row DP; lcs_pair compares inside its DP and again along its
+ * backtrack, as its pure-Python twin does, and keeps at most as many pairs
+ * as the DP counted.
  * scan_counts interns symbols to small integers through one dict per call.
  * splice_sites walks the words' lengths to group the sites by word, builds
  * each word's leftmost-wins edit map in an array indexed by token and
@@ -14,29 +15,27 @@
  * into one bitmap, negation folded in, so a one-byte text is matched by bit
  * tests alone.  draw and draw_clear take their bits through the caller's
  * getrandbits, so they keep a seeded stream; both draw through one below(),
- * and draw_clear tests each word's encoding against find_sites' bitmaps
- * without building it.  soundlaw.kernels compiles this file on first import.
+ * and draw_clear tests each word's phone codes against find_sites' bitmaps
+ * without joining them.  soundlaw.kernels compiles this file on first import.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* Bytes of DP slots and equality table a call keeps on the stack; a larger
- * pair takes them from the heap.  An lcs_pair of up to 14 x 14 symbols fits,
- * which covers every pair of idp-pi's words; one PyMem_Malloc per call
- * instead read idp_pi's wall_ref 4.6% slower, in 10 of 10 pairs of runs
- * (BENCH_20.json). */
+/* Bytes of DP slots a call keeps on the stack, 256 of them; a larger pair
+ * takes them from the heap.  An lcs_pair of (m + 1)(n + 1) <= 256 slots fits,
+ * so up to 15 x 15 symbols, which covers every pair of idp-pi's words; one
+ * PyMem_Malloc per call instead read idp_pi's wall_ref 4.6% slower, in 10 of
+ * 10 pairs of runs (BENCH_20.json). */
 #define PAIR_STACK 2048
 
 /* Both operands of one call, as tuples so that no __eq__ can change them
- * under the kernel, and the kernel's work area: its DP slots, then (if it
- * asked for one) eq[i * n + j], which is 1 when a[i] == b[j]. */
+ * under the kernel, and the kernel's DP slots. */
 typedef struct {
     PyObject *ta, *tb;
     PyObject **a, **b;
     Py_ssize_t m, n;
     Py_ssize_t *work;
-    unsigned char *eq;
     void *heap;
     Py_ssize_t stack[PAIR_STACK / sizeof(Py_ssize_t)];
 } Pair;
@@ -89,45 +88,23 @@ pair_open(Pair *p, PyObject *const *args, Py_ssize_t nargs, const char *name)
     return 0;
 }
 
-/* Reserve rows * cols DP slots and, when `table` is set, fill the equality
- * table after them; on failure the pair is closed and an exception set. */
+/* Reserve rows * cols DP slots; on failure the pair is closed and an
+ * exception set. */
 static int
-pair_reserve(Pair *p, Py_ssize_t rows, Py_ssize_t cols, int table)
+pair_reserve(Pair *p, Py_ssize_t rows, Py_ssize_t cols)
 {
-    Py_ssize_t i, j, words, cells = 0;
-    size_t bytes;
-    unsigned char *eq;
-    int r;
-    if (table) {
-        if (p->n > 0 && p->m > PY_SSIZE_T_MAX / p->n)
-            goto nomem;
-        cells = p->m * p->n;
-    }
-    if (cols > 0 && rows > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Py_ssize_t) / cols)
-        goto nomem;
-    words = rows * cols;
-    if (words > (PY_SSIZE_T_MAX - cells) / (Py_ssize_t)sizeof(Py_ssize_t))
-        goto nomem;
-    bytes = (size_t)words * sizeof(Py_ssize_t) + (size_t)cells;
-    if (bytes <= sizeof(p->stack))
+    if (cols > 0 && rows > PY_SSIZE_T_MAX / cols)
+        p->work = NULL;
+    else if (rows * cols <= (Py_ssize_t)Py_ARRAY_LENGTH(p->stack))
         p->work = p->stack;
-    else if ((p->work = p->heap = PyMem_Malloc(bytes)) == NULL)
-        goto nomem;
-    p->eq = eq = (unsigned char *)(p->work + words);
-    for (i = 0; table && i < p->m; i++) {
-        for (j = 0; j < p->n; j++) {
-            if ((r = same(p->a[i], p->b[j])) < 0) {
-                pair_close(p);
-                return -1;
-            }
-            *eq++ = (unsigned char)r;
-        }
+    else
+        p->work = p->heap = PyMem_New(Py_ssize_t, rows * cols);
+    if (p->work == NULL) {
+        PyErr_NoMemory();
+        pair_close(p);
+        return -1;
     }
     return 0;
-nomem:
-    PyErr_NoMemory();
-    pair_close(p);
-    return -1;
 }
 
 PyDoc_STRVAR(levenshtein_doc, "Unit-cost edit distance between two symbol sequences.");
@@ -139,7 +116,7 @@ levenshtein(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t i, j, d, *prev, *cur, *tmp;
     int r;
     /* each cell is read once, so the DP compares in place and keeps two rows */
-    if (pair_open(&p, args, nargs, "levenshtein") < 0 || pair_reserve(&p, 2, p.n + 1, 0) < 0)
+    if (pair_open(&p, args, nargs, "levenshtein") < 0 || pair_reserve(&p, 2, p.n + 1) < 0)
         return NULL;
     prev = p.work;
     cur = prev + p.n + 1;
@@ -176,8 +153,8 @@ lcs_pair(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Pair p;
     Py_ssize_t i, j, k, w, *L;
     PyObject *out;
-    /* the backtrack reads the DP's equalities again, so both read one table */
-    if (pair_open(&p, args, nargs, "lcs_pair") < 0 || pair_reserve(&p, p.m + 1, p.n + 1, 1) < 0)
+    int r;
+    if (pair_open(&p, args, nargs, "lcs_pair") < 0 || pair_reserve(&p, p.m + 1, p.n + 1) < 0)
         return NULL;
     w = p.n + 1;
     /* L[i * w + j] is the LCS length of a[i:], b[j:] */
@@ -185,19 +162,26 @@ lcs_pair(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     for (j = 0; j <= p.n; j++)
         L[p.m * w + j] = 0;
     for (i = p.m - 1; i >= 0; i--) {
-        const unsigned char *eq = p.eq + i * p.n;
         Py_ssize_t *row = L + i * w, *below = row + w;
         row[p.n] = 0;
         for (j = p.n - 1; j >= 0; j--) {
-            if (eq[j])
+            if ((r = same(p.a[i], p.b[j])) < 0) {
+                pair_close(&p);
+                return NULL;
+            }
+            if (r)
                 row[j] = below[j + 1] + 1;
             else
                 row[j] = below[j] >= row[j + 1] ? below[j] : row[j + 1];
         }
     }
+    /* an __eq__ that answers otherwise than in the DP can take more pairs
+     * than L[0] or fewer: the tuple keeps at most the first L[0] */
     out = PyTuple_New(L[0]);
-    for (i = j = k = 0; out != NULL && i < p.m && j < p.n;) {
-        if (p.eq[i * p.n + j]) {
+    for (i = j = k = 0; out != NULL && k < L[0] && i < p.m && j < p.n;) {
+        if ((r = same(p.a[i], p.b[j])) < 0)
+            Py_CLEAR(out);
+        else if (r) {
             PyObject *sym = p.a[i];
             Py_INCREF(sym);
             PyTuple_SET_ITEM(out, k++, sym);
@@ -209,6 +193,8 @@ lcs_pair(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         else
             i++;
     }
+    if (out != NULL && k < L[0])
+        _PyTuple_Resize(&out, k);
     pair_close(&p);
     return out;
 }
@@ -874,25 +860,15 @@ done:
     return out;
 }
 
-/* Phones of a word whose picks draw_clear keeps on the stack; a longer word
- * takes the heap. */
-#define WORD_STACK 64
-
-/* Whether the window matches somewhere in the encoding of the word whose
- * phones are the pool items picks[0..n): "#@", then each phone's code and
- * "@", then "#", read token by token with no copy. */
+/* Whether the window matches consecutive phones of the word whose phones
+ * are the pool items picks[0..n), read through their codes with no copy. */
 static int
 word_holds(const Window *win, const Py_ssize_t *picks, Py_ssize_t n, int kind, const void *codes)
 {
-    Py_ssize_t i, j, t, ntok = 2 * n + 3;
-    Py_UCS4 ch;
-    for (i = 0; i + win->w <= ntok; i++) {
-        for (j = 0; j < win->w; j++) {
-            t = i + j;
-            ch = t == 0 || t == ntok - 1 ? '#' : t & 1 ? '@' : PyUnicode_READ(kind, codes, picks[(t >> 1) - 1]);
-            if (!slot_has(win, j, ch))
-                break;
-        }
+    Py_ssize_t i, j;
+    for (i = 0; i + win->w <= n; i++) {
+        for (j = 0; j < win->w && slot_has(win, j, PyUnicode_READ(kind, codes, picks[i + j])); j++)
+            ;
         if (j == win->w)
             return 1;
     }
@@ -908,8 +884,7 @@ draw_clear(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *getrandbits, *pool = NULL, *codes, *out = NULL, *word;
     Window win;
-    Py_ssize_t lo, hi, count, redraws, np, c, t, k, n, cap = 0;
-    Py_ssize_t stack[WORD_STACK], *heap = NULL, *picks;
+    Py_ssize_t lo, hi, count, redraws, np, c, t, k, n, cap = 0, *picks = NULL, *grown;
     if (nargs != 8) {
         PyErr_Format(PyExc_TypeError, "draw_clear() takes exactly 8 arguments (%zd given)", nargs);
         return NULL;
@@ -950,12 +925,9 @@ draw_clear(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             if ((n = below(getrandbits, hi - lo + 1)) < 0)
                 goto fail;
             n += lo;
-            if (n <= WORD_STACK)
-                picks = stack;
-            else if ((picks = grow(heap, &cap, n, sizeof(Py_ssize_t))) != NULL)
-                heap = picks;
-            else
+            if ((grown = grow(picks, &cap, n, sizeof(Py_ssize_t))) == NULL)
                 goto fail;
+            picks = grown;
             for (k = 0; k < n; k++) {
                 if ((picks[k] = below(getrandbits, np)) < 0)
                     goto fail;
@@ -976,7 +948,7 @@ draw_clear(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 fail:
     Py_CLEAR(out);
 done:
-    PyMem_Free(heap);
+    PyMem_Free(picks);
     PyMem_Free(win.heap);
 release:
     Py_DECREF(pool);

@@ -5,7 +5,10 @@ The pairwise kernels `levenshtein(a, b)` (unit-cost edit distance) and
 `lcs_pair(a, b)` (a longest common subsequence, the one whose match
 positions in `a` are leftmost) compare symbols with `==`, so symbols need
 not be hashable; the compiled ones compare a snapshot of their operands, so
-no `__eq__` can change them mid-call.
+no `__eq__` can change them mid-call.  `lcs_pair` compares each pair once in
+its DP and again along its backtrack, and an error of `__eq__` propagates
+from either; an `__eq__` that answers otherwise the second time still gets
+a tuple of symbols of `a`.
 
 `scan_counts(candidates, words)` weights idp-pi context candidates in one
 call: for each candidate, the disjoint occurrences one left-to-right scan
@@ -45,13 +48,12 @@ propagates.
 `draw_clear(getrandbits, pool, codes, slots, lo, hi, count, redraws)`
 returns `count` words, each a tuple of `lo + below(hi - lo + 1)` phones
 `pool[below(len(pool))]`, drawn in that order through the same below().
-`codes[i]` is `pool[i]`'s code in the encoding `find_sites` reads
-(`"#@" + c0 + "@" + c1 + "@" + ... + "#"`); while the window of `slots` matches
-a word's encoding somewhere, the word is drawn again, and after `redraws`
-redraws the last draw is kept untested.  With `rng.getrandbits`, it draws
-what `rng.randint(lo, hi)` and `rng.choice(pool)` would draw, and leaves
-rng in the same state.  An empty pool raises IndexError before any draw;
-`len(codes) != len(pool)`, `lo > hi` or a negative argument raises
+`codes[i]` is `pool[i]`'s code; while the window of `slots` matches the
+codes of consecutive phones of a word, the word is drawn again, and after
+`redraws` redraws the last draw is kept untested.  With `rng.getrandbits`,
+it draws what `rng.randint(lo, hi)` and `rng.choice(pool)` would draw, and
+leaves rng in the same state.  An empty pool raises IndexError before any
+draw; `len(codes) != len(pool)`, `lo > hi` or a negative argument raises
 ValueError, and an error of `getrandbits` propagates.
 
 The compiled kernels are the hand-written CPython module `_speedups.c`.  It

@@ -19,9 +19,9 @@ inventory.  One call of the `kernels.find_sites` kernel returns every site
 start of a window in a text, overlapping ones included; it tests each slot
 with one bit of a bitmap sized to the highest code the window names.
 Datagen reads the same slots: `slot_members` the token set a slot's class
-is built from, and `context_free_draw` the window and the segments' codes,
-which the `kernels.draw_clear` kernel tests each random word against as it
-draws it.
+is built from, and `context_free_draw` the classes of a phone context and
+the segments' codes, which the `kernels.draw_clear` kernel tests each
+random word's phones against as it draws it.
 
 Rewriting works on that encoding too (the compile-the-rewrite approach of
 Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
@@ -337,13 +337,13 @@ def find_matches(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> list
 def context_free_draw(preds: tuple[Predicate, ...], inv: SegmentInventory, getrandbits):
     """The draw of words free of a phone context: `draw(lo, hi, count,
     redraws)` returns `count` words over `inv.segments` through
-    `kernels.draw_clear`, each drawn again while the window `preds`, pinned
-    by '@' on both sides, matches consecutive phones of it.  The segments'
-    codes and the window's classes are bound once for every word drawn."""
+    `kernels.draw_clear`, each drawn again while the phone context `preds`
+    matches consecutive phones of it.  The segments' codes and the context's
+    classes, the slots `slot_members` reads, are bound once for every word
+    drawn."""
     compiler = _compiler(inv)
-    window = compiler.window((SEP_PRED, *interleave(preds), SEP_PRED), inv)
     codes = "".join(map(compiler.code.__getitem__, inv.segments))
-    return partial(kernels.draw_clear, getrandbits, inv.segments, codes, window)
+    return partial(kernels.draw_clear, getrandbits, inv.segments, codes, compiler.window(preds, inv))
 
 
 def slot_members(pred: Predicate, inv: SegmentInventory) -> list[str]:

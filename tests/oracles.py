@@ -153,11 +153,11 @@ def reference_apply(law, word, inv):
     return tuple(p for p in pieces if p not in ("#", "@"))
 
 
-def draw_clear(rng, pool, window, inv, lo, hi, count, redraws):
+def draw_clear(rng, pool, context, inv, lo, hi, count, redraws):
     """`count` words of `rng.randint(lo, hi)` phones `rng.choice(pool)`, each
-    drawn again while `window` has a site in its token sequence, `redraws`
-    times at most, the last draw kept untested: the draw of
-    `kernels.draw_clear`, with the window read token by token."""
+    drawn again while the phone context `context` has a site in its phones,
+    `redraws` times at most, the last draw kept untested: the draw of
+    `kernels.draw_clear`, with the context read phone by phone."""
     def word():
         return tuple(rng.choice(pool) for _ in range(rng.randint(lo, hi)))
 
@@ -165,7 +165,7 @@ def draw_clear(rng, pool, window, inv, lo, hi, count, redraws):
     for _ in range(count):
         drawn = word()
         for _ in range(redraws):
-            if not window_sites(window, preprocess(drawn), inv):
+            if not window_sites(context, drawn, inv):
                 break
             drawn = word()
         words.append(drawn)

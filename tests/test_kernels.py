@@ -1,8 +1,10 @@
 import importlib.machinery
+import importlib.util
 import inspect
 import itertools
 import os
 import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -200,8 +202,8 @@ def test_pairwise_kernels_compare_symbols_by_equality(backend, a, b):
 
 @BACKENDS
 def test_pairwise_kernels_past_the_stack_buffer(backend):
-    """Pairs whose DP rows and equality table outgrow the compiled kernels'
-    stack buffer (2048 bytes) take the heap path."""
+    """Pairs whose DP slots outgrow the compiled kernels' stack buffer (256
+    slots) take the heap path."""
     rng = random.Random(29)
     alpha = [*distinct(("tʰ", "a")), "tʰ", "a", "ʃ", 1, 1.0, [2]]
 
@@ -218,7 +220,7 @@ def test_pairwise_kernels_past_the_stack_buffer(backend):
 
 def test_compiled_levenshtein_keeps_two_rows():
     """levenshtein compares in place: a 3000 x 3000 pair needs two DP rows
-    (48 kB), not an m x n equality table (9 MB)."""
+    (48 kB), not an m x n table (9 MB)."""
     if kernels.BACKEND != "c":
         pytest.skip(f"compiled backend not built ({kernels.BACKEND_REASON}); nothing to check")
     a, b = distinct(("tʰ", "a") * 1500), ("a", "tʰ") * 1500
@@ -247,6 +249,57 @@ def test_an_eq_that_raises_propagates(backend, name, m, n):
     a = ("a",) * (m - 1) + (RaisingEq(),)
     with pytest.raises(RuntimeError, match="no comparison"):
         getattr(backend, name)(a, ("a", "b") * (n // 2))
+
+
+def late_answers(limit, count, late):
+    """A list of `count` symbols equal to "a" alone for their first `limit`
+    comparisons, counted together from each iteration of the list (so from
+    each call of a compiled kernel, which iterates it once), that answer
+    `late` to every later one, or raise it when it is an exception class."""
+    class Operand(list):
+        def __iter__(self):
+            self.calls = 0
+            return super().__iter__()
+
+    class Late:
+        def __eq__(self, other):
+            operand.calls += 1
+            if operand.calls <= limit:
+                return other == "a"
+            if isinstance(late, type):
+                raise late("no comparison")
+            return late
+
+        __hash__ = object.__hash__
+
+    operand = Operand(Late() for _ in range(count))
+    operand.calls = 0
+    return operand
+
+
+@BACKENDS
+@pytest.mark.parametrize("m, n", [(3, 4), (60, 60)])
+def test_an_eq_that_raises_in_the_lcs_backtrack_propagates(backend, m, n):
+    """lcs_pair compares again along its backtrack, after the DP's m * n
+    comparisons, and an error there propagates, on the stack and past it."""
+    with pytest.raises(RuntimeError, match="no comparison"):
+        backend.lcs_pair(late_answers(m * n, m, RuntimeError), ("a", "b") * (n // 2))
+
+
+@BACKENDS
+@pytest.mark.parametrize("late", [True, False])
+@pytest.mark.parametrize("m, n", [(3, 4), (60, 60)])
+def test_an_eq_that_changes_its_answer_in_the_lcs_backtrack(backend, late, m, n):
+    """An __eq__ that answers otherwise along the backtrack than in the DP,
+    so that the backtrack takes more pairs than the DP counted or fewer,
+    still gets a tuple of symbols of `a`: the compiled kernel neither writes
+    past the tuple it sized nor returns one with empty slots."""
+    a = late_answers(m * n, m, late)
+    got = backend.lcs_pair(a, ("b", "a") * (n // 2))
+    assert type(got) is tuple and len(got) <= min(m, n)
+    assert all(any(sym is x for x in a) for sym in got)
+    if not late:
+        assert got == ()
 
 
 def test_compiled_kernels_keep_their_operands_while_comparing():
@@ -373,7 +426,7 @@ def test_draw_rejects_malformed_input(backend, getrandbits, pools):
         backend.draw(getrandbits, pools)
 
 
-CLEAR_ARGS = (["a", "b", "c"], "\x80\x81\x82", [(False, "@"), (False, "\x80"), (False, "@")], 1, 4, 3, 5)
+CLEAR_ARGS = (["a", "b", "c"], "\x80\x81\x82", [(False, "\x80")], 1, 4, 3, 5)
 
 
 @pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
@@ -441,10 +494,13 @@ def leak_probe_calls():
     copies them into objects of its own."""
     rng = random.Random(5)
     window = [[False, "@"], [False, "\x80"], [False, "@"]]
-    pool, codes = ["a", "b", "c"], "\x80\x81\x82"
+    pool, codes, context = ["a", "b", "c"], "\x80\x81\x82", [[False, "\x80"], [True, "\x81"]]
     good = {
         "levenshtein": [(["a", "b", "c"], ["a", "c", "d"])],
-        "lcs_pair": [(["a", "b", "c"], ["a", "c", "d"])],
+        # and an __eq__ whose answers along the backtrack take more pairs
+        # than the DP counted, or fewer
+        "lcs_pair": [(["a", "b", "c"], ["a", "c", "d"]), (late_answers(12, 3, True), ["b", "a", "b", "a"]),
+                     (late_answers(12, 3, False), ["b", "a", "b", "a"])],
         "scan_counts": [([["a", "b"], []], [["a", "b", "a", "b"], ["b"]])],
         "splice_sites": [([["a", "b"], ["a"]], [2, 9], [[0, 1, ["e"]], [2, 3, ["f", "g"]]])],
         "find_sites": [("#@\x80@\x81@#\n#@\x80@#", window)],
@@ -452,13 +508,14 @@ def leak_probe_calls():
         # short words, and words past the kernel's stack buffer; none of 20
         # phones, as CPython 3.11 keeps every freed tuple of 20 items on a
         # free list that no new tuple is taken from
-        "draw_clear": [(rng.getrandbits, pool, codes, window, 1, 12, 3, 5),
-                       (rng.getrandbits, pool, codes, window, 65, 70, 3, 5)],
+        "draw_clear": [(rng.getrandbits, pool, codes, context, 1, 12, 3, 5),
+                       (rng.getrandbits, pool, codes, context, 65, 70, 3, 5)],
     }
     raising = [RaisingEq(), "b"]
     bad = {
         "levenshtein": [(5, ["a"]), (raising, ["a", "b"]), (["a"],)],
-        "lcs_pair": [(5, ["a"]), (raising, ["a", "b"])],
+        # an __eq__ that raises in the DP, and one that raises in the backtrack
+        "lcs_pair": [(5, ["a"]), (raising, ["a", "b"]), (late_answers(12, 3, RuntimeError), ["a", "b", "a", "b"])],
         "scan_counts": [([5], [["a"]]), ([["a"]], [["a"], 5]), ([["a"]],)],
         "splice_sites": [
             ([["a"]], [2], [[0, 1]]),  # an edit of two fields
@@ -474,16 +531,16 @@ def leak_probe_calls():
         "draw": [(rng.getrandbits, [pool, []]), (failing_after(1), [pool, pool]), (None, [pool]),
                  (lambda k: "0", [pool])],
         "draw_clear": [
-            (rng.getrandbits, [], "", window, 1, 3, 2, 5),  # an empty pool
-            (rng.getrandbits, pool, codes[:2], window, 1, 3, 2, 5),  # a code missing
-            (rng.getrandbits, pool, 5, window, 1, 3, 2, 5),  # codes that are no str
-            (rng.getrandbits, pool, codes, window, 4, 3, 2, 5),  # lo > hi
-            (rng.getrandbits, pool, codes, window, 1, 3, -1, 5),  # a negative count
-            (rng.getrandbits, pool, codes, [], 1, 3, 2, 5),  # a window of no slot
+            (rng.getrandbits, [], "", context, 1, 3, 2, 5),  # an empty pool
+            (rng.getrandbits, pool, codes[:2], context, 1, 3, 2, 5),  # a code missing
+            (rng.getrandbits, pool, 5, context, 1, 3, 2, 5),  # codes that are no str
+            (rng.getrandbits, pool, codes, context, 4, 3, 2, 5),  # lo > hi
+            (rng.getrandbits, pool, codes, context, 1, 3, -1, 5),  # a negative count
+            (rng.getrandbits, pool, codes, [], 1, 3, 2, 5),  # a context of no slot
             (rng.getrandbits, pool, codes, [[1, "a"]], 1, 3, 2, 5),  # a slot that is no (bool, str)
-            (failing_after(100), pool, codes, window, 66, 70, 3, 5),  # stops inside a long word
-            (lambda k: [k], pool, codes, window, 1, 3, 2, 5),  # bits that are no integer
-            (rng.getrandbits, pool, codes, window, 1, 3),  # too few arguments
+            (failing_after(100), pool, codes, context, 66, 70, 3, 5),  # stops inside a long word
+            (lambda k: [k], pool, codes, context, 1, 3, 2, 5),  # bits that are no integer
+            (rng.getrandbits, pool, codes, context, 1, 3),  # too few arguments
         ],
     }
     for name in good:
@@ -517,6 +574,25 @@ def test_compiled_kernels_leak_nothing_on_good_or_malformed_input():
     finally:
         tracemalloc.stop()
     assert grown < 16_384, f"{grown} bytes held after {2000 * len(calls)} calls"
+
+
+def test_mutant_catalogue_follows_the_code():
+    """Every entry of scripts/mutants.py names a text that occurs exactly
+    once in its file, a backend and test targets that exist, so a stale
+    catalogue shows here and not only when the minutes-long script runs."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("mutants", root / "scripts" / "mutants.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert len(script.CATALOGUE) >= 15
+    for mutant in script.CATALOGUE:
+        assert (root / mutant.file).read_text(encoding="utf-8").count(mutant.text) == 1, mutant
+        assert mutant.backend in ("c", "python") and mutant.targets, mutant
+        for target in mutant.targets:
+            module, _, name = target.partition("::")
+            assert (root / module).is_file(), target
+            if name:
+                assert re.search(rf"^def {re.escape(name)}\(", (root / module).read_text(encoding="utf-8"), re.M), target
 
 
 def import_kernels(cache, **env):

@@ -474,16 +474,18 @@ def test_find_sites_finds_the_sites_of_the_lookahead_form_and_the_scan(backend, 
 
 @BACKENDS
 def test_draw_clear_is_the_oracles_draw(backend, inv, monkeypatch):
-    """`draw_clear`, called on token windows and through `context_free_draw`
-    on datagen's form of a phone context, draws the words that
+    """`draw_clear`, called on the classes of phone contexts and through
+    `context_free_draw` at datagen's cap, draws the words that
     `oracles.draw_clear` draws with rng.randint and rng.choice and tests with
-    `window_sites`, and leaves rng in the same state: on the bundled table,
-    one with empty classes and one whose codes pass U+00FF; with '#', '@'
-    and wildcard slots, word-initial and word-final windows, lengths and
-    pools on both sides of powers of two, and a window every word holds."""
+    `window_sites` over their phones, and leaves rng in the same state: on
+    the bundled table, one with empty classes and one whose codes pass
+    U+00FF; with slots that name '#' or '@' and wildcard slots, lengths and
+    pools on both sides of powers of two, and contexts every word holds.
+    A phone context holds in a word exactly where datagen's form of it,
+    pinned by '@' on both sides, has a site in the word's token sequence."""
     monkeypatch.setattr(kernels, "draw_clear", backend.draw_clear)
     rng = random.Random(223)
-    boundary, anything = is_token("#"), feature_class("is_anything")
+    anything = feature_class("is_anything")
     tables = (
         (inv, ["a", "t", "e", "k"]),
         (tiny_inventory(), ["a", "i", "n", "t"]),
@@ -493,42 +495,44 @@ def test_draw_clear_is_the_oracles_draw(backend, inv, monkeypatch):
         compiler = R._compiler(table)
         codes = "".join(compiler.code[s] for s in table.segments)
         pool = hand_built_pool(phones)
-        a = is_token(phones[0])
-        # word-initial and word-final windows, which only the first and the
-        # last start can hold; every word holds the wildcard ones
-        windows = [(boundary, SEP_PRED, a), (a, SEP_PRED, boundary), (boundary, SEP_PRED, anything),
-                   (anything, SEP_PRED, boundary), (SEP_PRED, anything, SEP_PRED)]
-        windows += [tuple(rng.sample(pool, rng.randrange(1, 5))) for _ in range(40)]
-        for k, window in enumerate(windows):
+        contexts = [(anything,), (R.is_not_token("#"), anything)]  # every word holds these
+        contexts += [tuple(rng.sample(pool, rng.randrange(1, 5))) for _ in range(40)]
+        drawn = []
+        for k, preds in enumerate(contexts):
             seed = rng.randrange(1 << 30)
             for lo, hi in ((0, 3), (3, 10), (3, 12), (1, 1)) if k < 12 else ((3, 12),):
                 ours, theirs = random.Random(seed), random.Random(seed)
-                got = kernels.draw_clear(ours.getrandbits, table.segments, codes, compiler.window(window, table),
+                got = kernels.draw_clear(ours.getrandbits, table.segments, codes, compiler.window(preds, table),
                                          lo, hi, 6, 40)
-                assert got == oracles.draw_clear(theirs, table.segments, window, table, lo, hi, 6, 40), window
-                assert ours.getstate() == theirs.getstate(), window
-        # datagen's phone contexts, through the entry point, at datagen's cap
-        contexts = [(anything,), (R.is_not_token("#"), anything)]  # every word holds these
-        contexts += [tuple(rng.sample(pool, rng.randrange(1, 4))) for _ in range(40)]
-        for k, preds in enumerate(contexts):
+                assert got == oracles.draw_clear(theirs, table.segments, preds, table, lo, hi, 6, 40), preds
+                assert ours.getstate() == theirs.getstate(), preds
+            # datagen's phone contexts, through the entry point, at datagen's cap
             seed = rng.randrange(1 << 30)
             ours, theirs = random.Random(seed), random.Random(seed)
             got = R.context_free_draw(preds, table, ours.getrandbits)(*datagen.WORD_LEN, 8, datagen.CONTEXT_REDRAWS)
-            want = oracles.draw_clear(theirs, table.segments, phone_window(preds), table, *datagen.WORD_LEN, 8, 40)
+            want = oracles.draw_clear(theirs, table.segments, preds, table, *datagen.WORD_LEN, 8, 40)
             assert got == want and ours.getstate() == theirs.getstate(), preds
+            drawn += got
             if k < 2:  # 40 redraws, and the 41st draw kept although it holds the context
                 assert all(window_sites(preds, word, table) for word in got)
                 check = random.Random(seed)
                 for _ in range(8 * 41):
                     [check.choice(table.segments) for _ in range(check.randint(*datagen.WORD_LEN))]
                 assert check.getstate() == ours.getstate()
-    # long words, past the compiled kernel's stack buffer
+        outcomes = set()
+        for preds in contexts:
+            for word in drawn:
+                held = bool(window_sites(preds, word, table))
+                assert held == bool(window_sites(phone_window(preds), preprocess(word), table)), (preds, word)
+                outcomes.add(held)
+        assert outcomes == {False, True}
+    # long words, past 64 phones
     compiler = R._compiler(inv)
     codes = "".join(compiler.code[s] for s in inv.segments)
-    for window in ((is_token("a"), SEP_PRED, is_token("a")), (is_token("t"), SEP_PRED, boundary)):
+    for preds in ((is_token("a"), is_token("a")), (is_token("t"), R.in_set(("a", "e")))):
         ours, theirs = random.Random(7), random.Random(7)
-        got = kernels.draw_clear(ours.getrandbits, inv.segments, codes, compiler.window(window, inv), 60, 130, 5, 40)
-        assert got == oracles.draw_clear(theirs, inv.segments, window, inv, 60, 130, 5, 40)
+        got = kernels.draw_clear(ours.getrandbits, inv.segments, codes, compiler.window(preds, inv), 60, 130, 5, 40)
+        assert got == oracles.draw_clear(theirs, inv.segments, preds, inv, 60, 130, 5, 40)
         assert ours.getstate() == theirs.getstate() and max(map(len, got)) > 64
 
 
