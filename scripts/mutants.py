@@ -73,9 +73,42 @@ CATALOGUE = [
            "    k = n.bit_length()\n    r = getrandbits(k)\n    while not 0 <= r < n:",
            "    k = (n - 1).bit_length()\n    r = getrandbits(k)\n    while not 0 <= r < n:",
            "python", ("tests/test_kernels.py", "tests/test_datagen.py")),
-    Mutant("draw_clear's window scan skips the last start", "src/soundlaw/_speedups.c",
+    Mutant("draw_inputs' context-free test skips the last start", "src/soundlaw/_speedups.c",
            "for (i = 0; i + win->w <= n; i++) {", "for (i = 0; i + win->w < n; i++) {",
            "c", ("tests/test_rules.py",)),
+    Mutant("draw_inputs' shuffle draws below(i)", "src/soundlaw/_speedups.c",
+           "below(d.getrandbits, i + 1)", "below(d.getrandbits, i)",
+           "c", ("tests/test_kernels.py", "tests/test_datagen.py")),
+    Mutant("draw_inputs' shuffle draws below(i)", "src/soundlaw/_native.py",
+           "j = below(i + 1)", "j = below(i)",
+           "python", ("tests/test_kernels.py", "tests/test_datagen.py")),
+    Mutant("draw_inputs' two-interior layout swaps a and b", "src/soundlaw/_speedups.c",
+           "|| draw_context(&d, d.picks + 1 + a) < 0 || draw_context(&d, d.picks + 2 + a + b + w) < 0\n"
+           "            || draw_rest(&d, d.picks, 1 + a) < 0 || draw_rest(&d, d.picks + 1 + a + w, 1 + b) < 0",
+           "|| draw_context(&d, d.picks + 1 + b) < 0 || draw_context(&d, d.picks + 2 + a + b + w) < 0\n"
+           "            || draw_rest(&d, d.picks, 1 + b) < 0 || draw_rest(&d, d.picks + 1 + b + w, 1 + a) < 0",
+           "c", ("tests/test_kernels.py", "tests/test_datagen.py")),
+    Mutant("draw_inputs' two-interior layout swaps a and b", "src/soundlaw/_native.py",
+           "others[:1 + a] + first + others[1 + a:2 + a + b]", "others[:1 + b] + first + others[1 + b:2 + a + b]",
+           "python", ("tests/test_kernels.py", "tests/test_datagen.py")),
+    Mutant("draw_inputs' ends-with-context word draws its context first", "src/soundlaw/_speedups.c",
+           "|| draw_rest(&d, d.picks, total - w) < 0\n            || draw_context(&d, d.picks + total - w) < 0",
+           "|| draw_context(&d, d.picks + total - w) < 0\n            || draw_rest(&d, d.picks, total - w) < 0",
+           "c", ("tests/test_kernels.py", "tests/test_datagen.py")),
+    Mutant("draw_inputs' ends-with-context word draws its context first", "src/soundlaw/_native.py",
+           "        others = rest(length(w) - w)\n        words.append(others + context())",
+           "        total = length(w)\n        ctx = context()\n        words.append(rest(total - w) + ctx)",
+           "python", ("tests/test_kernels.py", "tests/test_datagen.py")),
+    Mutant("draw_inputs' empty-slot path skips the first word's length", "src/soundlaw/_speedups.c",
+           "    tenth = n / 10;\n",
+           "    for (j = 0; j < w; j++) {\n        if (d.counts[j] == 0) {\n"
+           "            PyErr_SetString(PyExc_IndexError, \"a context slot has no member\");\n"
+           "            goto fail;\n        }\n    }\n    tenth = n / 10;\n",
+           "c", ("tests/test_kernels.py", "tests/test_datagen.py", "tests/test_rules.py")),
+    Mutant("draw_inputs' empty-slot path skips the first word's length", "src/soundlaw/_native.py",
+           "    w = len(members)\n",
+           "    if not all(members):\n        raise IndexError(\"a context slot has no member\")\n    w = len(members)\n",
+           "python", ("tests/test_kernels.py", "tests/test_datagen.py", "tests/test_rules.py")),
     Mutant("lcs_pair's backtrack takes a pair without comparing it", "src/soundlaw/_speedups.c",
            "if ((r = same(p.a[i], p.b[j])) < 0)\n            Py_CLEAR(out);",
            "if ((r = L[i * w + j] > L[i * w + j + 1] && L[i * w + j] > L[(i + 1) * w + j]) < 0)\n"

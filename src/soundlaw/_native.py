@@ -1,5 +1,5 @@
 """Pure-Python kernels: the string metrics, scan counting, the law engine's
-matcher and splice, and rp-ri's draws.
+matcher and splice, and rp-ri's draw of a task's input words.
 
 Their contracts are stated once, in soundlaw.kernels, and the compiled
 module (soundlaw._speedups) keeps the same ones; soundlaw.kernels runs this
@@ -254,27 +254,27 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def draw(getrandbits, pools) -> list:
-    """`pool[below(len(pool))]` of each pool in turn.  An empty pool raises
-    IndexError once the pools before it are drawn."""
-    out = []
-    for pool in tuple(pools):
-        if not len(pool):
-            raise IndexError("cannot draw from an empty pool")
-        out.append(pool[_below(getrandbits, len(pool))])
-    return out
+def _slot_has(negated: bool, chars: str, code: str) -> bool:
+    """Whether a (negated, chars) slot matches the character `code`, as
+    find_sites reads it: a negated slot matches no newline."""
+    return code not in chars and code != "\n" if negated else code in chars
 
 
-def draw_clear(getrandbits, pool, codes, slots, lo, hi, count, redraws) -> list:
-    """`count` words over `pool`, each of `lo + below(hi - lo + 1)` phones
-    `pool[below(len(pool))]`; a word whose phones' codes the window of
-    (negated, chars) slots matches, `codes[i]` standing for `pool[i]`, is
-    drawn again, and after `redraws` redraws the last draw is kept untested."""
+def draw_inputs(getrandbits, pool, codes, slots, lo, hi, n, redraws) -> list:
+    """The `n` input words of an rp-ri task over `pool`, shuffled: n // 10
+    each that begin with the phone context of `slots`, end with it, hold it
+    once inside and hold it twice inside, then words holding it anywhere up
+    to ceil(2n / 3) words, then words free of it.  A phone of the context is
+    a member of its slot, a pool item whose code `codes[i]` the slot
+    matches.  A free word is drawn again while the window matches its
+    codes, and after `redraws` redraws the last draw is kept untested.
+    Every draw is a below() through `getrandbits`, in the order
+    soundlaw.kernels states."""
     if not isinstance(codes, str):
         raise TypeError("codes must be a str")
-    lo, hi, count, redraws = (
+    lo, hi, n, redraws = (
         _index_below(value, sys.maxsize, what)
-        for value, what in ((lo, "lo"), (hi, "hi"), (count, "count"), (redraws, "redraws"))
+        for value, what in ((lo, "lo"), (hi, "hi"), (n, "n"), (redraws, "redraws"))
     )
     if lo > hi:
         raise ValueError("lo must not exceed hi")
@@ -283,14 +283,57 @@ def draw_clear(getrandbits, pool, codes, slots, lo, hi, count, redraws) -> list:
         raise ValueError("codes must hold one code per pool item")
     if not pool:
         raise IndexError("cannot draw from an empty pool")
+    slots = tuple(slots)
     finditer = _finditer(slots)
-    out = []
-    for _ in range(count):
+    members = [[i for i, code in enumerate(codes) if _slot_has(negated, chars, code)] for negated, chars in slots]
+    w = len(members)
+
+    def below(m: int) -> int:
+        return _below(getrandbits, m)
+
+    def length(minimum: int) -> int:
+        return max(minimum, lo + below(hi - lo + 1))
+
+    def context() -> list:  # a member of each slot in turn; a slot with none raises
+        out = []
+        for slot in members:
+            if not slot:
+                raise IndexError("a context slot has no member")
+            out.append(slot[below(len(slot))])
+        return out
+
+    def rest(count: int) -> list:
+        return [below(len(pool)) for _ in range(count)]
+
+    def around(total: int, at: int) -> list:  # the context, then the rest: rest[:at] + context + rest[at:]
+        ctx = context()
+        others = rest(total - w)
+        return others[:at] + ctx + others[at:]
+
+    tenth, bearing = n // 10, n - n // 3  # ceil(2n / 3)
+    words = [around(length(w), 0) for _ in range(tenth)]  # begins with the context
+    for _ in range(tenth):  # ends with it: the rest drawn first
+        others = rest(length(w) - w)
+        words.append(others + context())
+    for _ in range(tenth):  # one interior occurrence
+        total = length(w + 2)
+        words.append(around(total, 1 + below(total - w - 1)))
+    for _ in range(tenth):  # two interior occurrences: both contexts, then the rest
+        total = length(2 * w + 3)
+        a = below(total - 2 * w - 2)
+        b = below(total - 2 * w - 2 - a)
+        first, second, others = context(), context(), rest(total - 2 * w)
+        words.append(others[:1 + a] + first + others[1 + a:2 + a + b] + second + others[2 + a + b:])
+    while len(words) < bearing:  # anywhere
+        total = length(w)
+        words.append(around(total, below(total - w + 1)))
+    while len(words) < n:  # free of the context
         for tries in range(redraws + 1):
-            picks = [_below(getrandbits, len(pool)) for _ in range(lo + _below(getrandbits, hi - lo + 1))]
-            if tries == redraws:
+            word = rest(lo + below(hi - lo + 1))
+            if tries == redraws or next(finditer("".join([codes[r] for r in word])), None) is None:
                 break
-            if next(finditer("".join([codes[r] for r in picks])), None) is None:
-                break
-        out.append(tuple(pool[r] for r in picks))
-    return out
+        words.append(word)
+    for i in range(n - 1, 0, -1):  # random.shuffle's swaps
+        j = below(i + 1)
+        words[i], words[j] = words[j], words[i]
+    return [tuple(pool[r] for r in word) for word in words]

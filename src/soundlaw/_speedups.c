@@ -1,5 +1,5 @@
 /* Compiled kernels: the string metrics, scan counting, the law engine's
- * matcher and splice, and rp-ri's draws.
+ * matcher and splice, and rp-ri's draw of a task's input words.
  *
  * The contract of each kernel is stated once, in soundlaw/kernels.py's
  * docstring; soundlaw._native keeps the same one, and the test suite
@@ -13,10 +13,13 @@
  * each word's leftmost-wins edit map in an array indexed by token and
  * returns only the words whose output differs.  find_sites turns each slot
  * into one bitmap, negation folded in, so a one-byte text is matched by bit
- * tests alone.  draw and draw_clear take their bits through the caller's
- * getrandbits, so they keep a seeded stream; both draw through one below(),
- * and draw_clear tests each word's phone codes against find_sites' bitmaps
- * without joining them.  soundlaw.kernels compiles this file on first import.
+ * tests alone.  draw_inputs takes its bits through the caller's getrandbits,
+ * so it keeps a seeded stream, and every draw goes through one below().  It
+ * reads each context slot's members off find_sites' bitmaps once per call,
+ * draws each word's phones as pool indices straight into their places in
+ * the word, tests a context-free word's phone codes against the bitmaps
+ * without joining them, and shuffles the list of words in place.
+ * soundlaw.kernels compiles this file on first import.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -818,48 +821,6 @@ below(PyObject *getrandbits, Py_ssize_t n)
     return r;
 }
 
-PyDoc_STRVAR(draw_doc,
-             "[pool[below(len(pool))] for pool in pools], below(n) drawing as CPython's "
-             "Random._randbelow_with_getrandbits does through `getrandbits`.");
-
-static PyObject *
-draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *getrandbits, *pools, *out = NULL, *pool, *item;
-    Py_ssize_t i, np, n, r;
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "draw() takes exactly 2 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    getrandbits = args[0];
-    /* a tuple, so that no getrandbits can change the pools under the kernel */
-    if ((pools = PySequence_Tuple(args[1])) == NULL)
-        return NULL;
-    np = PyTuple_GET_SIZE(pools);
-    if ((out = PyList_New(np)) == NULL)
-        goto done;
-    /* in pool order, so a pool that cannot be drawn from stops the draw
-     * after every pool before it took its bits */
-    for (i = 0; i < np; i++) {
-        pool = PyTuple_GET_ITEM(pools, i);
-        if ((n = PyObject_Length(pool)) < 0)
-            goto fail;
-        if (n == 0) {
-            PyErr_SetString(PyExc_IndexError, "cannot draw from an empty pool");
-            goto fail;
-        }
-        if ((r = below(getrandbits, n)) < 0 || (item = PySequence_GetItem(pool, r)) == NULL)
-            goto fail;
-        PyList_SET_ITEM(out, i, item);
-    }
-    goto done;
-fail:
-    Py_CLEAR(out);
-done:
-    Py_DECREF(pools);
-    return out;
-}
-
 /* Whether the window matches consecutive phones of the word whose phones
  * are the pool items picks[0..n), read through their codes with no copy. */
 static int
@@ -875,83 +836,209 @@ word_holds(const Window *win, const Py_ssize_t *picks, Py_ssize_t n, int kind, c
     return 0;
 }
 
-PyDoc_STRVAR(draw_clear_doc,
-             "`count` words over `pool`, each of lo + below(hi - lo + 1) phones, a word the window "
-             "matches drawn again up to `redraws` times.");
+/* One draw_inputs call: the caller's getrandbits, the pool, its codes and
+ * the context's window, each slot's members as pool indices, and the word
+ * being drawn, as the pool indices of its phones in their final order. */
+typedef struct {
+    PyObject *getrandbits, *pool;
+    Window win;
+    Py_ssize_t np, lo, hi;
+    int kind;
+    const void *codes;
+    Py_ssize_t *members, *counts;  /* slot j's: members + j * np, counts[j] of them */
+    Py_ssize_t *picks, cap;
+} Draw;
+
+/* The phone context into `out`: a member of each slot in turn; a slot with
+ * no member raises IndexError once the slots before it are drawn. */
+static int
+draw_context(Draw *d, Py_ssize_t *out)
+{
+    Py_ssize_t j, r;
+    for (j = 0; j < d->win.w; j++) {
+        if (d->counts[j] == 0) {
+            PyErr_SetString(PyExc_IndexError, "a context slot has no member");
+            return -1;
+        }
+        if ((r = below(d->getrandbits, d->counts[j])) < 0)
+            return -1;
+        out[j] = d->members[j * d->np + r];
+    }
+    return 0;
+}
+
+/* `count` phones of the pool into `out`. */
+static int
+draw_rest(Draw *d, Py_ssize_t *out, Py_ssize_t count)
+{
+    Py_ssize_t k;
+    for (k = 0; k < count; k++) {
+        if ((out[k] = below(d->getrandbits, d->np)) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* A word's length, max(minimum, lo + below(hi - lo + 1)), with room for its
+ * picks; -1 with an exception set on failure. */
+static Py_ssize_t
+draw_length(Draw *d, Py_ssize_t minimum)
+{
+    Py_ssize_t n, *grown;
+    if ((n = below(d->getrandbits, d->hi - d->lo + 1)) < 0)
+        return -1;
+    n = n + d->lo < minimum ? minimum : n + d->lo;
+    if ((grown = grow(d->picks, &d->cap, n, sizeof(Py_ssize_t))) == NULL)
+        return -1;
+    d->picks = grown;
+    return n;
+}
+
+/* A word of `total` phones holding the context after `at` of the others:
+ * the context drawn first, then the others in order around it. */
+static int
+draw_around(Draw *d, Py_ssize_t total, Py_ssize_t at)
+{
+    Py_ssize_t w = d->win.w;
+    return draw_context(d, d->picks + at) < 0 || draw_rest(d, d->picks, at) < 0
+           || draw_rest(d, d->picks + at + w, total - at - w) < 0 ? -1 : 0;
+}
+
+/* Put the word of the first `n` picks at out[*len], and count it. */
+static int
+emit(Draw *d, PyObject *out, Py_ssize_t *len, Py_ssize_t n)
+{
+    Py_ssize_t k;
+    PyObject *word = PyTuple_New(n);
+    if (word == NULL)
+        return -1;
+    for (k = 0; k < n; k++) {
+        PyObject *phone = PyTuple_GET_ITEM(d->pool, d->picks[k]);
+        Py_INCREF(phone);
+        PyTuple_SET_ITEM(word, k, phone);
+    }
+    PyList_SET_ITEM(out, (*len)++, word);
+    return 0;
+}
+
+PyDoc_STRVAR(draw_inputs_doc,
+             "The `n` input words of an rp-ri task over `pool`, placed against the phone context of "
+             "`slots` and shuffled, every draw a below() through `getrandbits`.");
 
 static PyObject *
-draw_clear(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+draw_inputs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *getrandbits, *pool = NULL, *codes, *out = NULL, *word;
-    Window win;
-    Py_ssize_t lo, hi, count, redraws, np, c, t, k, n, cap = 0, *picks = NULL, *grown;
+    Draw d;
+    PyObject *codes, *out = NULL, *item;
+    Py_ssize_t n, redraws, w, i, j, a, b, t, total, len = 0, tenth, bearing;
     if (nargs != 8) {
-        PyErr_Format(PyExc_TypeError, "draw_clear() takes exactly 8 arguments (%zd given)", nargs);
+        PyErr_Format(PyExc_TypeError, "draw_inputs() takes exactly 8 arguments (%zd given)", nargs);
         return NULL;
     }
-    getrandbits = args[0];
+    d.getrandbits = args[0];
     codes = args[2];
     if (!PyUnicode_Check(codes)) {
         PyErr_SetString(PyExc_TypeError, "codes must be a str");
         return NULL;
     }
-    if ((lo = index_below(args[4], PY_SSIZE_T_MAX, "lo")) < 0
-        || (hi = index_below(args[5], PY_SSIZE_T_MAX, "hi")) < 0
-        || (count = index_below(args[6], PY_SSIZE_T_MAX, "count")) < 0
+    if ((d.lo = index_below(args[4], PY_SSIZE_T_MAX, "lo")) < 0
+        || (d.hi = index_below(args[5], PY_SSIZE_T_MAX, "hi")) < 0
+        || (n = index_below(args[6], PY_SSIZE_T_MAX, "n")) < 0
         || (redraws = index_below(args[7], PY_SSIZE_T_MAX, "redraws")) < 0)
         return NULL;
-    if (lo > hi) {
+    if (d.lo > d.hi) {
         PyErr_SetString(PyExc_ValueError, "lo must not exceed hi");
         return NULL;
     }
     /* a tuple, so that no getrandbits can change the pool under the kernel */
-    if ((pool = PySequence_Tuple(args[1])) == NULL)
+    if ((d.pool = PySequence_Tuple(args[1])) == NULL)
         return NULL;
-    if ((np = PyTuple_GET_SIZE(pool)) != PyUnicode_GET_LENGTH(codes)) {
+    d.members = d.picks = NULL;
+    d.cap = 0;
+    d.win.heap = NULL;
+    if ((d.np = PyTuple_GET_SIZE(d.pool)) != PyUnicode_GET_LENGTH(codes)) {
         PyErr_SetString(PyExc_ValueError, "codes must hold one code per pool item");
-        goto release;
-    }
-    if (np == 0) {
-        PyErr_SetString(PyExc_IndexError, "cannot draw from an empty pool");
-        goto release;
-    }
-    if (window_open(&win, args[3]) < 0)
-        goto release;
-    if ((out = PyList_New(count)) == NULL)
         goto done;
-    for (c = 0; c < count; c++) {
-        /* the length, then each phone; the last permitted redraw is kept untested */
+    }
+    if (d.np == 0) {
+        PyErr_SetString(PyExc_IndexError, "cannot draw from an empty pool");
+        goto done;
+    }
+    if (window_open(&d.win, args[3]) < 0)
+        goto done;
+    w = d.win.w;
+    d.kind = PyUnicode_KIND(codes);
+    d.codes = PyUnicode_DATA(codes);
+    /* each slot's members, in pool order */
+    if (w > PY_SSIZE_T_MAX / (d.np + 1) || (d.members = PyMem_New(Py_ssize_t, w * (d.np + 1))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    d.counts = d.members + w * d.np;
+    for (j = 0; j < w; j++) {
+        d.counts[j] = 0;
+        for (i = 0; i < d.np; i++) {
+            if (slot_has(&d.win, j, PyUnicode_READ(d.kind, d.codes, i)))
+                d.members[j * d.np + d.counts[j]++] = i;
+        }
+    }
+    if ((out = PyList_New(n)) == NULL)
+        goto done;
+    tenth = n / 10;
+    bearing = n - n / 3;  /* ceil(2n / 3) */
+    for (i = 0; i < tenth; i++) {  /* begins with the context */
+        if ((total = draw_length(&d, w)) < 0 || draw_around(&d, total, 0) < 0 || emit(&d, out, &len, total) < 0)
+            goto fail;
+    }
+    for (i = 0; i < tenth; i++) {  /* ends with it: the others drawn first */
+        if ((total = draw_length(&d, w)) < 0 || draw_rest(&d, d.picks, total - w) < 0
+            || draw_context(&d, d.picks + total - w) < 0 || emit(&d, out, &len, total) < 0)
+            goto fail;
+    }
+    for (i = 0; i < tenth; i++) {  /* one interior occurrence */
+        if ((total = draw_length(&d, w + 2)) < 0 || (a = below(d.getrandbits, total - w - 1)) < 0
+            || draw_around(&d, total, 1 + a) < 0 || emit(&d, out, &len, total) < 0)
+            goto fail;
+    }
+    for (i = 0; i < tenth; i++) {  /* two interior occurrences: both contexts, then the others */
+        if ((total = draw_length(&d, 2 * w + 3)) < 0 || (a = below(d.getrandbits, total - 2 * w - 2)) < 0
+            || (b = below(d.getrandbits, total - 2 * w - 2 - a)) < 0
+            || draw_context(&d, d.picks + 1 + a) < 0 || draw_context(&d, d.picks + 2 + a + b + w) < 0
+            || draw_rest(&d, d.picks, 1 + a) < 0 || draw_rest(&d, d.picks + 1 + a + w, 1 + b) < 0
+            || draw_rest(&d, d.picks + 2 + a + b + 2 * w, total - 2 - a - b - 2 * w) < 0
+            || emit(&d, out, &len, total) < 0)
+            goto fail;
+    }
+    while (len < bearing) {  /* anywhere */
+        if ((total = draw_length(&d, w)) < 0 || (a = below(d.getrandbits, total - w + 1)) < 0
+            || draw_around(&d, total, a) < 0 || emit(&d, out, &len, total) < 0)
+            goto fail;
+    }
+    while (len < n) {  /* free of the context; the last permitted redraw is kept untested */
         for (t = 0;; t++) {
-            if ((n = below(getrandbits, hi - lo + 1)) < 0)
+            if ((total = draw_length(&d, 0)) < 0 || draw_rest(&d, d.picks, total) < 0)
                 goto fail;
-            n += lo;
-            if ((grown = grow(picks, &cap, n, sizeof(Py_ssize_t))) == NULL)
-                goto fail;
-            picks = grown;
-            for (k = 0; k < n; k++) {
-                if ((picks[k] = below(getrandbits, np)) < 0)
-                    goto fail;
-            }
-            if (t == redraws || !word_holds(&win, picks, n, PyUnicode_KIND(codes), PyUnicode_DATA(codes)))
+            if (t == redraws || !word_holds(&d.win, d.picks, total, d.kind, d.codes))
                 break;
         }
-        if ((word = PyTuple_New(n)) == NULL)
+        if (emit(&d, out, &len, total) < 0)
             goto fail;
-        for (k = 0; k < n; k++) {
-            PyObject *phone = PyTuple_GET_ITEM(pool, picks[k]);
-            Py_INCREF(phone);
-            PyTuple_SET_ITEM(word, k, phone);
-        }
-        PyList_SET_ITEM(out, c, word);
+    }
+    for (i = n - 1; i > 0; i--) {  /* random.shuffle's swaps */
+        if ((j = below(d.getrandbits, i + 1)) < 0)
+            goto fail;
+        item = PyList_GET_ITEM(out, i);
+        PyList_SET_ITEM(out, i, PyList_GET_ITEM(out, j));
+        PyList_SET_ITEM(out, j, item);
     }
     goto done;
 fail:
     Py_CLEAR(out);
 done:
-    PyMem_Free(picks);
-    PyMem_Free(win.heap);
-release:
-    Py_DECREF(pool);
+    PyMem_Free(d.picks);
+    PyMem_Free(d.members);
+    PyMem_Free(d.win.heap);
+    Py_DECREF(d.pool);
     return out;
 }
 
@@ -961,8 +1048,7 @@ static PyMethodDef methods[] = {
     {"scan_counts", (PyCFunction)(void (*)(void))scan_counts, METH_FASTCALL, scan_counts_doc},
     {"splice_sites", (PyCFunction)(void (*)(void))splice_sites, METH_FASTCALL, splice_sites_doc},
     {"find_sites", (PyCFunction)(void (*)(void))find_sites, METH_FASTCALL, find_sites_doc},
-    {"draw", (PyCFunction)(void (*)(void))draw, METH_FASTCALL, draw_doc},
-    {"draw_clear", (PyCFunction)(void (*)(void))draw_clear, METH_FASTCALL, draw_clear_doc},
+    {"draw_inputs", (PyCFunction)(void (*)(void))draw_inputs, METH_FASTCALL, draw_inputs_doc},
     {NULL, NULL, 0, NULL},
 };
 

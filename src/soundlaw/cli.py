@@ -254,6 +254,8 @@ def _bundled(name: str) -> Path:
 
 def cmd_datagen(args) -> int:
     started = _now()
+    if args.count < 0:
+        raise datagen.GenerationError("count must be >= 0")
     inv = _inventory(args)
     config = _load_config(args)
     cfg = datagen.GenConfig(

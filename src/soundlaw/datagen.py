@@ -29,8 +29,9 @@ from .rules import (
     SoundLaw,
     apply_law_word,
     apply_to_lexicon,
-    context_free_draw,
     delete,
+    draw_words,
+    encode_words,
     feature_class,
     in_set,
     insert_after,
@@ -106,6 +107,8 @@ class GenConfig:
     def __post_init__(self):
         if self.n_examples < 10:
             raise GenerationError("n_examples must be >= 10")
+        if self.retry_budget < 1:
+            raise GenerationError("retry_budget must be >= 1")
 
 
 def derive_rng(seed: int, *parts) -> random.Random:
@@ -189,88 +192,30 @@ def context_predicates(law: SoundLaw) -> tuple[Predicate, ...]:
     return tuple(slots)
 
 
-def draw_below(rng: random.Random):
-    """below(n), a uniform draw from range(n) for n >= 1, taken from rng's
-    stream exactly as CPython's `Random._randbelow_with_getrandbits` takes
-    it: `rng.randint(a, b)` is `a + below(b - a + 1)`, with the same value
-    and the same state after, at a fraction of the method's cost.
-    `kernels.draw(rng.getrandbits, pools)` makes the same draws for
-    `rng.choice` of each pool in one call."""
-    getrandbits = rng.getrandbits
-
-    def below(n: int) -> int:
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    return below
-
-
 def sample_inputs_for_law(
     law: SoundLaw, cfg: GenConfig, rng: random.Random, inv: SegmentInventory
 ) -> list[PhoneSeq]:
     """N input words satisfying every placement quota simultaneously:
     >= 2N/3 contain the context, >= N/10 each begin with it, end with it,
     hold one interior occurrence, hold two; the rest are random words kept
-    free of the context when the context is avoidable at all."""
+    free of the context when the context is avoidable at all.
+
+    One `kernels.draw_inputs` call draws them all from rng's stream and
+    shuffles them, taking the bits that `rng.randint` of each length and
+    offset, `rng.choice` of each phone and `rng.shuffle` would take (its
+    contract states the order)."""
     preds = context_predicates(law)
     if not preds:
         raise InfeasibleQuota("law has no phone-slot context")
     w = len(preds)
-    n = cfg.n_examples
     lo, hi = WORD_LEN
     if 2 * w + 3 > hi:
         raise InfeasibleQuota(f"context of width {w} cannot occur twice inside a word of <= {hi} phones")
-
-    # one pool of member phones per context slot, and the first slot with none
-    ctx = [slot_members(p, inv) for p in preds]
-    empty = next((p for p, members in zip(preds, ctx) if not members), None)
-    tenth = n // 10
-    bearing = -(-2 * n // 3)  # ceil(2n/3)
-    below = draw_below(rng)  # every length and offset
-    # a word's phones, drawn in one call: rng.choice of each pool in turn
-    draw = partial(kernels.draw, rng.getrandbits)
-    segs = [inv.segments]
-
-    def length_at_least(minimum: int) -> int:
-        return max(minimum, lo + below(hi - lo + 1))
-
-    # a word's draw takes its context and its other phones in the order the
-    # output bytes depend on: the context first, unless the word ends with it
-    words: list[PhoneSeq] = []
     try:
-        for _ in range(tenth):  # begins with context
-            words.append(tuple(draw(ctx + segs * (length_at_least(w) - w))))
-        for _ in range(tenth):  # ends with context
-            words.append(tuple(draw(segs * (length_at_least(w) - w) + ctx)))
-        for _ in range(tenth):  # one interior occurrence
-            total = length_at_least(w + 2)
-            head = 1 + below(total - w - 1)
-            p = draw(ctx + segs * (total - w))  # the context, then the rest
-            words.append(tuple(p[w:w + head] + p[:w] + p[w + head:]))
-        for _ in range(tenth):  # two interior occurrences
-            total = length_at_least(2 * w + 3)
-            slack = total - 2 * w - 3
-            a = below(slack + 1)
-            b = below(slack - a + 1)
-            p = draw(ctx * 2 + segs * (total - 2 * w))  # both contexts, then the rest
-            i, j = 2 * w + 1 + a, 2 * w + 2 + a + b
-            words.append(tuple(p[2 * w:i] + p[:w] + p[i:j] + p[w:2 * w] + p[j:]))
-        while len(words) < bearing:  # any occurrence anywhere
-            total = length_at_least(w)
-            at = below(total - w + 1)
-            p = draw(ctx + segs * (total - w))
-            words.append(tuple(p[w:w + at] + p[:w] + p[w + at:]))
-    except IndexError:  # an empty slot stops a draw after the pools before it
+        return draw_words(preds, inv, rng.getrandbits, lo, hi, cfg.n_examples, CONTEXT_REDRAWS)
+    except IndexError:  # a slot with no member stops the draw where it is first drawn from
+        empty = next((p for p in preds if not slot_members(p, inv)), None)
         raise InfeasibleQuota(f"no inventory phone satisfies {empty}") from None
-    # the context-free remainder, in one call: each word is drawn again while
-    # it holds the context (best effort when the context is a wildcard that
-    # every word necessarily contains)
-    words += context_free_draw(preds, inv, rng.getrandbits)(lo, hi, n - len(words), CONTEXT_REDRAWS)
-    rng.shuffle(words)
-    return words
 
 
 def _rp_ri_task(cfg: GenConfig, inv: SegmentInventory, index: int) -> PBETask:
@@ -521,16 +466,21 @@ def gen_idp_pi(
                 context = sample_idp_context(words, rng)
             except NoCommonSubsequence:
                 continue
-            applicable = [
-                entry
-                for entry in usable
-                if _law_phones_in_context(entry.law, context)
-                and not law_is_inert(entry.law, words, inv)
-            ]
+            # the words are encoded once, at the first gate check, and a word
+            # holding a reserved token raises there
+            codes = None
+            applicable = []
+            for entry in usable:
+                if not _law_phones_in_context(entry.law, context):
+                    continue
+                if codes is None:
+                    codes = encode_words(words, inv)
+                if not law_is_inert(entry.law, words, inv, codes):
+                    applicable.append(entry)
             if not applicable:
                 continue
             entry = applicable[rng.randrange(len(applicable))]
-            outputs, _ = apply_to_lexicon(entry.law, words, inv)
+            outputs, _ = apply_to_lexicon(entry.law, words, inv, codes)
             tasks.append(
                 PBETask(
                     id=f"idp-pi-{index:05d}",

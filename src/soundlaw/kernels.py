@@ -37,24 +37,42 @@ index two sites edit, and raises TypeError or ValueError on malformed
 arguments: starts that do not ascend, a start on a newline or past the
 last word, an edit outside its word.
 
-`draw(getrandbits, pools)` returns `pool[below(len(pool))]` of each pool in
-turn, below(n) taking `getrandbits(n.bit_length())` until it is below n,
-exactly as CPython's `Random._randbelow_with_getrandbits` does; with
-`rng.getrandbits`, it draws what `rng.choice(pool)` of each pool would
-draw, and leaves rng in the same state.  An empty pool raises IndexError
-once the pools before it are drawn, and an error of `getrandbits`
-propagates.
-
-`draw_clear(getrandbits, pool, codes, slots, lo, hi, count, redraws)`
-returns `count` words, each a tuple of `lo + below(hi - lo + 1)` phones
-`pool[below(len(pool))]`, drawn in that order through the same below().
-`codes[i]` is `pool[i]`'s code; while the window of `slots` matches the
-codes of consecutive phones of a word, the word is drawn again, and after
-`redraws` redraws the last draw is kept untested.  With `rng.getrandbits`,
-it draws what `rng.randint(lo, hi)` and `rng.choice(pool)` would draw, and
-leaves rng in the same state.  An empty pool raises IndexError before any
-draw; `len(codes) != len(pool)`, `lo > hi` or a negative argument raises
-ValueError, and an error of `getrandbits` propagates.
+`draw_inputs(getrandbits, pool, codes, slots, lo, hi, n, redraws)` returns
+the `n` input words of an rp-ri task, each a tuple of items of `pool`.
+`codes[i]` is `pool[i]`'s code, and the window of `slots` is the task's
+phone context, w slots wide; slot j's members are the pool items whose code
+it matches, in pool order.  Every draw is below(m) of the m items drawn
+from, below(m) taking `getrandbits(m.bit_length())` until it is below m,
+exactly as CPython's `Random._randbelow_with_getrandbits` does; a phone of
+the context is a member of its slot, any other phone an item of the pool,
+and a word's length is L = max(minimum, lo + below(hi - lo + 1)).  In
+order, and each word's draws in the order given:
+- n // 10 words that begin with the context: L (minimum w), the context,
+  then L - w other phones;
+- n // 10 that end with it: L (minimum w), the L - w other phones, then the
+  context;
+- n // 10 with one interior occurrence: L (minimum w + 2),
+  h = 1 + below(L - w - 1), the context, then the L - w others, and the
+  word is others[:h] + context + others[h:];
+- n // 10 with two: L (minimum 2w + 3), a = below(L - 2w - 2),
+  b = below(L - 2w - 2 - a), a context c1, a context c2, then the L - 2w
+  others, and the word is others[:1 + a] + c1 + others[1 + a:2 + a + b]
+  + c2 + others[2 + a + b:];
+- words holding it anywhere, until there are ceil(2n / 3): L (minimum w),
+  k = below(L - w + 1), the context, then the others, and the word is
+  others[:k] + context + others[k:];
+- words free of it, until there are n: lo + below(hi - lo + 1) phones of
+  the pool, drawn again while the window matches the codes of consecutive
+  phones of the word; after `redraws` redraws the last draw is kept
+  untested.
+Last, the list is shuffled as `random.shuffle` does: for i from n - 1 down
+to 1, item i swaps with item below(i + 1).  With `rng.getrandbits`, it draws
+what `rng.randint`, `rng.choice` and `rng.shuffle` would draw in that
+order, and leaves rng in the same state.  A slot with no member raises
+IndexError where it is first drawn from, once every draw before it is made;
+an empty pool raises IndexError before any draw, and `len(codes) !=
+len(pool)`, `lo > hi` or a negative argument ValueError, as a window of no
+slot does.  An error of `getrandbits` propagates.
 
 The compiled kernels are the hand-written CPython module `_speedups.c`.  It
 is compiled on first import with the interpreter's configured C compiler
@@ -165,5 +183,4 @@ lcs_pair = _impl.lcs_pair
 scan_counts = _impl.scan_counts
 splice_sites = _impl.splice_sites
 find_sites = _impl.find_sites
-draw = _impl.draw
-draw_clear = _impl.draw_clear
+draw_inputs = _impl.draw_inputs

@@ -18,10 +18,11 @@ its slots' classes, built once per (window, inventory) and cached on the
 inventory.  One call of the `kernels.find_sites` kernel returns every site
 start of a window in a text, overlapping ones included; it tests each slot
 with one bit of a bitmap sized to the highest code the window names.
-Datagen reads the same slots: `slot_members` the token set a slot's class
-is built from, and `context_free_draw` the classes of a phone context and
-the segments' codes, which the `kernels.draw_clear` kernel tests each
-random word's phones against as it draws it.
+Datagen reads the same slots: `draw_words` passes the classes of a phone
+context and the segments' codes to the `kernels.draw_inputs` kernel, which
+reads each slot's member phones off them and tests each context-free
+word's phones against them as it draws it; `slot_members` reads the token
+set a slot's class is built from.
 
 Rewriting works on that encoding too (the compile-the-rewrite approach of
 Kaplan & Kay 1994 and Mohri & Sproat 1996, stopped short of a transducer).
@@ -36,8 +37,10 @@ words whose output differs; every other word comes back unchanged.
 the words once and re-encodes only the words a law changed.  Each
 candidate program of an evaluation runs through it, and so does a
 cascade: `apply_cascade` returns one `Stage` per law, which `derive`
-prints and `bench` unrolls into one single-law task each.  So the encoding
-never leaves this module.
+prints and `bench` unrolls into one single-law task each.  Outside this
+module the encoding is opaque: `encode_words` hands idp-pi's rule gate one
+encoding of an attempt's words, which `law_is_inert` and `apply_to_lexicon`
+read for every rule it checks.
 
 The token-level engine (`preprocess`, `find_matches`, `apply_law`,
 `render`, behind `apply_law_word`) runs the same windows and the same
@@ -52,7 +55,6 @@ The independent oracles are in `tests/oracles.py`: `window_sites` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from . import kernels
 from .phonology import (
@@ -268,6 +270,8 @@ class _LawCompiler:
         self.windows: dict[tuple[Predicate, ...], tuple[tuple[bool, str], ...]] = {}
         for seg in inv.segments:
             self._add(seg)
+        # the segments' codes, in inventory order, as `kernels.draw_inputs` reads them
+        self.segment_codes = "".join(map(self.code.__getitem__, inv.segments))
 
     def _add(self, phone: str) -> str:
         """Give a phone the next code, chr(0x80 + n) for the n-th phone, and
@@ -334,16 +338,16 @@ def find_matches(law: SoundLaw, tokens: TokenSeq, inv: SegmentInventory) -> list
     return kernels.find_sites(text, compiler.window(law.predicates, inv))
 
 
-def context_free_draw(preds: tuple[Predicate, ...], inv: SegmentInventory, getrandbits):
-    """The draw of words free of a phone context: `draw(lo, hi, count,
-    redraws)` returns `count` words over `inv.segments` through
-    `kernels.draw_clear`, each drawn again while the phone context `preds`
-    matches consecutive phones of it.  The segments' codes and the context's
-    classes, the slots `slot_members` reads, are bound once for every word
-    drawn."""
+def draw_words(
+    preds: tuple[Predicate, ...], inv: SegmentInventory, getrandbits, lo: int, hi: int, n: int, redraws: int
+) -> list[PhoneSeq]:
+    """The `n` input words of an rp-ri task over `inv.segments`, placed
+    against the phone context `preds`: one `kernels.draw_inputs` call on the
+    segments' codes and the context's classes, the slots `slot_members`
+    reads."""
     compiler = _compiler(inv)
-    codes = "".join(map(compiler.code.__getitem__, inv.segments))
-    return partial(kernels.draw_clear, getrandbits, inv.segments, codes, compiler.window(preds, inv))
+    window = compiler.window(preds, inv)
+    return kernels.draw_inputs(getrandbits, inv.segments, compiler.segment_codes, window, lo, hi, n, redraws)
 
 
 def slot_members(pred: Predicate, inv: SegmentInventory) -> list[str]:
@@ -424,10 +428,20 @@ def apply_in_order(laws, words, inv: SegmentInventory):
         yield words, changed
 
 
-def law_is_inert(law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory) -> bool:
-    """True when the law changes none of the words."""
+def encode_words(words, inv: SegmentInventory) -> list[str]:
+    """The words' encoding, as `apply_to_lexicon` and `law_is_inert` take it
+    for `codes`.  Raises NonCanonicalTokenSeq for the first word holding '#',
+    '@' or '!'."""
+    return _compiler(inv).encode(words)
+
+
+def law_is_inert(
+    law: SoundLaw, words: list[PhoneSeq], inv: SegmentInventory, codes: list[str] | None = None
+) -> bool:
+    """True when the law changes none of the words.  `codes`, if given, is
+    the words' encoding (`encode_words`), read and left as it is."""
     compiler = _compiler(inv)
-    return not compiler.rewrites(law, words, compiler.encode(words), inv)
+    return not compiler.rewrites(law, words, compiler.encode(words) if codes is None else codes, inv)
 
 
 @dataclass(frozen=True)

@@ -170,3 +170,50 @@ def draw_clear(rng, pool, context, inv, lo, hi, count, redraws):
             drawn = word()
         words.append(drawn)
     return words
+
+
+def sample_inputs(rng, context, inv, lo, hi, n, redraws):
+    """The `n` input words of an rp-ri task placed against the phone context
+    `context`, shuffled: the draw of `kernels.draw_inputs` and of
+    `datagen.sample_inputs_for_law`, made with `rng.randint`, `rng.choice`
+    and `rng.shuffle`, each slot's members read phone by phone and the
+    context-free words drawn by `draw_clear`.  A slot with no member raises
+    IndexError where `rng.choice` first draws from it."""
+    ctx = [[s for s in inv.segments if slot_matches(p, s, inv)] for p in context]
+    segs = [inv.segments]
+    w = len(ctx)
+    tenth = n // 10
+    bearing = -(-2 * n // 3)
+
+    def length_at_least(minimum):
+        return max(minimum, rng.randint(lo, hi))
+
+    def draw(pools):
+        return [rng.choice(pool) for pool in pools]
+
+    words = []
+    for _ in range(tenth):  # begins with the context
+        words.append(tuple(draw(ctx + segs * (length_at_least(w) - w))))
+    for _ in range(tenth):  # ends with it
+        words.append(tuple(draw(segs * (length_at_least(w) - w) + ctx)))
+    for _ in range(tenth):  # one interior occurrence
+        total = length_at_least(w + 2)
+        head = rng.randint(1, total - w - 1)
+        p = draw(ctx + segs * (total - w))
+        words.append(tuple(p[w:w + head] + p[:w] + p[w + head:]))
+    for _ in range(tenth):  # two interior occurrences
+        total = length_at_least(2 * w + 3)
+        slack = total - 2 * w - 3
+        a = rng.randint(0, slack)
+        b = rng.randint(0, slack - a)
+        p = draw(ctx * 2 + segs * (total - 2 * w))
+        i, j = 2 * w + 1 + a, 2 * w + 2 + a + b
+        words.append(tuple(p[2 * w:i] + p[:w] + p[i:j] + p[w:2 * w] + p[j:]))
+    while len(words) < bearing:  # anywhere
+        total = length_at_least(w)
+        at = rng.randint(0, total - w)
+        p = draw(ctx + segs * (total - w))
+        words.append(tuple(p[w:w + at] + p[:w] + p[w + at:]))
+    words += draw_clear(rng, inv.segments, context, inv, lo, hi, n - len(words), redraws)
+    rng.shuffle(words)
+    return words

@@ -65,6 +65,22 @@ def test_rp_ri_on_a_table_of_fewer_than_two_segments_exit_5(tmp_path, capsys, ro
     assert not (tmp_path / "t.jsonl").exists()
 
 
+@pytest.mark.parametrize("args, field", [
+    (("--count", "-1"), "count must be >= 0"),
+    (("--count", "3", "--retry-budget", "0"), "retry_budget must be >= 1"),
+    (("--count", "3", "--retry-budget", "-3"), "retry_budget must be >= 1"),
+], ids=["negative-count", "no-retry", "negative-retry-budget"])
+def test_datagen_rejects_a_negative_count_and_a_retry_budget_below_1_exit_5(tmp_path, capsys, args, field):
+    assert run("datagen", "--condition", "rp-ri", *args, "--out", tmp_path / "t.jsonl") == 5
+    assert capsys.readouterr().err == f"error: GenerationError: {field}\n"
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_datagen_of_no_task_writes_an_empty_file(tmp_path):
+    assert run("datagen", "--condition", "rp-ri", "--count", "0", "--out", tmp_path / "t.jsonl") == 0
+    assert (tmp_path / "t.jsonl").read_bytes() == b""
+
+
 @pytest.mark.parametrize("condition", ["rp-li", "rp-pi"])
 def test_llm_datagen_on_a_seed_lexicon_of_fewer_than_five_words_exit_5(tmp_path, capsys, condition):
     seeds = tmp_path / "seeds.txt"

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+import oracles
 from oracles import count_scan_occurrences, window_sites
 
 from soundlaw import _native, datagen, gateway, kernels
@@ -27,6 +28,7 @@ from soundlaw.datagen import (
     sample_random_law,
 )
 from soundlaw.dsl import Atom, ClassicalRule, DslError, load_rule_db, lower_classical, parse_classical
+from soundlaw.phonology import NonCanonicalTokenSeq, SegmentInventory
 from soundlaw.rules import SEP_PRED, apply_to_lexicon
 from soundlaw.tasks import task_to_json
 
@@ -109,15 +111,56 @@ def test_concrete_context_words_match(inv):
     assert with_ctx >= 34
 
 
-def test_draw_below_takes_the_choice_and_randint_stream():
-    for n in (1, 2, 3, 7, 8, 9, 46, 63, 64, 65, 1000):
-        seq = list(range(100, 100 + n))
-        for seed in range(3):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            below = datagen.draw_below(ours)
-            assert [seq[below(n)] for _ in range(200)] == [theirs.choice(seq) for _ in range(200)]
-            assert [5 + below(n) for _ in range(200)] == [theirs.randint(5, 4 + n) for _ in range(200)]
-            assert ours.getstate() == theirs.getstate(), n
+@pytest.mark.parametrize("budget", [0, -1])
+def test_gen_config_rejects_a_retry_budget_below_1(budget):
+    with pytest.raises(GenerationError, match="retry_budget must be >= 1"):
+        GenConfig(retry_budget=budget)
+
+
+def sparse_inventory():
+    """Two vowels and three consonants with no velar and no liquid, so two
+    context classes have no member, and codes past U+00FF: 140 segments
+    with no feature row come first."""
+    rows = {"a": "++-", "i": "++-", "t": "--+", "s": "--+", "n": "-++"}
+    features = {seg: dict(zip(("syl", "son", "cont"), vals)) for seg, vals in rows.items()}
+    return SegmentInventory(tuple(f"x{i}" for i in range(140)) + tuple(rows), features)
+
+
+@pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
+def test_sample_inputs_for_law_is_the_oracles_draw(backend, inv, monkeypatch):
+    """sample_inputs_for_law, on either kernel backend, draws the words that
+    `oracles.sample_inputs` draws with rng.randint, rng.choice and
+    rng.shuffle and leaves rng in the same state, for random laws on the
+    bundled table and on one with empty classes, where a slot with no member
+    raises InfeasibleQuota after the same draws as the oracle's IndexError."""
+    monkeypatch.setattr(kernels, "draw_inputs", backend.draw_inputs)
+    cfg = GenConfig(n_examples=23)
+    outcomes = Counter()
+    for table in (inv, sparse_inventory()):
+        for i in range(150):
+            rng = derive_rng(11, "oracle", i)
+            law = sample_random_law(cfg, rng, table)
+            state = rng.getstate()
+            theirs = random.Random()
+            theirs.setstate(state)
+            try:
+                got = sample_inputs_for_law(law, cfg, rng, table)
+            except InfeasibleQuota as exc:
+                got = None
+                outcomes[str(exc).split(" ")[0]] += 1
+            try:
+                want = oracles.sample_inputs(theirs, context_predicates(law), table, *datagen.WORD_LEN,
+                                             cfg.n_examples, datagen.CONTEXT_REDRAWS)
+            except IndexError:
+                want = None
+            if got is not None:
+                outcomes["drawn"] += 1
+                assert got == want, law
+            elif want is not None:  # infeasible before any draw: no bits taken
+                assert 2 * len(context_predicates(law)) + 3 > datagen.WORD_LEN[1], law
+                theirs.setstate(state)
+            assert rng.getstate() == theirs.getstate(), law
+    assert outcomes["drawn"] > 200 and outcomes["no"] > 5, outcomes
 
 
 @pytest.mark.parametrize(
@@ -314,6 +357,32 @@ def test_gen_idp_pi_reexecution_audit(inv):
         outputs, changed = apply_to_lexicon(task.gold_law, list(task.inputs), inv)
         assert tuple(outputs) == task.outputs
         assert any(changed)
+
+
+def test_idp_pi_encodes_an_attempts_words_once(inv, monkeypatch):
+    """The rule gate's `law_is_inert` calls and the chosen rule's
+    `apply_to_lexicon` read one encoding of an attempt's words, made at its
+    first gate check; a word holding a reserved token still raises there."""
+    from importlib.resources import files
+
+    from soundlaw import rules
+    from soundlaw.dsl import load_rule_db_file
+    from soundlaw.phonology import load_lexicon
+
+    db = load_rule_db_file(files("soundlaw") / "data" / "demo_rules.txt", inv)
+    lexicon = load_lexicon(files("soundlaw") / "data" / "demo_protolexicon_poc.txt", inv)
+    encoded, gated = [], []
+    encode, law_is_inert = rules._LawCompiler.encode, rules.law_is_inert
+    monkeypatch.setattr(rules._LawCompiler, "encode", lambda self, words: encoded.append(words) or encode(self, words))
+    monkeypatch.setattr(datagen, "law_is_inert", lambda *args: gated.append(args[1]) or law_is_inert(*args))
+    tasks = gen_idp_pi(db, lexicon, GenConfig(seed=5), 10, inv)
+    attempts = list({id(words): words for words in gated}.values())
+    assert len(tasks) == 10 and len(gated) > len(attempts)
+    # one encoding per attempt that reached the gate; the rest encode changed outputs only
+    assert [words for words in encoded if len(words) == 50] == attempts
+    monkeypatch.setattr(datagen, "law_is_inert", law_is_inert)
+    with pytest.raises(NonCanonicalTokenSeq):
+        gen_idp_pi(db, [word + ("@",) for word in lexicon], GenConfig(seed=5), 1, inv)
 
 
 def _gate_on_the_classical_rule(rule, context, inv):

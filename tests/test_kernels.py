@@ -14,10 +14,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+import oracles
 from oracles import count_scan_occurrences, grid_distances, lcs_len_bruteforce, levenshtein_bruteforce
 
 import soundlaw
 from soundlaw import _native, kernels
+from soundlaw import rules as R
+from soundlaw.phonology import SegmentInventory
 
 SRC = Path(soundlaw.__file__).resolve().parent.parent
 CC_ARGS = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
@@ -365,34 +368,53 @@ def test_backends_expose_the_same_functions():
     assert all(getattr(kernels, name) is getattr(kernels._impl, name) for name in compiled)
 
 
+def draw_table(size):
+    """(inventory, codes): `size` segments p0, p1, ..., with no feature row,
+    and their codes, as `draw_inputs` reads them."""
+    table = SegmentInventory(tuple(f"p{i}" for i in range(size)))
+    return table, R._compiler(table).segment_codes
+
+
 @pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
 def test_draw_takes_the_choice_stream(backend):
-    """draw(getrandbits, pools) draws what rng.choice of each pool in turn
-    draws, and leaves rng in the same state, for pool sizes on both sides
-    of powers of two and for tuples, lists, strings and ranges alike."""
-    sizes = [1, 2, 3, 7, 8, 9, 46, 63, 64, 65, 1000, 2 ** 40 + 3]
-    for seed in range(4):
-        pools = [range(n) for n in sizes] + [("a",), ["x", "y", "z"], "abcde", tuple(range(46))]
-        random.Random(seed).shuffle(pools)
-        ours, theirs = random.Random(seed), random.Random(seed)
-        for _ in range(50):
-            assert backend.draw(ours.getrandbits, pools) == [p[theirs._randbelow(len(p))] for p in pools]
-        assert ours.getstate() == theirs.getstate()
-        assert backend.draw(ours.getrandbits, ()) == []
-        assert ours.getstate() == theirs.getstate()
+    """draw_inputs draws what rng.randint, rng.choice and rng.shuffle draw in
+    `oracles.sample_inputs`, and leaves rng in the same state, for pools and
+    slots of member counts on both sides of powers of two, word counts with
+    and without each placement, and lengths below the context's width."""
+    for size in (1, 2, 3, 7, 8, 9, 63, 64, 65, 300):
+        table, codes = draw_table(size)
+        rng = random.Random(size)
+        for count in {1, 2, 3, 7, 8, 9, 63, 64, 65, max(size - 1, 1)}:
+            members = rng.sample(table.segments, min(count, size))
+            others = R.Predicate("not-in", ("zz", *rng.sample(table.segments, size // 2)))
+            context = [R.in_set(members), others][:rng.randrange(1, 3)]
+            slots = R._compiler(table).window(tuple(context), table)
+            for lo, hi, n, redraws in ((3, 12, 50, 40), (0, 3, 17, 2), (1, 1, 10, 0), (5, 9, 3, 1), (2, 4, 0, 3)):
+                seed = rng.randrange(1 << 30)
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = backend.draw_inputs(ours.getrandbits, table.segments, codes, slots, lo, hi, n, redraws)
+                assert got == oracles.sample_inputs(theirs, context, table, lo, hi, n, redraws), (size, context)
+                assert ours.getstate() == theirs.getstate(), (size, context)
 
 
 @pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
 def test_draw_stops_at_an_empty_pool_after_the_pools_before_it(backend):
-    for empty_at in range(4):
-        pools = [("a", "b", "c"), range(10), ("z",), range(100)]
-        pools.insert(empty_at, ())
-        ours, theirs = random.Random(3), random.Random(3)
-        with pytest.raises(IndexError):
-            backend.draw(ours.getrandbits, pools)
-        for pool in pools[:empty_at]:
-            theirs._randbelow(len(pool))
-        assert ours.getstate() == theirs.getstate(), empty_at
+    """A context slot with no member raises IndexError where it is first
+    drawn from, once every draw before it is made: the first word's length
+    and the slots before it, or, with no word of a placement quota, the
+    first word's length and offset too."""
+    table, codes = draw_table(5)
+    for n in (10, 50, 3):
+        for empty_at in range(4):
+            context = [R.in_set(["p0", "p3"]), R.is_token("p4"), R.Predicate("not-in", ("p1",))]
+            context.insert(empty_at, R.in_set(["zz"]))  # a phone no segment is
+            slots = R._compiler(table).window(tuple(context), table)
+            ours, theirs = random.Random(3), random.Random(3)
+            with pytest.raises(IndexError):
+                backend.draw_inputs(ours.getrandbits, table.segments, codes, slots, 3, 12, n, 40)
+            with pytest.raises(IndexError):
+                oracles.sample_inputs(theirs, context, table, 3, 12, n, 40)
+            assert ours.getstate() == theirs.getstate(), (n, empty_at)
 
 
 class Exhausted(Exception):
@@ -401,29 +423,48 @@ class Exhausted(Exception):
 
 @pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
 def test_draw_propagates_an_error_of_getrandbits(backend):
-    calls = []
+    """An error of `getrandbits` raised at any one of a draw's calls, in any
+    placement, in a redraw or in the shuffle, propagates from that call:
+    the calls made are the ones a full draw makes up to it."""
+    table, codes = draw_table(6)
+    slots = R._compiler(table).window((R.in_set(["p0", "p1"]), R.Predicate("not-in", ("p2",))), table)
+    args = (table.segments, codes, slots, 3, 6, 24, 3)
+    made = []
 
-    def getrandbits(k):
-        calls.append(k)
-        if len(calls) == 3:
-            raise Exhausted
-        return 7  # past the bound of range(5), so each pool draws again
+    def recording(k):
+        made.append(k)
+        return source.getrandbits(k)
 
-    with pytest.raises(Exhausted):
-        backend.draw(getrandbits, [range(5)] * 4)
-    assert calls == [3, 3, 3]
+    source = random.Random(17)
+    full = backend.draw_inputs(recording, *args)
+    assert len(full) == 24 and len(made) > 150
+    for fail_at in range(1, len(made) + 1):
+        calls = []
+
+        def getrandbits(k):
+            calls.append(k)
+            if len(calls) == fail_at:
+                raise Exhausted
+            return replay.getrandbits(k)
+
+        replay = random.Random(17)
+        with pytest.raises(Exhausted):
+            backend.draw_inputs(getrandbits, *args)
+        assert calls == made[:fail_at]
 
 
 @pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
 @pytest.mark.parametrize("getrandbits, pools", [
-    (random.Random(1).getrandbits, 5),  # pools that are no sequence
-    (random.Random(1).getrandbits, [5]),  # a pool with no length
-    (lambda k: "0", [range(3)]),  # bits that are no integer
-    (None, [range(3)]),  # a getrandbits that cannot be called
+    (random.Random(1).getrandbits, 5),  # context pools that are no sequence
+    (random.Random(1).getrandbits, [5]),  # a pool that is no class
+    (lambda k: "0", [(False, "\x80")]),  # bits that are no integer
+    (None, [(False, "\x80")]),  # a getrandbits that cannot be called
 ])
 def test_draw_rejects_malformed_input(backend, getrandbits, pools):
+    """`pools` are the context's slots, each a (negated, chars) class whose
+    members are the pool its phone of the context is drawn from."""
     with pytest.raises(TypeError):
-        backend.draw(getrandbits, pools)
+        backend.draw_inputs(getrandbits, *CLEAR_ARGS[:2], pools, 1, 4, 10, 5)
 
 
 CLEAR_ARGS = (["a", "b", "c"], "\x80\x81\x82", [(False, "\x80")], 1, 4, 3, 5)
@@ -449,21 +490,26 @@ CLEAR_ARGS = (["a", "b", "c"], "\x80\x81\x82", [(False, "\x80")], 1, 4, 3, 5)
         "negative-redraws", "no-slot", "codes-an-int", "codes-a-list", "pool-an-int", "slot-not-bool-str",
         "lo-a-float", "count-a-str"])
 def test_draw_clear_rejects_malformed_input(backend, pool, codes, slots, lo, hi, count, redraws, error):
-    """Malformed input raises before any bits are drawn."""
+    """Malformed input to `draw_inputs`, whose context-free words are drawn
+    as draw_clear drew them, raises before any bits are drawn."""
     calls = []
     with pytest.raises(error):
-        backend.draw_clear(calls.append, pool, codes, slots, lo, hi, count, redraws)
+        backend.draw_inputs(calls.append, pool, codes, slots, lo, hi, count, redraws)
     assert calls == []
 
 
 @pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
 @pytest.mark.parametrize("lo, hi, fail_at, bits", [
-    (3, 6, 3, [3, 2, 2]),  # while drawing the first word's phones
-    (1, 1, 5, [1, 2, 1, 2, 1]),  # at a redraw's length: each word is an 'a', which the window holds
-    (70, 70, 60, [1] + [2] * 59),  # inside a word past the compiled kernel's stack buffer
+    (3, 6, 13, [3, 2, 1, 2, 2] * 2 + [3, 2, 2]),  # while drawing the free word's phones
+    (1, 1, 11, [1, 1, 1] * 2 + [1, 2, 1, 2, 1]),  # at a redraw's length: each word is an 'a', which the window holds
+    (70, 70, 204, ([1, 7, 1] + [2] * 69) * 2 + [1] + [2] * 59),  # inside a word past 64 phones
 ], ids=["phones", "redraw-length", "long-word"])
 def test_draw_clear_propagates_an_error_of_getrandbits(backend, lo, hi, fail_at, bits):
-    """An error of `getrandbits` stops the draw where it is raised."""
+    """An error of `getrandbits` stops `draw_inputs` where it is raised in a
+    context-free word, drawn as draw_clear drew it.  Of three words, two
+    hold the context anywhere (a length, an offset, the context's one phone
+    and the others) and the third is free of it; every draw is 0, so every
+    phone an 'a'."""
     calls = []
 
     def getrandbits(k):
@@ -473,7 +519,7 @@ def test_draw_clear_propagates_an_error_of_getrandbits(backend, lo, hi, fail_at,
         return 0
 
     with pytest.raises(Exhausted):
-        backend.draw_clear(getrandbits, *CLEAR_ARGS[:3], lo, hi, 3, 5)
+        backend.draw_inputs(getrandbits, *CLEAR_ARGS[:3], lo, hi, 3, 5)
     assert calls == bits
 
 
@@ -495,6 +541,11 @@ def leak_probe_calls():
     rng = random.Random(5)
     window = [[False, "@"], [False, "\x80"], [False, "@"]]
     pool, codes, context = ["a", "b", "c"], "\x80\x81\x82", [[False, "\x80"], [True, "\x81"]]
+    # a draw of 12 short words whose getrandbits gives 0 makes this many calls
+    # before its last, the shuffle's last swap
+    made = []
+    _native.draw_inputs(lambda k: made.append(k) or 0, pool, codes, context, 1, 3, 12, 5)
+    shuffle_at = len(made) - 1
     good = {
         "levenshtein": [(["a", "b", "c"], ["a", "c", "d"])],
         # and an __eq__ whose answers along the backtrack take more pairs
@@ -504,12 +555,11 @@ def leak_probe_calls():
         "scan_counts": [([["a", "b"], []], [["a", "b", "a", "b"], ["b"]])],
         "splice_sites": [([["a", "b"], ["a"]], [2, 9], [[0, 1, ["e"]], [2, 3, ["f", "g"]]])],
         "find_sites": [("#@\x80@\x81@#\n#@\x80@#", window)],
-        "draw": [(rng.getrandbits, [pool, range(7), "xyz"])],
-        # short words, and words past the kernel's stack buffer; none of 20
-        # phones, as CPython 3.11 keeps every freed tuple of 20 items on a
-        # free list that no new tuple is taken from
-        "draw_clear": [(rng.getrandbits, pool, codes, context, 1, 12, 3, 5),
-                       (rng.getrandbits, pool, codes, context, 65, 70, 3, 5)],
+        # short words, and words past the kernel's buffer's first size; none
+        # of 20 phones, as CPython 3.11 keeps every freed tuple of 20 items
+        # on a free list that no new tuple is taken from
+        "draw_inputs": [(rng.getrandbits, pool, codes, context, 1, 12, 50, 5),
+                        (rng.getrandbits, pool, codes, context, 65, 70, 12, 5)],
     }
     raising = [RaisingEq(), "b"]
     bad = {
@@ -528,18 +578,18 @@ def leak_probe_calls():
             ([["a"]], ["2"], [[0, 1, ["e"]]]),  # a start that is no integer
         ],
         "find_sites": [("x", []), ("x", [[1, "a"]]), (5, window), ("x", [[False, "a", "b"]])],
-        "draw": [(rng.getrandbits, [pool, []]), (failing_after(1), [pool, pool]), (None, [pool]),
-                 (lambda k: "0", [pool])],
-        "draw_clear": [
-            (rng.getrandbits, [], "", context, 1, 3, 2, 5),  # an empty pool
-            (rng.getrandbits, pool, codes[:2], context, 1, 3, 2, 5),  # a code missing
-            (rng.getrandbits, pool, 5, context, 1, 3, 2, 5),  # codes that are no str
-            (rng.getrandbits, pool, codes, context, 4, 3, 2, 5),  # lo > hi
+        "draw_inputs": [
+            (rng.getrandbits, [], "", context, 1, 3, 12, 5),  # an empty pool
+            (rng.getrandbits, pool, codes[:2], context, 1, 3, 12, 5),  # a code missing
+            (rng.getrandbits, pool, 5, context, 1, 3, 12, 5),  # codes that are no str
+            (rng.getrandbits, pool, codes, context, 4, 3, 12, 5),  # lo > hi
             (rng.getrandbits, pool, codes, context, 1, 3, -1, 5),  # a negative count
-            (rng.getrandbits, pool, codes, [], 1, 3, 2, 5),  # a context of no slot
-            (rng.getrandbits, pool, codes, [[1, "a"]], 1, 3, 2, 5),  # a slot that is no (bool, str)
-            (failing_after(100), pool, codes, context, 66, 70, 3, 5),  # stops inside a long word
-            (lambda k: [k], pool, codes, context, 1, 3, 2, 5),  # bits that are no integer
+            (rng.getrandbits, pool, codes, [], 1, 3, 12, 5),  # a context of no slot
+            (rng.getrandbits, pool, codes, [[1, "a"]], 1, 3, 12, 5),  # a slot that is no (bool, str)
+            (rng.getrandbits, pool, codes, [[False, "\x80"], [False, ""]], 1, 3, 12, 5),  # a slot with no member
+            (failing_after(100), pool, codes, context, 66, 70, 12, 5),  # stops inside a long word
+            (failing_after(shuffle_at), pool, codes, context, 1, 3, 12, 5),  # stops in the shuffle
+            (lambda k: [k], pool, codes, context, 1, 3, 12, 5),  # bits that are no integer
             (rng.getrandbits, pool, codes, context, 1, 3),  # too few arguments
         ],
     }

@@ -171,6 +171,12 @@ def test_law_is_inert(inv):
     assert not law_is_inert(final_devoicing(), [inv.segment("sunt")], inv)
     assert law_is_inert(final_devoicing(), [inv.segment("tapere")], inv)
     assert law_is_inert(final_devoicing(), [], inv)
+    # and on the words' encoding, which it reads and leaves as it is
+    words = [inv.segment("tapere"), inv.segment("sunt")]
+    codes = R.encode_words(words, inv)
+    kept = list(codes)
+    assert not law_is_inert(final_devoicing(), words, inv, codes) and codes == kept
+    assert law_is_inert(final_devoicing(), words[:1], inv, codes[:1])
 
 
 def test_apply_cascade_order_and_trace(inv):
@@ -474,16 +480,18 @@ def test_find_sites_finds_the_sites_of_the_lookahead_form_and_the_scan(backend, 
 
 @BACKENDS
 def test_draw_clear_is_the_oracles_draw(backend, inv, monkeypatch):
-    """`draw_clear`, called on the classes of phone contexts and through
-    `context_free_draw` at datagen's cap, draws the words that
-    `oracles.draw_clear` draws with rng.randint and rng.choice and tests with
-    `window_sites` over their phones, and leaves rng in the same state: on
-    the bundled table, one with empty classes and one whose codes pass
-    U+00FF; with slots that name '#' or '@' and wildcard slots, lengths and
-    pools on both sides of powers of two, and contexts every word holds.
+    """`draw_inputs`, called through `draw_words` on the classes of phone
+    contexts, at datagen's cap among others, draws the words that
+    `oracles.sample_inputs` draws with rng.randint, rng.choice and
+    rng.shuffle, its context-free words drawn by `oracles.draw_clear`,
+    which tests them with `window_sites` over their phones, and leaves rng
+    in the same state: on the bundled table, one with empty classes and one
+    whose codes pass U+00FF; with slots that name '#' or '@' and wildcard
+    slots, lengths and pools on both sides of powers of two, word counts
+    with and without context-free words, and contexts every word holds.
     A phone context holds in a word exactly where datagen's form of it,
     pinned by '@' on both sides, has a site in the word's token sequence."""
-    monkeypatch.setattr(kernels, "draw_clear", backend.draw_clear)
+    monkeypatch.setattr(kernels, "draw_inputs", backend.draw_inputs)
     rng = random.Random(223)
     anything = feature_class("is_anything")
     tables = (
@@ -491,34 +499,35 @@ def test_draw_clear_is_the_oracles_draw(backend, inv, monkeypatch):
         (tiny_inventory(), ["a", "i", "n", "t"]),
         (wide_inventory(), ["p0", "p1", "p129", "p130"]),
     )
+
+    def same_draw(preds, table, lo, hi, n, redraws, cap):
+        seed = rng.randrange(1 << 30)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        try:
+            got = R.draw_words(preds, table, ours.getrandbits, lo, hi, n, redraws)
+        except IndexError:  # a slot with no member
+            got = None
+        try:
+            want = oracles.sample_inputs(theirs, preds, table, lo, hi, n, cap)
+        except IndexError:
+            want = None
+        assert got == want and ours.getstate() == theirs.getstate(), (preds, lo, hi, n)
+        return got or []
+
     for table, phones in tables:
-        compiler = R._compiler(table)
-        codes = "".join(compiler.code[s] for s in table.segments)
         pool = hand_built_pool(phones)
         contexts = [(anything,), (R.is_not_token("#"), anything)]  # every word holds these
         contexts += [tuple(rng.sample(pool, rng.randrange(1, 5))) for _ in range(40)]
         drawn = []
         for k, preds in enumerate(contexts):
-            seed = rng.randrange(1 << 30)
             for lo, hi in ((0, 3), (3, 10), (3, 12), (1, 1)) if k < 12 else ((3, 12),):
-                ours, theirs = random.Random(seed), random.Random(seed)
-                got = kernels.draw_clear(ours.getrandbits, table.segments, codes, compiler.window(preds, table),
-                                         lo, hi, 6, 40)
-                assert got == oracles.draw_clear(theirs, table.segments, preds, table, lo, hi, 6, 40), preds
-                assert ours.getstate() == theirs.getstate(), preds
-            # datagen's phone contexts, through the entry point, at datagen's cap
-            seed = rng.randrange(1 << 30)
-            ours, theirs = random.Random(seed), random.Random(seed)
-            got = R.context_free_draw(preds, table, ours.getrandbits)(*datagen.WORD_LEN, 8, datagen.CONTEXT_REDRAWS)
-            want = oracles.draw_clear(theirs, table.segments, preds, table, *datagen.WORD_LEN, 8, 40)
-            assert got == want and ours.getstate() == theirs.getstate(), preds
+                for n in (10, 3, 0) if k < 12 else (10,):
+                    same_draw(preds, table, lo, hi, n, 40, 40)
+            # datagen's phone contexts at datagen's cap, which reads 40
+            got = same_draw(preds, table, *datagen.WORD_LEN, 12, datagen.CONTEXT_REDRAWS, 40)
             drawn += got
-            if k < 2:  # 40 redraws, and the 41st draw kept although it holds the context
-                assert all(window_sites(preds, word, table) for word in got)
-                check = random.Random(seed)
-                for _ in range(8 * 41):
-                    [check.choice(table.segments) for _ in range(check.randint(*datagen.WORD_LEN))]
-                assert check.getstate() == ours.getstate()
+            if k < 2:  # each context-free word drawn 41 times, the last kept although it holds the context
+                assert got and all(window_sites(preds, word, table) for word in got)
         outcomes = set()
         for preds in contexts:
             for word in drawn:
@@ -527,13 +536,9 @@ def test_draw_clear_is_the_oracles_draw(backend, inv, monkeypatch):
                 outcomes.add(held)
         assert outcomes == {False, True}
     # long words, past 64 phones
-    compiler = R._compiler(inv)
-    codes = "".join(compiler.code[s] for s in inv.segments)
     for preds in ((is_token("a"), is_token("a")), (is_token("t"), R.in_set(("a", "e")))):
-        ours, theirs = random.Random(7), random.Random(7)
-        got = kernels.draw_clear(ours.getrandbits, inv.segments, codes, compiler.window(preds, inv), 60, 130, 5, 40)
-        assert got == oracles.draw_clear(theirs, inv.segments, preds, inv, 60, 130, 5, 40)
-        assert ours.getstate() == theirs.getstate() and max(map(len, got)) > 64
+        got = same_draw(preds, inv, 60, 130, 10, 40, 40)
+        assert max(map(len, got)) > 64
 
 
 PLANE_15 = "\U000F0000\U000F0001\U000FFFFD"
