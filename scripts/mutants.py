@@ -132,6 +132,18 @@ CATALOGUE = [
     Mutant("a splice line of 2 * len + 2", "src/soundlaw/_speedups.c",
            "end = first + 2 * n + 3;", "end = first + 2 * n + 2;",
            "c", ("tests/test_rules.py", "tests/test_datagen.py")),
+    Mutant("find_sites' first-slot prefilter reads the next bit", "src/soundlaw/_speedups.c",
+           "if (!(first[s[i] >> 3] >> (s[i] & 7) & 1))", "if (!(first[s[i] >> 3] >> ((s[i] + 1) & 7) & 1))",
+           "c", ("tests/test_rules.py",)),
+    Mutant("same() compares all but the last code unit", "src/soundlaw/_speedups.c",
+           "PyUnicode_DATA(y), (size_t)len * kind) == 0", "PyUnicode_DATA(y), (size_t)(len - 1) * kind) == 0",
+           "c", (A07, "tests/test_kernels.py")),
+    Mutant("idp-pi draws its context unweighted", "src/soundlaw/datagen.py",
+           "rng.choices(cands, kernels.scan_counts(cands, inputs))[0]", "rng.choices(cands)[0]",
+           "c", ("tests/test_datagen.py",)),
+    Mutant("rp-li and rp-pi keep an inert law", "src/soundlaw/datagen.py",
+           "                if not any(changed):\n                    continue\n", "",
+           "c", ("tests/test_datagen.py",)),
     Mutant("a feature class missing one member", "src/soundlaw/rules.py",
            "name: tuple(t for t in inv.features if inv.in_class(name, t)) for name",
            "name: tuple(t for t in inv.features if inv.in_class(name, t))[1:] for name",

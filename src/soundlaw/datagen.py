@@ -277,12 +277,7 @@ def add_distractors(
     if needed == 0:
         return task
     have = set(task.inputs)
-    fresh = []
-    seen = set()
-    for word in pool:
-        if word not in have and word not in seen:
-            fresh.append(word)
-            seen.add(word)
+    fresh = [word for word in dict.fromkeys(pool) if word not in have]
     if len(fresh) < needed:
         raise PoolExhausted(f"need {needed} distractors, pool offers {len(fresh)}")
     picked = rng.sample(fresh, needed)
@@ -356,15 +351,15 @@ def gen_llm_tasks(
     """Laws proposed by a model, inputs padded to N with distractors.
 
     rp-li pairs each law with the nonce words the model listed for it;
-    rp-pi starts each task from the round's five seed words.  Inert laws
-    are dropped.  Output words always come from executing the law locally.
+    rp-pi starts each task from the round's five seed words.  Each law runs
+    once, locally; its outputs are the task's, and an inert law is dropped.
     """
     if kind not in ("rp-li", "rp-pi"):
         raise GenerationError(f"unknown llm condition {kind!r}")
     if len(seed_pool) < 5:  # each round samples the five seed words of its prompt
         raise GenerationError(f"{kind} prompts take 5 seed words; the seed pool holds {len(seed_pool)}")
     rng = derive_rng(cfg.seed, kind)
-    candidates: list[tuple[SoundLaw, list[PhoneSeq], int]] = []
+    candidates: list[tuple[SoundLaw, list[PhoneSeq], list[PhoneSeq], int]] = []
     barren = 0
     round_index = 0
     while len(candidates) < count:
@@ -381,9 +376,10 @@ def gen_llm_tasks(
                         inputs = list(seeds)
                 else:
                     inputs = list(seeds)
-                if law_is_inert(law, inputs, inv):
+                outputs, changed = apply_to_lexicon(law, inputs, inv)
+                if not any(changed):
                     continue
-                candidates.append((law, inputs, round_index))
+                candidates.append((law, inputs, outputs, round_index))
                 yielded += 1
         barren = 0 if yielded else barren + 1
         round_index += 1
@@ -391,10 +387,9 @@ def gen_llm_tasks(
 
     # distractor pool: every candidate's inputs, then the seed pool;
     # add_distractors skips a task's own inputs
-    pool = [word for _, inputs, _ in candidates for word in inputs] + list(seed_pool)
+    pool = [word for _, inputs, _, _ in candidates for word in inputs] + list(seed_pool)
     tasks: list[PBETask] = []
-    for i, (law, inputs, rnd) in enumerate(candidates):
-        outputs, _ = apply_to_lexicon(law, inputs, inv)
+    for i, (law, inputs, outputs, rnd) in enumerate(candidates):
         task = PBETask(
             id=f"{kind}-{i:05d}",
             condition=kind,
@@ -417,18 +412,11 @@ def sample_idp_context(inputs: list[PhoneSeq], rng: random.Random) -> PhoneSeq:
     if len(inputs) < 2:
         raise GenerationError("need at least two inputs")
     # distinct candidates in first-seen order, so the draw below is reproducible
-    cands = dict.fromkeys(starmap(lcs, combinations(inputs, 2)))
-    cands.pop((), None)
+    cands = [cand for cand in dict.fromkeys(starmap(lcs, combinations(inputs, 2))) if cand]
     if not cands:
         raise NoCommonSubsequence("all pairwise LCSs are empty")
-    weights = kernels.scan_counts(list(cands), inputs)
-    pick = rng.random() * sum(weights)
-    acc = 0
-    for cand, weight in zip(cands, weights):
-        acc += weight
-        if pick < acc:
-            return cand
-    return cand  # pragma: no cover - float edge
+    # a candidate is an LCS of two inputs, so its weight is at least 2
+    return rng.choices(cands, kernels.scan_counts(cands, inputs))[0]
 
 
 def _law_phones_in_context(law: SoundLaw, context: PhoneSeq) -> bool:

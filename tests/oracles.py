@@ -153,11 +153,11 @@ def reference_apply(law, word, inv):
     return tuple(p for p in pieces if p not in ("#", "@"))
 
 
-def draw_clear(rng, pool, context, inv, lo, hi, count, redraws):
+def draw_context_free(rng, pool, context, inv, lo, hi, count, redraws):
     """`count` words of `rng.randint(lo, hi)` phones `rng.choice(pool)`, each
     drawn again while the phone context `context` has a site in its phones,
-    `redraws` times at most, the last draw kept untested: the draw of
-    `kernels.draw_clear`, with the context read phone by phone."""
+    `redraws` times at most, the last draw kept untested: the context-free
+    phase of `kernels.draw_inputs`, with the context read phone by phone."""
     def word():
         return tuple(rng.choice(pool) for _ in range(rng.randint(lo, hi)))
 
@@ -177,7 +177,7 @@ def sample_inputs(rng, context, inv, lo, hi, n, redraws):
     `context`, shuffled: the draw of `kernels.draw_inputs` and of
     `datagen.sample_inputs_for_law`, made with `rng.randint`, `rng.choice`
     and `rng.shuffle`, each slot's members read phone by phone and the
-    context-free words drawn by `draw_clear`.  A slot with no member raises
+    context-free words drawn by `draw_context_free`.  A slot with no member raises
     IndexError where `rng.choice` first draws from it."""
     ctx = [[s for s in inv.segments if slot_matches(p, s, inv)] for p in context]
     segs = [inv.segments]
@@ -214,6 +214,6 @@ def sample_inputs(rng, context, inv, lo, hi, n, redraws):
         at = rng.randint(0, total - w)
         p = draw(ctx + segs * (total - w))
         words.append(tuple(p[w:w + at] + p[:w] + p[w + at:]))
-    words += draw_clear(rng, inv.segments, context, inv, lo, hi, n - len(words), redraws)
+    words += draw_context_free(rng, inv.segments, context, inv, lo, hi, n - len(words), redraws)
     rng.shuffle(words)
     return words

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import oracles
@@ -535,6 +536,41 @@ action = BasicAction(predicates=[lambda x: x == 'ʒ'], change_pos=[0], mapping_f
     cfg = GenConfig(seed=17, n_examples=10, retry_budget=2)
     with pytest.raises(ZeroYield):
         gen_llm_tasks("rp-li", gw, pool, cfg, 1, inv)
+
+
+def test_llm_tasks_run_each_harvested_law_once(inv, tmp_path, monkeypatch):
+    """rp-li (A11's replay of the recorded fixtures) and rp-pi (a scripted
+    gateway whose second law is inert) run each harvested law through one
+    `apply_to_lexicon` call, which both tests inertness and gives the task's
+    outputs; `law_is_inert` is never called."""
+    harvested, applied, gated = [], [], []
+    harvest, apply = datagen.harvest_actions, datagen.apply_to_lexicon
+
+    def harvest_and_record(*args):
+        pairs = harvest(*args)
+        harvested.extend(pairs)
+        return pairs
+
+    monkeypatch.setattr(datagen, "harvest_actions", harvest_and_record)
+    monkeypatch.setattr(datagen, "apply_to_lexicon", lambda *args: applied.append(args[0]) or apply(*args))
+    monkeypatch.setattr(datagen, "law_is_inert", lambda *args: gated.append(args[0]))
+    fixtures = Path(__file__).parent / "data" / "rp_li_fixtures.jsonl"
+    out = tmp_path / "rpli.jsonl"
+    argv = ["datagen", "--condition", "rp-li", "--cache-only", "--fixtures", str(fixtures),
+            "--count", "5", "--seed", "11", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(harvested) > 5 and applied == [law for law, _ in harvested] and gated == []
+
+    harvested.clear()
+    applied.clear()
+    pool = [inv.segment(w) for w in ("tʰum", "sam", "lar", "an", "wam", "ap", "ha", "tsar", "lam", "san")]
+    response = """```python
+action = BasicAction(predicates=[lambda x: x == 'm', lambda x: x == '@', lambda x: x == '#'], change_pos=[0], mapping_fn=[lambda x: 'n'])
+action = BasicAction(predicates=[lambda x: x == 'ʒ'], change_pos=[0], mapping_fn=[lambda x: 'e'])
+```"""
+    tasks = gen_llm_tasks("rp-pi", ScriptedGateway([response]), pool, GenConfig(seed=16, n_examples=10), 3, inv)
+    assert len(tasks) == 3 and all(task.gold_law == harvested[0][0] for task in tasks)
+    assert len(harvested) > 3 and applied == [law for law, _ in harvested] and gated == []
 
 
 def test_derive_rng_streams_independent():

@@ -464,34 +464,33 @@ def test_draw_rejects_malformed_input(backend, getrandbits, pools):
     """`pools` are the context's slots, each a (negated, chars) class whose
     members are the pool its phone of the context is drawn from."""
     with pytest.raises(TypeError):
-        backend.draw_inputs(getrandbits, *CLEAR_ARGS[:2], pools, 1, 4, 10, 5)
+        backend.draw_inputs(getrandbits, *DRAW_ARGS[:2], pools, 1, 4, 10, 5)
 
 
-CLEAR_ARGS = (["a", "b", "c"], "\x80\x81\x82", [(False, "\x80")], 1, 4, 3, 5)
+DRAW_ARGS = (["a", "b", "c"], "\x80\x81\x82", [(False, "\x80")], 1, 4, 3, 5)
 
 
 @pytest.mark.parametrize("backend", [kernels, _native], ids=["kernels", "native"])
 @pytest.mark.parametrize("pool, codes, slots, lo, hi, count, redraws, error", [
-    ([], "", CLEAR_ARGS[2], 1, 4, 3, 5, IndexError),  # an empty pool
-    (["a", "b", "c"], "\x80\x81", CLEAR_ARGS[2], 1, 4, 3, 5, ValueError),  # a code missing
-    (["a", "b"], "\x80\x81\x82", CLEAR_ARGS[2], 1, 4, 3, 5, ValueError),  # a code too many
-    (*CLEAR_ARGS[:3], 5, 4, 3, 5, ValueError),  # lo > hi
-    (*CLEAR_ARGS[:3], -1, 4, 3, 5, ValueError),  # a negative length
-    (*CLEAR_ARGS[:3], 1, 4, -1, 5, ValueError),  # a negative count
-    (*CLEAR_ARGS[:3], 1, 4, 3, -1, ValueError),  # a negative cap
-    (*CLEAR_ARGS[:2], [], 1, 4, 3, 5, ValueError),  # a window of no slot
-    (CLEAR_ARGS[0], 5, *CLEAR_ARGS[2:], TypeError),  # codes that are no str
-    (CLEAR_ARGS[0], ["\x80", "\x81", "\x82"], *CLEAR_ARGS[2:], TypeError),
-    (5, *CLEAR_ARGS[1:], TypeError),  # a pool that is no sequence
-    (*CLEAR_ARGS[:2], [(1, "a")], *CLEAR_ARGS[3:], TypeError),  # a slot that is no (bool, str)
-    (*CLEAR_ARGS[:3], 1.0, 4, 3, 5, TypeError),  # a length that is no integer
-    (*CLEAR_ARGS[:5], "3", 5, TypeError),
+    ([], "", DRAW_ARGS[2], 1, 4, 3, 5, IndexError),  # an empty pool
+    (["a", "b", "c"], "\x80\x81", DRAW_ARGS[2], 1, 4, 3, 5, ValueError),  # a code missing
+    (["a", "b"], "\x80\x81\x82", DRAW_ARGS[2], 1, 4, 3, 5, ValueError),  # a code too many
+    (*DRAW_ARGS[:3], 5, 4, 3, 5, ValueError),  # lo > hi
+    (*DRAW_ARGS[:3], -1, 4, 3, 5, ValueError),  # a negative length
+    (*DRAW_ARGS[:3], 1, 4, -1, 5, ValueError),  # a negative count
+    (*DRAW_ARGS[:3], 1, 4, 3, -1, ValueError),  # a negative cap
+    (*DRAW_ARGS[:2], [], 1, 4, 3, 5, ValueError),  # a window of no slot
+    (DRAW_ARGS[0], 5, *DRAW_ARGS[2:], TypeError),  # codes that are no str
+    (DRAW_ARGS[0], ["\x80", "\x81", "\x82"], *DRAW_ARGS[2:], TypeError),
+    (5, *DRAW_ARGS[1:], TypeError),  # a pool that is no sequence
+    (*DRAW_ARGS[:2], [(1, "a")], *DRAW_ARGS[3:], TypeError),  # a slot that is no (bool, str)
+    (*DRAW_ARGS[:3], 1.0, 4, 3, 5, TypeError),  # a length that is no integer
+    (*DRAW_ARGS[:5], "3", 5, TypeError),
 ], ids=["empty-pool", "code-missing", "code-too-many", "lo-above-hi", "negative-lo", "negative-count",
         "negative-redraws", "no-slot", "codes-an-int", "codes-a-list", "pool-an-int", "slot-not-bool-str",
         "lo-a-float", "count-a-str"])
 def test_draw_clear_rejects_malformed_input(backend, pool, codes, slots, lo, hi, count, redraws, error):
-    """Malformed input to `draw_inputs`, whose context-free words are drawn
-    as draw_clear drew them, raises before any bits are drawn."""
+    """Malformed input to `draw_inputs` raises before any bits are drawn."""
     calls = []
     with pytest.raises(error):
         backend.draw_inputs(calls.append, pool, codes, slots, lo, hi, count, redraws)
@@ -506,10 +505,9 @@ def test_draw_clear_rejects_malformed_input(backend, pool, codes, slots, lo, hi,
 ], ids=["phones", "redraw-length", "long-word"])
 def test_draw_clear_propagates_an_error_of_getrandbits(backend, lo, hi, fail_at, bits):
     """An error of `getrandbits` stops `draw_inputs` where it is raised in a
-    context-free word, drawn as draw_clear drew it.  Of three words, two
-    hold the context anywhere (a length, an offset, the context's one phone
-    and the others) and the third is free of it; every draw is 0, so every
-    phone an 'a'."""
+    context-free word.  Of three words, two hold the context anywhere (a
+    length, an offset, the context's one phone and the others) and the third
+    is free of it; every draw is 0, so every phone an 'a'."""
     calls = []
 
     def getrandbits(k):
@@ -519,7 +517,7 @@ def test_draw_clear_propagates_an_error_of_getrandbits(backend, lo, hi, fail_at,
         return 0
 
     with pytest.raises(Exhausted):
-        backend.draw_inputs(getrandbits, *CLEAR_ARGS[:3], lo, hi, 3, 5)
+        backend.draw_inputs(getrandbits, *DRAW_ARGS[:3], lo, hi, 3, 5)
     assert calls == bits
 
 

@@ -479,11 +479,11 @@ def test_find_sites_finds_the_sites_of_the_lookahead_form_and_the_scan(backend, 
 
 
 @BACKENDS
-def test_draw_clear_is_the_oracles_draw(backend, inv, monkeypatch):
+def test_draw_words_is_the_oracles_draw(backend, inv, monkeypatch):
     """`draw_inputs`, called through `draw_words` on the classes of phone
     contexts, at datagen's cap among others, draws the words that
     `oracles.sample_inputs` draws with rng.randint, rng.choice and
-    rng.shuffle, its context-free words drawn by `oracles.draw_clear`,
+    rng.shuffle, its context-free words drawn by `oracles.draw_context_free`,
     which tests them with `window_sites` over their phones, and leaves rng
     in the same state: on the bundled table, one with empty classes and one
     whose codes pass U+00FF; with slots that name '#' or '@' and wildcard
